@@ -4,11 +4,12 @@ Subcommands cover the three computational routes: ``predict`` (closed
 forms), ``contract`` (exact replica chains), ``sample``/``histogram``
 (Monte-Carlo over sampled states) plus ``oracle`` (exhaustive dense
 enumeration at tiny sizes).  Outputs are CSV (header row, one leading
-``# schema=1 seed=... config=...`` comment line) next to a JSON mirror with
+``# schema=N seed=... config=...`` comment line) next to a JSON mirror with
 the full resolved configuration; a ``*.manifest.json`` records tool version,
-wall time and the emitted files.  Data files are deterministic for fixed
-flags and seed; files are written atomically and partial outputs are removed
-on failure.
+wall time and the emitted files.  N is 2 for the ``sample`` and
+``histogram`` files (the batched Born sweep changed their last bits) and 1
+for the others.  Data files are deterministic for fixed flags and seed;
+files are written atomically and partial outputs are removed on failure.
 
 Flags override an optional plain-text key=value config file (--config).
 """
@@ -16,6 +17,7 @@ Flags override an optional plain-text key=value config file (--config).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -379,20 +381,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: a parser is a web of reference cycles, so one
+    # per main() call leaves ~500 objects per call to the cyclic collector,
+    # and peak memory grows with the number of calls
+    return build_parser()
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Prepend config-file entries as defaults (flags still override)."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     injected = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
     # insert right after the subcommand so explicit flags (later) win
     for i, tok in enumerate(argv):
         if tok in ("predict", "contract", "sample", "oracle", "histogram"):
@@ -402,7 +418,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)

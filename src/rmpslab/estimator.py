@@ -31,6 +31,11 @@ from . import mps, theory
 from .errors import PreconditionError, SizeLimitError
 from .weingarten import HAAR, EnsembleKind
 
+# version of the sample/histogram CSV and JSON formats; 2 since the batched
+# Born sweep, whose post-states and pair overlaps differ from the per-draw
+# sweep's in the last bits
+SCHEMA = 2
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -106,30 +111,40 @@ class MomentEstimate:
             raise ValueError("stderr must be >= 0 and n_samples > 0")
 
 
-def _born_realization(config: EnsembleConfig, r: int) -> np.ndarray:
-    """Per-pair means of u^k for one realization, k = 1..k_max."""
+def _born_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
+    """u = D_A |<psi(z)|psi(z')>|^2 for every pair of realization r, in draw order.
+
+    independent: pair i is draws (2i, 2i + 1); draws arrive in chunks of
+    whole pairs from one batched sweep each, so at most one chunk of
+    post-states is held.  pooled: all unordered pairs i < j among
+    pairs_per_state draws, which needs every post-state at once.
+    """
     rng = mps.stream(config.seed, r)
     state, layout = config.build(rng)
     sampler = mps.BornSampler(state, layout)
-    d_a = config.d_a
-    ks = np.arange(1, config.k_max + 1)
-    if config.pair_mode == "independent":
-        sums = np.zeros(config.k_max)
-        for _ in range(config.pairs_per_state):
-            rec1 = sampler.sample(rng)
-            rec2 = sampler.sample(rng)
-            u = d_a * abs(mps.overlap(rec1.post_state, rec2.post_state)) ** 2
-            sums += float(u) ** ks
-        return sums / config.pairs_per_state
-    # pooled: all ordered pairs (i != j) among pairs_per_state draws
-    draws = np.stack(
-        [sampler.sample(rng).post_state for _ in range(config.pairs_per_state)]
-    )
-    gram = draws.conj() @ draws.T
-    u_mat = d_a * np.abs(gram) ** 2
-    np.fill_diagonal(u_mat, 0.0)
-    n_pairs = config.pairs_per_state * (config.pairs_per_state - 1)
-    return np.array([np.sum(u_mat**k) / n_pairs for k in ks])
+    n = config.pairs_per_state
+    if config.pair_mode == "pooled":
+        posts = np.concatenate(
+            [
+                sampler.sample_batch(rng, min(sampler.chunk, n - lo)).post_states
+                for lo in range(0, n, sampler.chunk)
+            ]
+        )
+        u = config.d_a * np.abs(posts.conj() @ posts.T) ** 2
+        return u[np.triu_indices(n, k=1)]
+    per_chunk = max(1, sampler.chunk // 2)
+    out = np.empty(n)
+    for lo in range(0, n, per_chunk):
+        hi = min(n, lo + per_chunk)
+        posts = sampler.sample_batch(rng, 2 * (hi - lo)).post_states
+        out[lo:hi] = config.d_a * np.abs(np.vecdot(posts[0::2], posts[1::2])) ** 2
+    return out
+
+
+def _born_realization(config: EnsembleConfig, r: int) -> np.ndarray:
+    """Pair means of u^k for one realization, k = 1..k_max."""
+    u = _born_overlaps(config, r)
+    return np.mean(u[:, None] ** np.arange(1, config.k_max + 1), axis=0)
 
 
 def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
@@ -150,19 +165,19 @@ def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
     return sums / config.pairs_per_state
 
 
+def _per_realization(worker, config: EnsembleConfig, threads: int) -> list:
+    """worker(config, r) for every realization r, in realization order."""
+    reals = range(config.realizations)
+    if threads <= 1:
+        return [worker(config, r) for r in reals]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, [config] * len(reals), reals))
+
+
 def _collect(config: EnsembleConfig, threads: int = 1) -> np.ndarray:
     """(realizations, k_max) per-realization means, in realization order."""
     worker = _born_realization if config.sampling_mode == "born" else _forced_realization
-    out = np.empty((config.realizations, config.k_max))
-    if threads <= 1:
-        for r in range(config.realizations):
-            out[r] = worker(config, r)
-        return out
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, config, r): r for r in range(config.realizations)}
-        for fut, r in futures.items():
-            out[r] = fut.result()
-    return out
+    return np.array(_per_realization(worker, config, threads))
 
 
 def jackknife_mean(per_real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +284,7 @@ def overlap_histogram(
     """
     if config.sampling_mode != "born":
         raise PreconditionError("overlap_histogram needs a born-mode config")
-    samples = _collect_overlaps(config, threads)
+    samples = np.concatenate(_per_realization(_born_overlaps, config, threads))
     counts, edges = np.histogram(samples, bins=bins, range=(0.0, u_max))
     width = edges[1] - edges[0]
     n_in = int(counts.sum())
@@ -279,35 +294,6 @@ def overlap_histogram(
     error = np.sqrt(counts) / (n_in * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return HistogramTable(centers, density, error, float(width), n_in, samples.size)
-
-
-def _overlap_realization(config: EnsembleConfig, r: int) -> np.ndarray:
-    rng = mps.stream(config.seed, r)
-    state, layout = config.build(rng)
-    sampler = mps.BornSampler(state, layout)
-    d_a = config.d_a
-    if config.pair_mode == "independent":
-        out = np.empty(config.pairs_per_state)
-        for i in range(config.pairs_per_state):
-            rec1 = sampler.sample(rng)
-            rec2 = sampler.sample(rng)
-            out[i] = d_a * abs(mps.overlap(rec1.post_state, rec2.post_state)) ** 2
-        return out
-    draws = np.stack(
-        [sampler.sample(rng).post_state for _ in range(config.pairs_per_state)]
-    )
-    u_mat = d_a * np.abs(draws.conj() @ draws.T) ** 2
-    iu = np.triu_indices(config.pairs_per_state, k=1)
-    return u_mat[iu]
-
-
-def _collect_overlaps(config: EnsembleConfig, threads: int = 1) -> np.ndarray:
-    if threads <= 1:
-        chunks = [_overlap_realization(config, r) for r in range(config.realizations)]
-        return np.concatenate(chunks)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_overlap_realization, config, r) for r in range(config.realizations)]
-        return np.concatenate([f.result() for f in futures])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +317,7 @@ def config_hash(config: EnsembleConfig) -> str:
 
 
 def write_moments_csv(path, config: EnsembleConfig, estimates: list[MomentEstimate]) -> None:
-    lines = [f"# schema=1 seed={config.seed} config={config_hash(config)}"]
+    lines = [f"# schema={SCHEMA} seed={config.seed} config={config_hash(config)}"]
     lines.append("k,mean,stderr,ratio,n_samples")
     for est in estimates:
         lines.append(
@@ -342,7 +328,7 @@ def write_moments_csv(path, config: EnsembleConfig, estimates: list[MomentEstima
 
 
 def write_histogram_csv(path, config: EnsembleConfig, table: HistogramTable) -> None:
-    lines = [f"# schema=1 seed={config.seed} config={config_hash(config)}"]
+    lines = [f"# schema={SCHEMA} seed={config.seed} config={config_hash(config)}"]
     lines.append("bin_center,density,error")
     for c, dens, err in zip(table.bin_centers, table.density, table.error):
         lines.append(f"{float(c)!r},{float(dens)!r},{float(err)!r}")
@@ -352,7 +338,7 @@ def write_histogram_csv(path, config: EnsembleConfig, table: HistogramTable) -> 
 
 def write_json_mirror(path, config: EnsembleConfig, payload: dict) -> None:
     doc = {
-        "schema": 1,
+        "schema": SCHEMA,
         "config": config_dict(config),
         "config_hash": config_hash(config),
     }

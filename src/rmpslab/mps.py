@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ from .weingarten import HAAR, EnsembleKind
 MAX_POST_DIM = 2**20
 MAX_ORACLE_DIM = 2**24
 _ORACLE_MAX_OUTCOMES = 4096
+MAX_CHUNK_DRAWS = 64
+CHUNK_ENTRIES = 2**16
 
 
 def stream(seed: int, realization: int = 0) -> np.random.Generator:
@@ -232,37 +235,67 @@ def project_outcomes(
     state is normalized.
     """
     outcomes = list(outcomes)
-    if len(outcomes) != sum(1 for r in layout.site_roles if r == "B"):
-        raise ShapeMismatchError(
-            f"expected {sum(1 for r in layout.site_roles if r == 'B')} outcomes, "
-            f"got {len(outcomes)}"
-        )
+    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
+    if len(outcomes) != len(dims):
+        raise ShapeMismatchError(f"expected {len(dims)} outcomes, got {len(outcomes)}")
     d_a = region_a_dim(state, layout)
     if d_a > MAX_POST_DIM:
         raise SizeLimitError(f"region-A dimension {d_a} exceeds cap {MAX_POST_DIM}")
-    acc = np.ones((1, 1), dtype=complex)  # (open A index, current bond)
-    z_iter = iter(outcomes)
-    for tensor, role in zip(state.tensors, layout.site_roles):
+    for z, dim in zip(outcomes, dims):
+        if not 0 <= z < dim:
+            raise ShapeMismatchError(f"outcome {z} out of range [0, {dim})")
+    return _project_batch(state, layout, np.array([outcomes], dtype=np.intp))[0]
+
+
+def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) -> np.ndarray:
+    """``project_outcomes`` for a (count, N_B) array of in-range outcome strings.
+
+    One left-to-right sweep of batched products; returns (count, D_A).
+    """
+    count = outcomes.shape[0]
+    acc = np.ones((count, 1, 1), dtype=complex)  # (draw, open A index, current bond)
+    j = 0
+    for t, role in zip(state.tensors, layout.site_roles):
         if role == "B":
-            z = next(z_iter)
-            if not 0 <= z < tensor.shape[1]:
-                raise ShapeMismatchError(f"outcome {z} out of range [0, {tensor.shape[1]})")
-            acc = acc @ tensor[:, z, :]
+            acc = acc @ t.transpose(1, 0, 2)[outcomes[:, j]]
+            j += 1
         else:
-            acc = np.einsum("xl,lpr->xpr", acc, tensor, optimize=True)
-            acc = acc.reshape(acc.shape[0] * tensor.shape[1], tensor.shape[2])
-    return acc[:, 0]
+            acc = (acc @ t.reshape(t.shape[0], -1)).reshape(count, -1, t.shape[2])
+    return acc[:, :, 0]
+
+
+class MeasurementBatch(NamedTuple):
+    """count measurements of region B, one row per draw.
+
+    outcomes (count, N_B) left to right over the B sites; probabilities
+    (count,) exact Born weights; post_states (count, D_A) normalized.
+    """
+
+    outcomes: np.ndarray
+    probabilities: np.ndarray
+    post_states: np.ndarray
 
 
 class BornSampler:
     """Reusable Born-rule sampler for one fixed state.
 
-    Per-state work: traced left environments for every site and, for the
-    staircase layout, the dense region-A map.  Each draw then sweeps the B
-    sites right to left, propagating only the projected right side: a vector
-    when no kept site lies to the right (staircase), a density otherwise
-    (glued).  Sampling right to left keeps the per-draw cost at O(N chi^2)
-    for the staircase instead of the O(N chi^3) of a left-to-right sweep.
+    Per-state work: traced left environments for every site, the rightmost
+    site's marginal (the same for every draw), the traced kernels of B sites
+    met in density mode and, when no kept site lies right of the first B
+    site (staircase), the dense region-A map.
+
+    ``sample_batch`` sweeps the B sites right to left once for a chunk of
+    draws, carrying one projected right side per draw: a vector while no
+    kept site lies to the right (staircase), a density otherwise (glued).
+    Every step is a batched matrix product over the chunk (BLAS-3), and
+    sampling right to left keeps the staircase cost at O(N chi^2) per draw
+    instead of the O(N chi^3) of a left-to-right sweep.  Memory grows with
+    the chunk: about count x max(D_A, d chi) complex entries, which the
+    chunk size ``chunk`` keeps near 2^16.  ``sample`` is the one-draw batch.
+
+    The uniforms are drawn as ``rng.random((count, N_B))``, draw-major and
+    in sweep order, so a batch consumes the stream exactly as ``count``
+    successive single draws do.
     """
 
     def __init__(self, state: MpsState, layout: RegionLayout, norm_tol: float = 1e-8):
@@ -279,82 +312,139 @@ class BornSampler:
         self.state = state
         self.layout = layout
         self.d_a = d_a
-        self._b_sites = [i for i, r in enumerate(layout.site_roles) if r == "B"]
-        self._first_b = self._b_sites[0]
+        roles = layout.site_roles
+        tensors = state.tensors
+        # draws per batched sweep: at most MAX_CHUNK_DRAWS, fewer where one
+        # draw's widest row (the region-A vector or a site's bond x physical
+        # slice) times the draw count would pass CHUNK_ENTRIES complex entries
+        width = max([d_a] + [t.shape[0] * t.shape[1] for t in tensors[:-1]])
+        self.chunk = max(1, min(MAX_CHUNK_DRAWS, CHUNK_ENTRIES // width))
+        b_sites = [i for i, r in enumerate(roles) if r == "B"]
+        self._n_b = len(b_sites)
+        self._first_b = b_sites[0]
+        last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
         # left environments with everything to the left traced out; index
         # convention: env[bra bond, ket bond]
         self._left = [np.ones((1, 1), dtype=complex)]
-        for t in state.tensors[:-1]:
+        for t in tensors[:-1]:
             env = self._left[-1]
             self._left.append(np.einsum("ba,bzr,azs->rs", env, t.conj(), t, optimize=True))
-        # contiguous per-site views for the per-draw hot path
-        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in state.tensors]
-        self._by_z = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in state.tensors]
+        # contiguous per-site views for the sweep
+        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
+        self._by_z = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in tensors]
+        # A sites met in density mode: conj(t) as a (physical x right, left)
+        # matrix; the rightmost A site is met in vector mode
+        self._conj_pr = {
+            i: np.ascontiguousarray(t.conj().reshape(t.shape[0], -1).T)
+            for i, t in enumerate(tensors)
+            if roles[i] == "A" and self._first_b < i < last_a
+        }
+        # B sites in density mode: marginal q[p] = sum_rs rho[r, s] K[p, r, s]
+        # with K[p, r, s] = sum_ab left[b, a] t[a, p, r] conj(t[b, p, s]),
+        # stored as a (r s, p) matrix
+        self._kernel = {}
+        for i in b_sites:
+            if i < last_a:
+                t = tensors[i]
+                lt = (self._left[i] @ t.reshape(t.shape[0], -1)).reshape(t.shape)
+                k = lt.transpose(1, 2, 0) @ t.conj().transpose(1, 0, 2)
+                self._kernel[i] = np.ascontiguousarray(k.reshape(t.shape[1], -1).T)
+        # the rightmost site's marginal is the same for every draw
+        self._last = None
+        if roles[-1] == "B":
+            t = tensors[-1]
+            cand = (self._flat[-1] @ np.ones(1, dtype=complex)).reshape(t.shape[0], t.shape[1])
+            q = np.einsum("bp,bp->p", cand.conj(), self._left[-1] @ cand).real
+            q = np.clip(q, 0.0, None)
+            self._last = (cand, q, np.cumsum(q), q.sum())
         self._region_a_map = None
-        if layout.setup == "staircase":
+        if last_a < self._first_b:
             acc = np.ones((1, 1), dtype=complex)
-            for t in state.tensors[: layout.n_a]:
-                acc = np.einsum("xl,lpr->xpr", acc, t, optimize=True)
-                acc = acc.reshape(-1, t.shape[2])
-            self._region_a_map = acc  # (D_A, bond at the A|B cut)
+            for t in tensors[: self._first_b]:
+                acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+            self._region_a_map = np.ascontiguousarray(acc.T)  # (bond at the A|B cut, D_A)
 
     def sample(self, rng: np.random.Generator) -> MeasurementRecord:
+        """One Born draw: the one-draw view of ``sample_batch``."""
+        batch = self.sample_batch(rng, 1)
+        return MeasurementRecord(
+            tuple(batch.outcomes[0].tolist()),
+            float(batch.probabilities[0]),
+            batch.post_states[0],
+        )
+
+    def sample_batch(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
+        """count independent Born draws from one right-to-left sweep."""
+        if count < 1:
+            raise ValueError(f"need count >= 1, got {count}")
         tensors = self.state.tensors
         roles = self.layout.site_roles
         n = len(tensors)
-        vector_mode = True  # no kept site encountered yet (sweeping from the right)
-        renv_vec = np.ones(1, dtype=complex)
-        renv_mat = None
-        outcomes_rev = []
-        log_prob = 0.0
+        # row c holds draw c's uniforms; column s serves the s-th B site of
+        # the sweep, which is the s-th B site from the right
+        uniforms = rng.random((count, self._n_b))
+        outcomes = np.empty((count, self._n_b), dtype=np.intp)
+        draws = np.arange(count)
+        prob = 1.0
+        vec = np.ones((1, count), dtype=complex)  # vector mode: (right bond, draw)
+        rho = None  # density mode: (draw, ket right bond, bra right bond)
         mass_prev = None
+        s = 0
         for i in range(n - 1, self._first_b - 1, -1):
             t = tensors[i]
+            l, p = t.shape[0], t.shape[1]
             if roles[i] == "B":
-                left = self._left[i]
-                if vector_mode:
-                    # cand[l, p] = sum_r t[l, p, r] v[r], then the quadratic
-                    # form with the traced left density, all as BLAS calls
-                    cand = (self._flat[i] @ renv_vec).reshape(t.shape[0], t.shape[1])
-                    q = np.einsum("bp,bp->p", cand.conj(), left @ cand).real
+                u = uniforms[:, s]
+                if i == n - 1:
+                    cand, q, cum, total = self._last
+                    if total <= 0.0:
+                        raise PreconditionError("vanishing marginal mass during Born sweep")
+                    z = np.minimum(cum.searchsorted(u * total, side="right"), p - 1)
+                    mass_prev = q[z]
+                    vec = cand[:, z]
                 else:
-                    # renv_mat[ket right, bra right], left[bra bond, ket bond]
-                    q = np.einsum(
-                        "ba,apr,bps,rs->p", left, t, t.conj(), renv_mat, optimize=True
-                    ).real
-                q = np.clip(q, 0.0, None)
-                total = q.sum()
-                if total <= 0.0:
-                    raise PreconditionError("vanishing marginal mass during Born sweep")
-                if mass_prev is not None and abs(total - mass_prev) > 1e-6 * max(mass_prev, 1e-300):
-                    raise RuntimeError(
-                        f"Born sweep inconsistency at site {i}: {total} vs {mass_prev}"
-                    )
-                z = int(np.searchsorted(np.cumsum(q), rng.random() * total, side="right"))
-                z = min(z, t.shape[1] - 1)
-                outcomes_rev.append(z)
-                log_prob += np.log(q[z]) - np.log(total)
-                mass_prev = q[z]
-                if vector_mode:
-                    renv_vec = self._by_z[i][z] @ renv_vec
-                else:
-                    renv_mat = self._by_z[i][z] @ renv_mat @ self._by_z[i][z].conj().T
+                    if rho is None:
+                        # cand[l, p, c] = sum_r t[l, p, r] v[r, c], then the
+                        # quadratic form with the traced left density
+                        cand = self._flat[i] @ vec
+                        lc = self._left[i] @ cand.reshape(l, p * count)
+                        q = np.vecdot(cand.reshape(l, -1), lc, axis=0).real.reshape(p, count)
+                    else:
+                        q = (rho.reshape(count, -1) @ self._kernel[i]).real.T
+                    q = np.maximum(q, 0.0)
+                    total = q.sum(axis=0)
+                    if (total <= 0.0).any():
+                        raise PreconditionError("vanishing marginal mass during Born sweep")
+                    if mass_prev is not None:
+                        bad = np.abs(total - mass_prev) > 1e-6 * np.maximum(mass_prev, 1e-300)
+                        if bad.any():
+                            c = int(np.argmax(bad))
+                            raise RuntimeError(
+                                f"Born sweep inconsistency at site {i}: "
+                                f"{total[c]} vs {mass_prev[c]}"
+                            )
+                    # per column: the searchsorted(cumsum(q), u total, "right") index
+                    z = np.minimum((q.cumsum(axis=0) <= u * total).sum(axis=0), p - 1)
+                    mass_prev = q[z, draws]
+                    if rho is None:
+                        vec = cand.reshape(l, p, count)[:, z, draws]
+                    else:
+                        tz = self._by_z[i][z]
+                        rho = tz @ rho @ tz.conj().transpose(0, 2, 1)
+                prob = prob * (mass_prev / total)
+                outcomes[:, -1 - s] = z
+                s += 1
+            elif rho is None:
+                w = (self._flat[i] @ vec).reshape(l, p, count).transpose(2, 0, 1)
+                rho = w @ w.conj().transpose(0, 2, 1)
             else:
-                if vector_mode:
-                    w = self._flat[i] @ renv_vec
-                    w = w.reshape(t.shape[0], t.shape[1])
-                    renv_mat = w @ w.conj().T
-                    vector_mode = False
-                else:
-                    renv_mat = np.einsum("lpr,rs,mps->lm", t, renv_mat, t.conj(), optimize=True)
-        outcomes = tuple(outcomes_rev[::-1])
-        probability = float(np.exp(log_prob))
-        if self._region_a_map is not None and vector_mode:
-            amp = self._region_a_map @ renv_vec
+                rho = (self._flat[i] @ rho).reshape(count, l, -1) @ self._conj_pr[i]
+        if rho is None:
+            amp = vec.T @ self._region_a_map
         else:
-            amp = project_outcomes(self.state, self.layout, outcomes)
-        norm = np.linalg.norm(amp)
-        return MeasurementRecord(outcomes, probability, amp / norm)
+            amp = _project_batch(self.state, self.layout, outcomes)
+        amp /= np.sqrt(np.vecdot(amp, amp).real)[:, None]
+        return MeasurementBatch(outcomes, prob, amp)
 
 
 def born_sample(state: MpsState, layout: RegionLayout, rng: np.random.Generator) -> MeasurementRecord:

@@ -265,25 +265,35 @@ def contract(spec: ReplicaChainSpec, method: str = "auto") -> ChainValue:
     if method not in ("dense", "free"):
         raise ValueError(f"unknown method {method!r}")
 
-    sites = [_resolve_site(spec, s) for s in spec.sites]
+    # each selector is resolved once per call: a chain repeats a few
+    # selectors many times, and a dense m = 6 bond is a 720^3 product
+    resolved: dict[tuple[str, str], np.ndarray] = {}
+
+    def site_of(s):
+        if not isinstance(s, str):
+            return np.asarray(s, dtype=np.float64)
+        if ("site", s) not in resolved:
+            resolved["site", s] = _resolve_site(spec, s)
+        return resolved["site", s]
+
+    def bond_of(b):
+        if not isinstance(b, str):
+            if method == "free":
+                raise ValueError("matrix-free contraction needs selector bonds")
+            return np.asarray(b, dtype=np.float64)
+        if ("bond", b) not in resolved:
+            build = bond_matrix if method == "dense" else _bond_class_vector
+            resolved["bond", b] = build(spec.shape, spec.chi, spec.d, spec.kind, b)
+        return resolved["bond", b]
+
+    sites = [site_of(s) for s in spec.sites]
+    bonds = [bond_of(b) for b in spec.bonds]
     if method == "dense":
-        bonds = [
-            bond_matrix(spec.shape, spec.chi, spec.d, spec.kind, b)
-            if isinstance(b, str)
-            else np.asarray(b, dtype=np.float64)
-            for b in spec.bonds
-        ]
 
         def apply_bond(b, v):
             return b @ v
 
     else:
-        bonds = []
-        for b in spec.bonds:
-            if isinstance(b, str):
-                bonds.append(_bond_class_vector(spec.shape, spec.chi, spec.d, spec.kind, b))
-            else:
-                raise ValueError("matrix-free contraction needs selector bonds")
 
         def apply_bond(b, v):
             return pg.class_kernel_matvec(m, b, v)
@@ -397,6 +407,10 @@ def frame_potential_chain(
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"the chain contraction needs integer n >= 0, got n={n}")
+    if chi < 1 or d < 2 or n_a < 1:
+        raise ValueError(f"need chi >= 1, d >= 2, N_A >= 1; got chi={chi}, d={d}, N_A={n_a}")
+    if setup == "staircase" and n_b is not None and n_b < 1:
+        raise ValueError(f"the staircase chain needs N_B >= 1, got {n_b}")
     shape = ReplicaShape(int(n), int(k))
     if shape.m > MAX_FREE_M:
         raise SizeLimitError(f"m = 2(n+k) = {shape.m} exceeds cap {MAX_FREE_M}")

@@ -162,3 +162,22 @@ def test_failed_run_leaves_no_partial_files(tmp_path, capsys):
     )
     assert code == 1
     assert not os.path.exists(out)
+
+
+def test_contract_bad_chi_is_an_error_not_a_traceback(capsys):
+    code, _, err = run_cli(capsys, "contract", "--setup", "staircase", "--na", "2", "--nb", "2",
+                           "--d", "2", "--chi", "0", "--k", "1", "--n", "0")
+    assert code == 1
+    assert "error:" in err and "chi" in err
+    assert "Traceback" not in err
+
+
+def test_config_without_path_is_an_error_not_a_traceback(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "predict", "--setup", "staircase", "--config")
+    assert code == 1
+    assert "error:" in err and "--config" in err
+    assert "Traceback" not in err
+    missing = tmp_path / "missing.cfg"
+    code, _, err = run_cli(capsys, "--config", str(missing), "predict", "--setup", "staircase")
+    assert code == 1
+    assert "error:" in err and "missing.cfg" in err

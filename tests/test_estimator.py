@@ -209,13 +209,13 @@ def test_csv_and_json_outputs(tmp_path):
     csv_path = tmp_path / "m.csv"
     es.write_moments_csv(csv_path, cfg, ests)
     lines = csv_path.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=1 seed=11 config=")
+    assert lines[0].startswith("# schema=2 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + cfg.k_max
     json_path = tmp_path / "m.json"
     es.write_json_mirror(json_path, cfg, {"moments": [e.k for e in ests]})
     doc = json.loads(json_path.read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert doc["config_hash"] == es.config_hash(cfg)

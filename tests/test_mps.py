@@ -147,6 +147,75 @@ def test_born_post_state_matches_oracle_column():
         assert np.linalg.norm(rec.post_state) == pytest.approx(1.0, abs=1e-10)
 
 
+# (setup, N_A, N_B, d, chi, seed) of the states the batched-sweep tests draw from
+BATCH_CASES = [("staircase", 3, 4, 2, 4, 17), ("glued", 3, None, 2, 2, 18)]
+
+
+def batch_case(setup, n_a, n_b, d, chi, seed):
+    """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
+    if setup == "staircase":
+        state, layout = mps.build_staircase(n_a, n_b, d, chi, HAAR, mps.stream(seed))
+    else:
+        state, layout = mps.build_glued(n_a, d, chi, HAAR, mps.stream(seed))
+    ens = mps.statevector_oracle(setup, n_a, n_b, d, chi, HAAR, mps.stream(seed))
+    exact = {outcome: (p, post) for outcome, p, post in ens.triples()}
+    return mps.BornSampler(state, layout), exact
+
+
+@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_sample_batch_matches_successive_draws(case):
+    # one batched sweep consumes the stream as n single draws do and returns
+    # the same draws, each equal to the oracle's outcome weight and post-state
+    sampler, exact = batch_case(*case)
+    n = 40
+    rng_batch, rng_single = mps.stream(5, 2), mps.stream(5, 2)
+    batch = sampler.sample_batch(rng_batch, n)
+    assert batch.outcomes.shape == (n, sampler.layout.n_b)
+    assert batch.probabilities.shape == (n,)
+    assert batch.post_states.shape == (n, sampler.d_a)
+    for i in range(n):
+        rec = sampler.sample(rng_single)
+        assert tuple(batch.outcomes[i]) == rec.outcomes
+        assert abs(batch.probabilities[i] - rec.probability) < 1e-12
+        assert np.abs(batch.post_states[i] - rec.post_state).max() < 1e-12
+        p, post = exact[rec.outcomes]
+        assert abs(batch.probabilities[i] - p) < 1e-12
+        assert np.abs(batch.post_states[i] - post).max() < 1e-10
+    assert rng_batch.random() == rng_single.random()
+
+
+@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_sample_batch_split_matches_whole(case):
+    sampler, _ = batch_case(*case)
+    rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
+    first = sampler.sample_batch(rng_split, 13)
+    second = sampler.sample_batch(rng_split, 27)
+    whole = sampler.sample_batch(rng_whole, 40)
+    assert np.array_equal(np.concatenate([first.outcomes, second.outcomes]), whole.outcomes)
+    assert rng_split.random() == rng_whole.random()
+
+
+def test_sample_batch_kept_sites_at_both_ends():
+    # a layout whose rightmost site is kept starts the sweep in density mode;
+    # each draw's weight and post-state must match its exact projection
+    rng = np.random.default_rng(3)
+    roles = ("A", "B", "A", "B", "A")
+    bonds = [1, 3, 3, 3, 3, 1]
+    tensors = [
+        rng.standard_normal((bonds[i], 2, bonds[i + 1]))
+        + 1j * rng.standard_normal((bonds[i], 2, bonds[i + 1]))
+        for i in range(len(roles))
+    ]
+    tensors[0] /= np.sqrt(mps.MpsState(tensors).norm_squared())
+    state = mps.MpsState(tensors)
+    layout = mps.RegionLayout(roles, "custom", 3, 2)
+    batch = mps.BornSampler(state, layout).sample_batch(mps.stream(4), 30)
+    for outcome, p, post in zip(batch.outcomes, batch.probabilities, batch.post_states):
+        amp = mps.project_outcomes(state, layout, outcome)
+        assert p == pytest.approx(mps.born_probability(state, layout, outcome), abs=1e-12)
+        assert np.abs(post - amp / np.linalg.norm(amp)).max() < 1e-12
+
+
 def test_born_rejects_unnormalized():
     state, layout = mps.build_staircase(2, 2, 2, 2, gaussian(), mps.stream(3))
     with pytest.raises(PreconditionError):
