@@ -7,8 +7,9 @@ enumeration at tiny sizes).  Outputs are CSV (header row, one leading
 ``# schema=N seed=... config=...`` comment line) next to a JSON mirror with
 the full resolved configuration; a ``*.manifest.json`` records tool version,
 wall time and the emitted files.  N is 2 for the ``sample`` and
-``histogram`` files (the batched Born sweep changed their last bits) and 1
-for the others.  Data files are deterministic for fixed flags and seed;
+``histogram`` files (the batched Born sweep changed their last bits) and for
+the ``contract`` file (the orbit-space contraction did), and 1 for the
+others.  Data files are deterministic for fixed flags and seed;
 files are written atomically and partial outputs are removed on failure.
 
 Flags override an optional plain-text key=value config file (--config).
@@ -32,6 +33,9 @@ from . import __version__, estimator, mps, replica, theory
 from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind, gaussian
+
+# the orbit-space contraction moved the last bits of contract outputs
+CONTRACT_SCHEMA = 2
 
 
 def _kind_from_args(args) -> EnsembleKind:
@@ -93,8 +97,8 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv_text(header: str, rows, seed, cfg_hash: str) -> str:
-    lines = [f"# schema=1 seed={seed} config={cfg_hash}", header]
+def _csv_text(header: str, rows, seed, cfg_hash: str, schema: int = 1) -> str:
+    lines = [f"# schema={schema} seed={seed} config={cfg_hash}", header]
     lines += [",".join(_csv_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -139,7 +143,7 @@ def cmd_contract(args) -> int:
     nb = _default_nb(args)
     kind = _kind_from_args(args)
     value = replica.frame_potential_chain(
-        args.setup, args.k, args.n, args.na, nb, args.d, args.chi, kind, method=args.method
+        args.setup, args.k, args.n, args.na, nb, args.d, args.chi, kind
     )
     shape = ReplicaShape(args.n, args.k)
     lead_log = theory.leading_order_log(
@@ -155,7 +159,13 @@ def cmd_contract(args) -> int:
         rows = [(args.k, args.n, value.mantissa, value.log_scale, ratio_to_leading)]
         out.write_text(
             args.out,
-            _csv_text("k,n,mantissa,log_scale,ratio_to_leading", rows, 0, _args_hash(args_dict)),
+            _csv_text(
+                "k,n,mantissa,log_scale,ratio_to_leading",
+                rows,
+                0,
+                _args_hash(args_dict),
+                schema=CONTRACT_SCHEMA,
+            ),
         )
         _manifest(out, args.out + ".manifest.json", args_dict, time.time() - t0)
     return 0
@@ -339,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "dense", "free"], default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_contract)
 

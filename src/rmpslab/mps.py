@@ -301,7 +301,15 @@ class BornSampler:
     def __init__(self, state: MpsState, layout: RegionLayout, norm_tol: float = 1e-8):
         if len(state.tensors) != len(layout.site_roles):
             raise ShapeMismatchError("layout does not match state length")
-        nsq = state.norm_squared()
+        tensors = state.tensors
+        # left environments with everything to the left traced out; index
+        # convention: env[bra bond, ket bond].  The one past the last site is
+        # <psi|psi>, so the norm check costs no extra sweep.
+        self._left = [np.ones((1, 1), dtype=complex)]
+        for t in tensors:
+            env = self._left[-1]
+            self._left.append(np.einsum("ba,bzr,azs->rs", env, t.conj(), t, optimize=True))
+        nsq = float(self._left.pop().real[0, 0])
         if abs(nsq - 1.0) > norm_tol:
             raise PreconditionError(
                 f"born sampling needs a normalized state; <psi|psi> = {nsq!r}"
@@ -313,7 +321,6 @@ class BornSampler:
         self.layout = layout
         self.d_a = d_a
         roles = layout.site_roles
-        tensors = state.tensors
         # draws per batched sweep: at most MAX_CHUNK_DRAWS, fewer where one
         # draw's widest row (the region-A vector or a site's bond x physical
         # slice) times the draw count would pass CHUNK_ENTRIES complex entries
@@ -323,12 +330,6 @@ class BornSampler:
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]
         last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
-        # left environments with everything to the left traced out; index
-        # convention: env[bra bond, ket bond]
-        self._left = [np.ones((1, 1), dtype=complex)]
-        for t in tensors[:-1]:
-            env = self._left[-1]
-            self._left.append(np.einsum("ba,bzr,azs->rs", env, t.conj(), t, optimize=True))
         # contiguous per-site views for the sweep
         self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
         self._by_z = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in tensors]

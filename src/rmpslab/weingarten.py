@@ -15,9 +15,11 @@ dressed glue-site weights of the two kinds agree to 2/q only on factorized
 permutations, while some non-factorized Haar entries are about -q^-4 where
 the Gaussian ones are +q^-3 (subleading by 1/q either way).
 
-Dense matrices are capped at m <= 6.  Class-vector forms of the same kernels
-(one value per conjugacy class) extend to m = 8 for the matrix-free
-contraction path.
+Class-vector forms of the kernels (one value per conjugacy class) extend to
+m = 8; the replica engine applies them on the orbit space of the chain
+(``permutations.reduced_kernel``).  The class algebra they live in is
+computed once per m (``permutations.class_structure_constants``).  Dense
+matrices are capped at m <= 6 and serve the dense oracle and the tests.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def interaction_matrix(m: int, chi: float, d: int, kind: EnsembleKind = HAAR) ->
 # ---------------------------------------------------------------------------
 # Class-vector forms (one value per conjugacy class of the relative
 # permutation).  These agree entrywise with the dense kernels above and are
-# the representation consumed by the m = 8 matrix-free contraction.
+# the representation the replica engine consumes at every m.
 # ---------------------------------------------------------------------------
 
 

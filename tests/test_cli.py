@@ -55,6 +55,21 @@ def test_contract_output_and_determinism(tmp_path, capsys):
     assert value == pytest.approx(0.72, rel=1e-10)
 
 
+def test_contract_file_is_schema_2_and_byte_stable(tmp_path, capsys):
+    # the orbit-space contraction changed the last digits of contract files
+    args = ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
+            "--k", "2", "--n", "1"]
+    out_a = tmp_path / "a.csv"
+    out_b = tmp_path / "b.csv"
+    assert run_cli(capsys, *args, "--out", str(out_a))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(out_b))[0] == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    assert out_a.read_text().startswith("# schema=2 seed=0 config=")
+    # the dense and Cayley-walk oracles are not reachable from the command line
+    with pytest.raises(SystemExit):
+        cli.main([*args, "--method", "dense"])
+
+
 def test_sample_emits_rows_and_mirror(tmp_path, capsys):
     out = tmp_path / "mom.csv"
     code, stdout, _ = run_cli(

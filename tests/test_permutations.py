@@ -178,3 +178,67 @@ def test_class_convolution_matrix_matches_dense():
     dense = f[class_of[pg.relative_index_matrix(m)]] @ h[class_of]
     reps = list(pg.class_representatives(m))
     assert np.abs(conv - dense[reps]).max() < 1e-10 * np.abs(dense).max()
+
+
+def test_rank_words_matches_word_index_m8():
+    rng = np.random.default_rng(2)
+    words = np.array([rng.permutation(8) for _ in range(2000)], dtype=np.int8)
+    index = pg.group_index(8)
+    assert pg.rank_words(words).tolist() == [index[tuple(w)] for w in words.tolist()]
+
+
+@pytest.mark.parametrize(
+    "n,k,count",
+    [(0, 1, 2), (0, 2, 8), (1, 1, 13), (0, 3, 26), (1, 2, 88), (2, 1, 88), (0, 4, 95), (1, 3, 510)],
+)
+def test_chain_orbit_counts(n, k, count):
+    shape = pg.ReplicaShape(n, k)
+    orbits = pg.chain_orbits(shape)
+    assert orbits.reps.size == count
+    assert int(orbits.sizes.sum()) == math.factorial(shape.m)
+    assert orbits.reps[0] == 0
+    assert np.array_equal(orbits.label[orbits.reps], np.arange(count))
+    # an orbit is closed under every generator
+    for image in pg.symmetry_maps(shape):
+        assert np.array_equal(orbits.label[image], orbits.label)
+
+
+@pytest.mark.parametrize("n,k", [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)])
+def test_class_kernels_commute_with_symmetry(n, k):
+    # K(T sigma, T tau) = K(sigma, tau) for every generator T, entry by entry
+    shape = pg.ReplicaShape(n, k)
+    class_of, _, _ = pg.conjugacy_classes(shape.m)
+    classes = class_of[pg.relative_index_matrix(shape.m)]
+    for image in pg.symmetry_maps(shape):
+        assert np.array_equal(classes[np.ix_(image, image)], classes)
+
+
+@pytest.mark.parametrize("n,k", [(0, 2), (1, 1), (0, 3), (1, 2), (2, 1)])
+def test_reduced_kernel_matches_dense(n, k):
+    rng = np.random.default_rng(3)
+    shape = pg.ReplicaShape(n, k)
+    orbits = pg.chain_orbits(shape)
+    class_of, _, types = pg.conjugacy_classes(shape.m)
+    f = rng.normal(size=len(types))
+    x = rng.normal(size=orbits.reps.size)[orbits.label]
+    dense = f[class_of[pg.relative_index_matrix(shape.m)]] @ x
+    reduced = pg.reduced_kernel(shape, f) @ x[orbits.reps]
+    assert np.abs(reduced[orbits.label] - dense).max() < 1e-12 * np.abs(dense).max()
+
+
+def test_reduced_kernel_m8_rows_match_direct_sums():
+    # at m = 8 the O(m!) row sum sum_tau f(class(sigma_i tau^-1)) x[tau] is the
+    # reference, for 50 random elements that are not orbit representatives
+    rng = np.random.default_rng(4)
+    shape = pg.ReplicaShape(0, 4)
+    orbits = pg.chain_orbits(shape)
+    class_of, _, types = pg.conjugacy_classes(8)
+    f = rng.normal(size=len(types))
+    x = rng.normal(size=orbits.reps.size)[orbits.label]
+    reduced = pg.reduced_kernel(shape, f) @ x[orbits.reps]
+    words, inverses = pg.perm_array(8), pg.inverse_array(8)
+    others = np.setdiff1d(np.arange(words.shape[0]), orbits.reps)
+    for i in rng.choice(others, size=50, replace=False):
+        # (sigma_i tau^-1)[x] = sigma_i[tau^-1[x]]
+        terms = f[class_of[pg.rank_words(words[i][inverses])]] * x
+        assert abs(reduced[orbits.label[i]] - terms.sum()) <= 1e-12 * np.abs(terms).sum()

@@ -252,16 +252,17 @@ def test_m8_bondless_chain_matches_direct_sum():
     # N_B = 1: no bond matvec needed, so the m = 8 weights are cheap to check
     shape = ReplicaShape(0, 4)
     d, chi = 2, 2
-    val = rp.frame_potential_chain("staircase", 4, 0, 1, 1, d, chi, method="free")
     weights = rp.site_weight_A(shape, d)
     r = float(chi) * np.where(pg.factorized_mask(8), float(chi), 1.0)
     direct = wg.weingarten_sum_constant(8, float(d * chi)) * float(np.dot(weights, r))
-    assert val.value == pytest.approx(direct, rel=1e-12)
+    for method in ("reduced", "free"):
+        val = rp.frame_potential_chain("staircase", 4, 0, 1, 1, d, chi, method=method)
+        assert val.value == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.slow
 def test_m8_engine_matches_oracle():
-    eng = rp.frame_potential_chain("staircase", 4, 0, 1, 2, 2, 2, HAAR, method="free")
+    eng = rp.frame_potential_chain("staircase", 4, 0, 1, 2, 2, 2, HAAR)
     pairs = [(4, 0)]
     mean, err = oracle_mc("staircase", 1, 2, 2, 2, pairs, 20000, 17)
     assert abs(eng.value - mean[0]) < 4 * err[0]
@@ -296,3 +297,92 @@ def test_generalized_frame_potential_config_wrapper():
     direct = rp.frame_potential_chain("staircase", cfg.k_max, 0, 2, 2, 2, 2)
     via_cfg = rp.generalized_frame_potential(cfg)
     assert via_cfg.value == pytest.approx(direct.value, rel=1e-14)
+
+
+M_LE_6 = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("kind", [HAAR, gaussian()], ids=["haar", "gaussian"])
+@pytest.mark.parametrize("n,k", M_LE_6)
+def test_reduced_matches_dense(n, k, kind):
+    # the orbit-space engine against the dense whole-group oracle
+    for setup, n_a, n_b in (("staircase", 3, 4), ("staircase", 1, 1), ("glued", 3, None)):
+        reduced = rp.frame_potential_chain(setup, k, n, n_a, n_b, 2, 3, kind)
+        dense = rp.frame_potential_chain(setup, k, n, n_a, n_b, 2, 3, kind, method="dense")
+        assert abs(reduced.log - dense.log) <= 1e-12 * abs(dense.log)
+
+
+@pytest.mark.parametrize("n,k", M_LE_6 + [(0, 4), (1, 3)])
+def test_selector_vectors_invariant(n, k):
+    shape = ReplicaShape(n, k)
+    vectors = [
+        rp.site_weight_A(shape, 2),
+        rp.site_weight_B_staircase(shape, 2),
+        rp.site_weight_B_glued(shape, 3, gaussian()),
+        rp.staircase_chain(shape, 2, 3, 1, 1).right_boundary,
+        *rp.boundary_vectors("staircase", shape, 3, 2, gaussian()),
+    ]
+    if shape.m <= 6:
+        vectors += [
+            rp.site_weight_B_glued(shape, 3, HAAR),
+            *rp.boundary_vectors("staircase", shape, 3, 2, HAAR),
+        ]
+    for image in pg.symmetry_maps(shape):
+        for v in vectors:
+            assert np.array_equal(v[image], v)
+
+
+@pytest.mark.parametrize("n,k", M_LE_6)
+def test_weingarten_dressing_matches_dense(n, k):
+    shape = ReplicaShape(n, k)
+    chi = 3
+    vec = np.where(pg.factorized_mask(shape.m), float(chi) ** 4, float(chi) ** 2)
+    dense = wg.weingarten_matrix(shape.m, float(chi * chi)) @ vec
+    w = rp.site_weight_B_glued(shape, chi, HAAR)
+    assert np.abs(w - dense).max() < 1e-12 * np.abs(dense).max()
+
+
+def test_non_invariant_operands_raise():
+    spec = rp.staircase_chain(ReplicaShape(1, 1), 2, 2, 2, 2)
+    orbits = pg.chain_orbits(spec.shape)
+    # an element that shares its orbit with its representative
+    i = int(np.flatnonzero(orbits.reps[orbits.label] != np.arange(24))[0])
+    site = rp.site_weight_A(spec.shape, 2).copy()
+    site[i] *= 1.0 + 1e-9
+    broken = rp.ReplicaChainSpec(
+        shape=spec.shape,
+        kind=spec.kind,
+        chi=spec.chi,
+        d=spec.d,
+        sites=(site,) + spec.sites[1:],
+        bonds=spec.bonds,
+        left_boundary=spec.left_boundary,
+        right_boundary=spec.right_boundary,
+        log_prefactor=spec.log_prefactor,
+    )
+    with pytest.raises(ValueError, match="not invariant"):
+        rp.contract(broken)
+    # the whole-group oracle takes it
+    assert math.isfinite(rp.contract(broken, method="dense").log)
+    bond = np.eye(24)
+    bond[i, i] = 2.0
+    with pytest.raises(ValueError, match="not invariant"):
+        rp.contract(rp.ReplicaChainSpec(
+            shape=spec.shape,
+            kind=spec.kind,
+            chi=spec.chi,
+            d=spec.d,
+            sites=spec.sites[:2],
+            bonds=(bond,),
+            left_boundary=spec.left_boundary,
+            right_boundary=spec.right_boundary,
+        ))
+
+
+def test_bondless_chain_builds_no_kernel_table():
+    # an m = 8 chain without bonds (N_B = 1) needs the orbits, never the
+    # orbit-space count table, which is the costly part of a first bond
+    before = pg.orbit_class_counts.cache_info().misses
+    val = rp.frame_potential_chain("staircase", 1, 3, 1, 1, 2, 2)
+    assert math.isfinite(val.log)
+    assert pg.orbit_class_counts.cache_info().misses == before
