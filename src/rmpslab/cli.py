@@ -6,13 +6,16 @@ forms), ``contract`` (exact replica chains), ``sample``/``histogram``
 enumeration at tiny sizes).  Outputs are CSV (header row, one leading
 ``# schema=N seed=... config=...`` comment line) next to a JSON mirror with
 the full resolved configuration; a ``*.manifest.json`` records tool version,
-wall time and the emitted files.  N is 2 for the ``sample`` and
-``histogram`` files (the batched Born sweep changed their last bits) and for
-the ``contract`` file (the orbit-space contraction did), and 1 for the
-others.  Data files are deterministic for fixed flags and seed;
+wall time and the emitted files.  N is 3 for the ``sample`` and
+``histogram`` files (the batched Born sweep, then the isometry gate draws
+changed their last bits), 2 for the ``oracle`` file (the isometry gate draws
+did) and the ``contract`` file (the orbit-space contraction did), and 1 for
+``predict``.  Data files are deterministic for fixed flags and seed;
 files are written atomically and partial outputs are removed on failure.
 
 Flags override an optional plain-text key=value config file (--config).
+Integer flags below their floor (``FLOORS``) are an error, reported before
+any work starts.
 """
 
 from __future__ import annotations
@@ -36,6 +39,29 @@ from .weingarten import HAAR, EnsembleKind, gaussian
 
 # the orbit-space contraction moved the last bits of contract outputs
 CONTRACT_SCHEMA = 2
+# the isometry gate draws moved the last bits of oracle outputs
+ORACLE_SCHEMA = 2
+
+# smallest accepted value of each integer flag, whichever subcommand has it
+FLOORS = {
+    "na": 1,
+    "nb": 1,
+    "d": 2,
+    "chi": 1,
+    "k": 1,
+    "n": 0,
+    "pairs": 1,
+    "realizations": 2,
+    "seed": 0,
+    "threads": 1,
+}
+
+
+def _check_floors(args) -> None:
+    for name, floor in FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            raise ValueError(f"--{name} must be >= {floor}, got {value}")
 
 
 def _kind_from_args(args) -> EnsembleKind:
@@ -295,7 +321,9 @@ def cmd_oracle(args) -> int:
         args_dict = _public_args(args)
         out.write_text(
             args.out,
-            _csv_text("k,n,mean,stderr", rows, args.seed, _args_hash(args_dict)),
+            _csv_text(
+                "k,n,mean,stderr", rows, args.seed, _args_hash(args_dict), schema=ORACLE_SCHEMA
+            ),
         )
         _manifest(out, args.out + ".manifest.json", args_dict, time.time() - t0)
     return 0
@@ -431,6 +459,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_floors(args)
         return args.func(args)
     except (SizeLimitError, ShapeMismatchError, PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,10 +31,10 @@ from . import mps, theory
 from .errors import PreconditionError, SizeLimitError
 from .weingarten import HAAR, EnsembleKind
 
-# version of the sample/histogram CSV and JSON formats; 2 since the batched
-# Born sweep, whose post-states and pair overlaps differ from the per-draw
-# sweep's in the last bits
-SCHEMA = 2
+# version of the sample/histogram CSV and JSON formats; 3 since Haar gates
+# are drawn as isometries of their used columns, which moves the last bits
+# of every Haar state (2 was the batched Born sweep)
+SCHEMA = 3
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,15 @@ Tensor conventions (fixed so runs are reproducible per seed):
   index of the pair (u, v) is u*chi + v.
 * Gates are drawn in circuit order: staircase left to right; glued blocks
   left to right, then glue gates left to right starting with the left edge.
+* Each gate is drawn as the isometry of the columns its fresh |0> inputs
+  select: a Haar gate as a reduced QR of those columns of its Ginibre
+  matrix, not a QR of the whole matrix.  The whole matrix is still drawn,
+  so the RNG stream, and hence every later gate, is the same as for whole
+  gates, and the columns equal the whole gate's to rounding.
 
 The Gaussian ensemble replaces every unitary with i.i.d. complex Gaussian
 entries; such states are not normalized and are never silently renormalized.
+Its gates are the same columns of the same draw, bit for bit.
 
 ``statevector_oracle`` rebuilds the same circuit by dense gate application
 (an independent code path sharing only the drawn gates) and enumerates the
@@ -57,49 +63,73 @@ def stream(seed: int, realization: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed q x q unitary via QR of a complex Ginibre matrix.
+def _gate_columns(
+    q: int, cols: slice, variance: float | None, rng: np.random.Generator
+) -> np.ndarray:
+    """Columns ``cols`` of one q x q random gate: Haar when variance is None,
+    else i.i.d. complex Gaussian entries of that variance.
 
-    Each Q column is divided by the phase of the matching R diagonal entry,
-    which makes the factorization unique and the distribution exactly Haar.
+    Both kinds draw the whole real and imaginary (q, q) normal blocks, so the
+    stream ends where a whole-gate draw ends and the columns are those of the
+    whole gate.  A Gaussian gate's columns are bit-identical to the whole
+    gate's.  A Haar gate is Q of a complex Ginibre matrix with each column
+    divided by the phase of the matching R diagonal entry, which makes the
+    factorization unique and the distribution exactly Haar; Q's column j
+    depends only on the Ginibre columns 0..j, so a reduced QR of the column
+    prefix through the last column used gives the same columns.
     """
+    re = rng.standard_normal((q, q))
+    im = rng.standard_normal((q, q))
+    if variance is not None:
+        return np.sqrt(variance / 2.0) * (re[:, cols] + 1j * im[:, cols])
+    prefix = slice(0, range(q)[cols][-1] + 1)
+    qmat, rmat = np.linalg.qr((re[:, prefix] + 1j * im[:, prefix]) / np.sqrt(2.0))
+    diag = np.diagonal(rmat)
+    qmat /= (diag / np.abs(diag))[None, :]
+    return qmat[:, cols]
+
+
+def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed q x q unitary via QR of a complex Ginibre matrix."""
     if q < 1:
         raise ValueError(f"dimension must be >= 1, got {q}")
-    z = (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))) / np.sqrt(2.0)
-    qmat, rmat = np.linalg.qr(z)
-    diag = np.diagonal(rmat)
-    return qmat / (diag / np.abs(diag))[None, :]
-
-
-def _gaussian_matrix(q: int, variance: float, rng: np.random.Generator) -> np.ndarray:
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+    return _gate_columns(q, slice(None), None, rng)
 
 
 def draw_staircase_gates(
     n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """The N_A + N_B - 1 gates of the staircase circuit, in application order."""
+    """The N_A + N_B - 1 gates of the staircase circuit, in application order.
+
+    Each gate is returned as the columns its fresh |0> physical input
+    selects: (d chi) x chi isometries, the first (d chi) x 1 because its
+    auxiliary input is |0> as well.
+    """
     q = d * chi
-    n_gates = n_a + n_b - 1
-    if kind.is_haar:
-        return [haar_unitary(q, rng) for _ in range(n_gates)]
-    var = kind.variance if kind.variance is not None else 1.0 / q
-    return [_gaussian_matrix(q, var, rng) for _ in range(n_gates)]
+    var = None
+    if not kind.is_haar:
+        var = kind.variance if kind.variance is not None else 1.0 / q
+    first = _gate_columns(q, slice(0, 1), var, rng)
+    return [first] + [_gate_columns(q, slice(0, chi), var, rng) for _ in range(n_a + n_b - 2)]
 
 
 def draw_glued_gates(
     n_a: int, d: int, chi: int, kind: EnsembleKind, rng: np.random.Generator
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(block gates, glue gates) for the glued circuit, in layer order."""
-    if kind.is_haar:
-        blocks = [haar_unitary(d * chi * chi, rng) for _ in range(n_a)]
-        glues = [haar_unitary(chi * chi, rng) for _ in range(n_a + 1)]
-        return blocks, glues
-    var_a = kind.variance if kind.variance is not None else 1.0 / (d * chi**2)
-    var_b = kind.variance_b if kind.variance_b is not None else 1.0 / chi**2
-    blocks = [_gaussian_matrix(d * chi * chi, var_a, rng) for _ in range(n_a)]
-    glues = [_gaussian_matrix(chi * chi, var_b, rng) for _ in range(n_a + 1)]
+    """(block gates, glue gates) for the glued circuit, in layer order.
+
+    Gates are returned as the columns their fresh |0> inputs select: each
+    block's column 0; the left-edge glue's columns (0, b), the leading chi;
+    the right-edge glue's columns (a, 0), every chi-th; middle glues whole.
+    """
+    chi2 = chi * chi
+    var_a = var_b = None
+    if not kind.is_haar:
+        var_a = kind.variance if kind.variance is not None else 1.0 / (d * chi2)
+        var_b = kind.variance_b if kind.variance_b is not None else 1.0 / chi2
+    blocks = [_gate_columns(d * chi2, slice(0, 1), var_a, rng) for _ in range(n_a)]
+    glue_cols = [slice(0, chi)] + [slice(None)] * (n_a - 1) + [slice(0, None, chi)]
+    glues = [_gate_columns(chi2, cols, var_b, rng) for cols in glue_cols]
     return blocks, glues
 
 
@@ -156,25 +186,27 @@ class MeasurementRecord:
     post_state: np.ndarray
 
 
+def _check_circuit(setup: str, n_a: int, n_b: int | None, d: int, chi: int) -> None:
+    """Raise unless N_A >= 1, d >= 2, chi >= 1 and, for the staircase, N_B >= 1."""
+    if setup == "staircase" and (n_b is None or n_b < 1):
+        raise ShapeMismatchError(f"the staircase circuit needs N_B >= 1, got {n_b}")
+    if n_a < 1 or chi < 1 or d < 2:
+        raise ShapeMismatchError(
+            f"need N_A >= 1, chi >= 1, d >= 2; got N_A={n_a}, d={d}, chi={chi}"
+        )
+
+
 def build_staircase(
     n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind = HAAR, rng=None
 ) -> tuple[MpsState, RegionLayout]:
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
-    if n_a < 1 or n_b < 1 or chi < 1 or d < 2:
-        raise ShapeMismatchError(
-            f"need N_A >= 1, N_B >= 1, chi >= 1, d >= 2; got ({n_a}, {n_b}, {d}, {chi})"
-        )
+    _check_circuit("staircase", n_a, n_b, d, chi)
     rng = rng if rng is not None else stream(0)
-    gates = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
-    tensors = []
-    for i, gate in enumerate(gates):
-        # rows (z, b): outgoing physical and auxiliary; columns (w, a): the
-        # gate input, physical pinned to |0>, incoming auxiliary a
-        g4 = gate.reshape(d, chi, d, chi)
-        if i == 0:
-            tensors.append(g4[:, :, 0, 0][None, :, :])
-        else:
-            tensors.append(np.ascontiguousarray(g4[:, :, 0, :].transpose(2, 0, 1)))
+    first, *rest = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
+    # isometry rows (z, b): outgoing physical and auxiliary; columns: the
+    # incoming auxiliary a, which becomes the left bond
+    tensors = [first.reshape(1, d, chi)]
+    tensors += [np.ascontiguousarray(g.reshape(d, chi, chi).transpose(2, 0, 1)) for g in rest]
     tensors.append(np.eye(chi, dtype=complex).reshape(chi, chi, 1))
     roles = ("A",) * n_a + ("B",) * n_b
     return MpsState(tensors), RegionLayout(roles, "staircase", n_a, n_b)
@@ -184,28 +216,20 @@ def build_glued(
     n_a: int, d: int, chi: int, kind: EnsembleKind = HAAR, rng=None
 ) -> tuple[MpsState, RegionLayout]:
     """Glued shallow-circuit MPS: B A B ... A B with chi^2-dimensional B sites."""
-    if n_a < 1 or chi < 1 or d < 2:
-        raise ShapeMismatchError(f"need N_A >= 1, chi >= 1, d >= 2; got ({n_a}, {d}, {chi})")
+    _check_circuit("glued", n_a, None, d, chi)
     rng = rng if rng is not None else stream(0)
     blocks, glues = draw_glued_gates(n_a, d, chi, kind, rng)
     chi2 = chi * chi
-    block_tensors = []
-    for v in blocks:
-        t = v[:, 0].reshape(d, chi, chi)  # (physical, left aux, right aux)
-        block_tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
-    glue_tensors = []
-    for j, r in enumerate(glues):
-        r3 = r.reshape(chi2, chi, chi)  # (fused pair, left-member in, right-member in)
-        if j == 0:
-            glue_tensors.append(r3[:, 0, :][None, :, :])  # left edge: fresh |0> member
-        elif j == n_a:
-            glue_tensors.append(np.ascontiguousarray(r3[:, :, 0].transpose(1, 0))[:, :, None])
-        else:
-            glue_tensors.append(np.ascontiguousarray(r3.transpose(1, 0, 2)))
-    tensors = [glue_tensors[0]]
-    for i in range(n_a):
-        tensors.append(block_tensors[i])
-        tensors.append(glue_tensors[i + 1])
+    # block rows (physical, left aux, right aux); glue rows: the fused pair,
+    # columns (left member in, right member in), the edges' fresh |0> member
+    # already selected: left edge (0, b) -> b, right edge (a, 0) -> a
+    middle = [
+        np.ascontiguousarray(r.reshape(chi2, chi, chi).transpose(1, 0, 2)) for r in glues[1:-1]
+    ]
+    right = np.ascontiguousarray(glues[-1].T)[:, :, None]
+    tensors = [glues[0].reshape(1, chi2, chi)]
+    for v, glue in zip(blocks, middle + [right]):
+        tensors += [np.ascontiguousarray(v.reshape(d, chi, chi).transpose(1, 0, 2)), glue]
     roles = ("B",) + ("A", "B") * n_a
     return MpsState(tensors), RegionLayout(roles, "glued", n_a, n_a + 1)
 
@@ -302,13 +326,15 @@ class BornSampler:
         if len(state.tensors) != len(layout.site_roles):
             raise ShapeMismatchError("layout does not match state length")
         tensors = state.tensors
+        # contiguous per-site views for the sweep
+        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
         # left environments with everything to the left traced out; index
         # convention: env[bra bond, ket bond].  The one past the last site is
         # <psi|psi>, so the norm check costs no extra sweep.
         self._left = [np.ones((1, 1), dtype=complex)]
-        for t in tensors:
-            env = self._left[-1]
-            self._left.append(np.einsum("ba,bzr,azs->rs", env, t.conj(), t, optimize=True))
+        for t, flat in zip(tensors, self._flat):
+            lt = (self._left[-1] @ t.reshape(t.shape[0], -1)).reshape(flat.shape)
+            self._left.append(flat.conj().T @ lt)
         nsq = float(self._left.pop().real[0, 0])
         if abs(nsq - 1.0) > norm_tol:
             raise PreconditionError(
@@ -330,8 +356,6 @@ class BornSampler:
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]
         last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
-        # contiguous per-site views for the sweep
-        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
         self._by_z = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in tensors]
         # A sites met in density mode: conj(t) as a (physical x right, left)
         # matrix; the rightmost A site is met in vector mode
@@ -542,66 +566,50 @@ def statevector_oracle(
     """Dense end-to-end simulation of either circuit plus exhaustive projection.
 
     Shares the gate draws (and their order) with the MPS builders, so with an
-    identically seeded stream the two paths realize the same state.
+    identically seeded stream the two paths realize the same state.  Each
+    drawn isometry maps the legs it acts on from the fresh |0> inputs it
+    already selects.
     """
+    if setup not in ("staircase", "glued"):
+        raise ValueError(f"unknown setup {setup!r}")
+    _check_circuit(setup, n_a, n_b, d, chi)
     rng = rng if rng is not None else stream(0)
     if setup == "staircase":
-        if n_b is None:
-            raise ValueError("staircase oracle needs N_B")
         n_phys = n_a + n_b - 1
         total = d**n_phys * chi
         if total > MAX_ORACLE_DIM:
             raise SizeLimitError(f"oracle dimension {total} exceeds cap {MAX_ORACLE_DIM}")
-        gates = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
-        dims = [d] * n_phys + [chi]
-        state = np.zeros(dims, dtype=complex)
-        state[(0,) * (n_phys + 1)] = 1.0
-        aux_axis = n_phys
-        for i, gate in enumerate(gates):
-            state = _apply_gate(state, gate, (i, aux_axis))
+        # rows: the physical legs so far, first most significant; columns: the
+        # auxiliary leg, which each gate grows into (its physical leg, aux)
+        state = np.ones((1, 1), dtype=complex)
+        for gate in draw_staircase_gates(n_a, n_b, d, chi, kind, rng):
+            state = (state @ gate.T).reshape(-1, chi)
         amps = state.reshape(d**n_a, d ** (n_b - 1) * chi)
         outcome_dims = (d,) * (n_b - 1) + (chi,)
-    elif setup == "glued":
+    else:
         # axes: [eL, (l_i, a_i, r_i) per block ..., eR]
         total = d**n_a * chi ** (2 * n_a + 2)
         if total > MAX_ORACLE_DIM:
             raise SizeLimitError(f"oracle dimension {total} exceeds cap {MAX_ORACLE_DIM}")
         blocks, glues = draw_glued_gates(n_a, d, chi, kind, rng)
+        # the blocks' outputs on their fresh inputs, as a product state on
+        # the (l_i, a_i, r_i) axes
+        state = np.ones((), dtype=complex)
+        for v in blocks:
+            state = np.multiply.outer(state, v.reshape(d, chi, chi).transpose(1, 0, 2))
+        for j, r in enumerate(glues[1:-1], start=1):
+            state = _apply_gate(state, r, (3 * j - 1, 3 * j))  # (r_j, l_{j+1})
+        # edge glues map l_1 to (eL, l_1) and r_{N_A} to (r_{N_A}, eR)
+        state = glues[0] @ state.reshape(chi, -1)
+        state = state.reshape(-1, chi) @ glues[-1].T
         dims = [chi] + [chi, d, chi] * n_a + [chi]
-        state = np.zeros(dims, dtype=complex)
-        state[(0,) * len(dims)] = 1.0
-
-        def l_ax(i):  # left aux of block i (1-based)
-            return 1 + 3 * (i - 1)
-
-        def a_ax(i):
-            return 2 + 3 * (i - 1)
-
-        def r_ax(i):
-            return 3 + 3 * (i - 1)
-
-        e_left, e_right = 0, len(dims) - 1
-        for i, v in enumerate(blocks, start=1):
-            state = _apply_gate(state, v, (a_ax(i), l_ax(i), r_ax(i)))
-        for j, r in enumerate(glues):
-            if j == 0:
-                pair = (e_left, l_ax(1))
-            elif j == n_a:
-                pair = (r_ax(n_a), e_right)
-            else:
-                pair = (r_ax(j), l_ax(j + 1))
-            state = _apply_gate(state, r, pair)
+        state = state.reshape(dims)
         # regroup: A axes first, then the measured pairs left to right
-        a_axes = [a_ax(i) for i in range(1, n_a + 1)]
-        b_axes = [e_left, l_ax(1)]
-        for j in range(1, n_a):
-            b_axes += [r_ax(j), l_ax(j + 1)]
-        b_axes += [r_ax(n_a), e_right]
+        a_axes = [3 * i - 1 for i in range(1, n_a + 1)]
+        b_axes = [ax for j in range(n_a + 1) for ax in (3 * j, 3 * j + 1)]
         state = np.transpose(state, a_axes + b_axes)
         amps = state.reshape(d**n_a, chi ** (2 * n_a + 2))
         outcome_dims = (chi * chi,) * (n_a + 1)
-    else:
-        raise ValueError(f"unknown setup {setup!r}")
     if amps.shape[1] > _ORACLE_MAX_OUTCOMES:
         raise SizeLimitError(
             f"outcome space {amps.shape[1]} too large for exhaustive enumeration"

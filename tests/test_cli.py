@@ -1,10 +1,14 @@
 """CLI tests: documented invocations, determinism, manifest plumbing, errors."""
 
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmpslab import cli
 
@@ -112,6 +116,8 @@ def test_oracle_rows(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
+    # the isometry gate draws changed the last digits of oracle files
+    assert lines[0].startswith("# schema=2 seed=3 config=")
     assert lines[1] == "k,n,mean,stderr"
     assert len(lines) == 2 + 3  # (1,0), (2,-1), (2,0)
     k1 = float(lines[2].split(",")[2])
@@ -196,3 +202,46 @@ def test_config_without_path_is_an_error_not_a_traceback(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(missing), "predict", "--setup", "staircase")
     assert code == 1
     assert "error:" in err and "missing.cfg" in err
+
+
+# smallest valid value of each integer flag of oracle and sample
+FLOORS = {"na": 1, "nb": 1, "d": 2, "chi": 1, "k": 1, "pairs": 1, "realizations": 2,
+          "seed": 0, "threads": 1}
+# valid tiny invocations at those floors
+BELOW_FLOOR_BASE = {
+    "oracle": ["oracle", "--setup", "staircase", "--na", "1", "--nb", "1", "--d", "2",
+               "--chi", "1", "--k", "1", "--realizations", "2", "--seed", "0", "--threads", "1"],
+    "sample": ["sample", "--setup", "staircase", "--na", "1", "--nb", "1", "--d", "2",
+               "--chi", "1", "--k", "1", "--pairs", "1", "--realizations", "2", "--seed", "0",
+               "--threads", "1"],
+}
+
+
+@st.composite
+def below_floor(draw):
+    command = draw(st.sampled_from(sorted(BELOW_FLOOR_BASE)))
+    argv = list(BELOW_FLOOR_BASE[command])
+    flags = [i for i, tok in enumerate(argv) if tok.lstrip("-") in FLOORS]
+    i = draw(st.sampled_from(flags))
+    floor = FLOORS[argv[i].lstrip("-")]
+    argv[i + 1] = str(draw(st.integers(min_value=floor - 2**40, max_value=floor - 1)))
+    setup = draw(st.sampled_from(["staircase", "glued"]))
+    if argv[i] != "--nb":
+        argv[argv.index("--setup") + 1] = setup
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(below_floor())
+def test_integer_flag_below_floor_is_an_error_not_a_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 1
+    assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(BELOW_FLOOR_BASE))
+def test_integer_flags_at_floor_run(command, capsys):
+    assert run_cli(capsys, *BELOW_FLOOR_BASE[command])[0] == 0

@@ -38,6 +38,71 @@ def test_haar_unitary_first_moment():
     assert abs(vals.mean() - 0.25) < 3 * se
 
 
+def reference_gate(q, rng, variance=None):
+    """A whole q x q gate: full QR of the Ginibre draw with the R-diagonal phase fix
+    (Haar, variance None) or the scaled Gaussian draw."""
+    re = rng.standard_normal((q, q))
+    im = rng.standard_normal((q, q))
+    if variance is not None:
+        return np.sqrt(variance / 2.0) * (re + 1j * im)
+    qmat, rmat = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    diag = np.diagonal(rmat)
+    return qmat / (diag / np.abs(diag))[None, :]
+
+
+def assert_same_columns(drawn, reference, kind):
+    assert drawn.shape == reference.shape
+    if kind.is_haar:
+        assert np.abs(drawn - reference).max() <= 1e-14
+    else:
+        assert np.array_equal(drawn, reference)
+
+
+# (N_A, N_B, d, chi) of the staircase and (N_A, d, chi) of the glued draw tests
+STAIRCASE_DRAWS = [(1, 1, 2, 1), (2, 3, 2, 4), (3, 2, 3, 5), (2, 2, 2, 64)]
+GLUED_DRAWS = [(1, 2, 1), (1, 2, 3), (3, 2, 2), (2, 3, 4)]
+DRAW_KINDS = [HAAR, gaussian(), gaussian(0.3, 0.7)]
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS, ids=["haar", "gaussian", "gaussian-var"])
+@pytest.mark.parametrize("case", STAIRCASE_DRAWS)
+def test_staircase_draws_are_the_used_columns(case, kind):
+    # each gate is the columns of the whole gate that its |0> physical input
+    # selects, drawn from the stream exactly as the whole gate is
+    n_a, n_b, d, chi = case
+    q = d * chi
+    var = None if kind.is_haar else (kind.variance or 1.0 / q)
+    rng, rng_ref = mps.stream(21, 4), mps.stream(21, 4)
+    gates = mps.draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
+    assert len(gates) == n_a + n_b - 1
+    for i, gate in enumerate(gates):
+        ref = reference_gate(q, rng_ref, var)
+        assert_same_columns(gate, ref[:, :1] if i == 0 else ref[:, :chi], kind)
+    assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS, ids=["haar", "gaussian", "gaussian-var"])
+@pytest.mark.parametrize("case", GLUED_DRAWS)
+def test_glued_draws_are_the_used_columns(case, kind):
+    # blocks: column 0; left edge: columns (0, b); right edge: columns (a, 0);
+    # middle glues whole
+    n_a, d, chi = case
+    var_a = var_b = None
+    if not kind.is_haar:
+        var_a = kind.variance or 1.0 / (d * chi * chi)
+        var_b = kind.variance_b or 1.0 / (chi * chi)
+    rng, rng_ref = mps.stream(22, 5), mps.stream(22, 5)
+    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, rng)
+    assert len(blocks) == n_a and len(glues) == n_a + 1
+    for v in blocks:
+        assert_same_columns(v, reference_gate(d * chi * chi, rng_ref, var_a)[:, :1], kind)
+    for j, r in enumerate(glues):
+        ref = reference_gate(chi * chi, rng_ref, var_b)
+        cols = ref[:, :chi] if j == 0 else ref[:, ::chi] if j == n_a else ref
+        assert_same_columns(r, cols, kind)
+    assert rng.random() == rng_ref.random()
+
+
 def test_stream_reproducible_and_split():
     a = mps.stream(7, 3).standard_normal(4)
     b = mps.stream(7, 3).standard_normal(4)
@@ -70,6 +135,23 @@ def test_build_validation():
         mps.build_staircase(2, 2, 1, 2)
     with pytest.raises(ShapeMismatchError):
         mps.build_glued(1, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "setup,n_a,n_b,d,chi",
+    [
+        ("staircase", 2, 2, 1, 2),
+        ("staircase", 2, 2, 2, 0),
+        ("staircase", 0, 2, 2, 2),
+        ("staircase", 2, 0, 2, 2),
+        ("staircase", 2, None, 2, 2),
+        ("glued", 0, None, 2, 2),
+        ("glued", 1, None, 1, 2),
+    ],
+)
+def test_oracle_validation(setup, n_a, n_b, d, chi):
+    with pytest.raises(ShapeMismatchError):
+        mps.statevector_oracle(setup, n_a, n_b, d, chi, HAAR, mps.stream(0))
 
 
 @pytest.mark.parametrize(
