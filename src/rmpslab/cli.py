@@ -3,24 +3,27 @@
 Subcommands cover the three computational routes: ``predict`` (closed
 forms), ``contract`` (exact replica chains), ``sample``/``histogram``
 (Monte-Carlo over sampled states) plus ``oracle`` (exhaustive dense
-enumeration at tiny sizes).  Outputs are CSV (header row, one leading
-``# schema=N seed=... config=...`` comment line) next to a JSON mirror with
-the full resolved configuration; a ``*.manifest.json`` records tool version,
-wall time and the emitted files.  N is 3 for the ``sample`` and
-``histogram`` files (the batched Born sweep, then the isometry gate draws
-changed their last bits), 2 for the ``oracle`` file (the isometry gate draws
-did) and the ``contract`` file (the orbit-space contraction did), and 1 for
-``predict``.  Data files are deterministic for fixed flags and seed;
-files are written atomically and partial outputs are removed on failure.
+enumeration at tiny sizes).
+
+Every output file goes through ``write_outputs``: a CSV (one leading
+``# schema=N seed=... config=...`` comment line, then a header row), for
+``sample`` and ``histogram`` a JSON mirror holding the full resolved
+configuration, and a ``*.manifest.json`` recording tool version, wall time
+and the emitted files.  N comes from the per-subcommand ``SCHEMA`` table.
+Sample and histogram files hash the resolved ``EnsembleConfig``; the others
+hash the parsed flags.  Data files are byte-identical for fixed flags and
+seed.  Each file is written to ``.tmp`` and renamed into place, and a failed
+write removes whatever the run already wrote.
 
 Flags override an optional plain-text key=value config file (--config).
 Integer flags below their floor (``FLOORS``) are an error, reported before
-any work starts.
+any work starts.  Bad input and failed writes exit 1 with an ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -29,6 +32,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,10 +41,11 @@ from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind, gaussian
 
-# the orbit-space contraction moved the last bits of contract outputs
-CONTRACT_SCHEMA = 2
-# the isometry gate draws moved the last bits of oracle outputs
-ORACLE_SCHEMA = 2
+# version of each subcommand's CSV and JSON mirror format: the batched Born
+# sweep, then the isometry gate draws moved the last bits of sample and
+# histogram files (3), the orbit-space contraction those of contract files and
+# the isometry gate draws those of oracle files (2)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 2, "sample": 3, "histogram": 3}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -51,6 +56,7 @@ FLOORS = {
     "k": 1,
     "n": 0,
     "pairs": 1,
+    "points": 1,
     "realizations": 2,
     "seed": 0,
     "threads": 1,
@@ -78,62 +84,73 @@ def _default_nb(args) -> int | None:
     return int(math.floor(args.na**1.5))
 
 
-class _OutputSet:
-    """Atomic multi-file output: all files land, or none do."""
-
-    def __init__(self):
-        self.written: list[str] = []
-
-    def write_text(self, path: str, text: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        self.written.append(path)
-
-    def cleanup(self) -> None:
-        for path in self.written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+def config_dict(config: estimator.EnsembleConfig) -> dict:
+    """The resolved sampling configuration that sample and histogram files hash."""
+    out = asdict(config)
+    out["kind"] = {
+        "kind": config.kind.kind,
+        "variance": config.kind.variance,
+        "variance_b": config.kind.variance_b,
+    }
+    return out
 
 
-def _manifest(out: _OutputSet, path: str, args_dict: dict, wall_time: float) -> None:
-    doc = {
+def _hash(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_outputs(args, t0: float, header: str, rows, seed: int, hashed: dict,
+                  mirror: dict | None = None) -> None:
+    """Write ``args.out`` (CSV), its JSON mirror when given, then the manifest.
+
+    The CSV header and the mirror carry ``SCHEMA[args.command]``, ``seed`` and
+    the hash of ``hashed``; the mirror holds ``hashed`` in full plus the
+    ``mirror`` payload.  Each file goes through ``<path>.tmp`` and
+    ``os.replace``.  If any step fails, every file already written and the
+    pending ``.tmp`` are removed before the error propagates.
+    """
+    if not args.out:
+        return
+    schema, cfg_hash = SCHEMA[args.command], _hash(hashed)
+    lines = [f"# schema={schema} seed={seed} config={cfg_hash}", header]
+    lines += [
+        ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        for row in rows
+    ]
+    files = {args.out: "\n".join(lines) + "\n"}
+    if mirror is not None:
+        doc = {"schema": schema, "config": hashed, "config_hash": cfg_hash, **mirror}
+        files[args.out + ".json"] = _json_text(doc)
+    public = _public_args(args)
+    manifest = {
         "schema": 1,
         "tool_version": __version__,
-        "config": args_dict,
-        "config_hash": hashlib.sha256(
-            json.dumps(args_dict, sort_keys=True).encode()
-        ).hexdigest()[:16],
-        "wall_time_seconds": wall_time,
-        "outputs": list(out.written),
+        "config": public,
+        "config_hash": _hash(public),
+        "wall_time_seconds": time.time() - t0,
+        "outputs": list(files),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _csv_text(header: str, rows, seed, cfg_hash: str, schema: int = 1) -> str:
-    lines = [f"# schema={schema} seed={seed} config={cfg_hash}", header]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _args_hash(args_dict: dict) -> str:
-    return hashlib.sha256(json.dumps(args_dict, sort_keys=True).encode()).hexdigest()[:16]
+    files[args.out + ".manifest.json"] = _json_text(manifest)
+    written: list[str] = []
+    try:
+        for path, text in files.items():
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(path + ".tmp", path)
+            written.append(path)
+    except BaseException:
+        for stale in [*written, path + ".tmp"]:
+            with contextlib.suppress(OSError):
+                os.remove(stale)
+        raise
 
 
 def cmd_predict(args) -> int:
+    t0 = time.time()
     xs = args.x if args.x else [0.0]
     rows = []
     if args.pdf:
@@ -156,11 +173,7 @@ def cmd_predict(args) -> int:
         header = "x,k,ratio"
         for row in rows:
             print(f"x={row[0]:g} k={row[1]} ratio={row[2]!r}")
-    if args.out:
-        out = _OutputSet()
-        args_dict = _public_args(args)
-        out.write_text(args.out, _csv_text(header, rows, 0, _args_hash(args_dict)))
-        _manifest(out, args.out + ".manifest.json", args_dict, 0.0)
+    write_outputs(args, t0, header, rows, 0, _public_args(args))
     return 0
 
 
@@ -179,21 +192,8 @@ def cmd_contract(args) -> int:
     print(f"F({args.k},{args.n}) mantissa={value.mantissa!r} log_scale={value.log_scale!r}")
     print(f"value={value.value!r}")
     print(f"ratio_to_leading_order={ratio_to_leading!r}")
-    if args.out:
-        out = _OutputSet()
-        args_dict = _public_args(args)
-        rows = [(args.k, args.n, value.mantissa, value.log_scale, ratio_to_leading)]
-        out.write_text(
-            args.out,
-            _csv_text(
-                "k,n,mantissa,log_scale,ratio_to_leading",
-                rows,
-                0,
-                _args_hash(args_dict),
-                schema=CONTRACT_SCHEMA,
-            ),
-        )
-        _manifest(out, args.out + ".manifest.json", args_dict, time.time() - t0)
+    rows = [(args.k, args.n, value.mantissa, value.log_scale, ratio_to_leading)]
+    write_outputs(args, t0, "k,n,mantissa,log_scale,ratio_to_leading", rows, 0, _public_args(args))
     return 0
 
 
@@ -225,34 +225,20 @@ def cmd_sample(args) -> int:
             f"k={est.k} mean={est.mean!r} stderr={est.stderr!r} "
             f"ratio={est.ratio_to_haar!r} n={est.n_samples}"
         )
-    if args.out:
-        out = _OutputSet()
-        try:
-            estimator.write_moments_csv(args.out, config, estimates)
-            out.written.append(args.out)
-            mirror = args.out + ".json"
-            estimator.write_json_mirror(
-                mirror,
-                config,
-                {
-                    "moments": [
-                        {
-                            "k": e.k,
-                            "mean": e.mean,
-                            "stderr": e.stderr,
-                            "ratio_to_haar": e.ratio_to_haar,
-                            "ratio_to_first": e.ratio_to_first,
-                            "n_samples": e.n_samples,
-                        }
-                        for e in estimates
-                    ]
-                },
-            )
-            out.written.append(mirror)
-            _manifest(out, args.out + ".manifest.json", _public_args(args), time.time() - t0)
-        except Exception:
-            out.cleanup()
-            raise
+    rows = [(e.k, e.mean, e.stderr, e.ratio_to_haar, e.n_samples) for e in estimates]
+    moments = [
+        {
+            "k": e.k,
+            "mean": e.mean,
+            "stderr": e.stderr,
+            "ratio_to_haar": e.ratio_to_haar,
+            "ratio_to_first": e.ratio_to_first,
+            "n_samples": e.n_samples,
+        }
+        for e in estimates
+    ]
+    write_outputs(args, t0, "k,mean,stderr,ratio,n_samples", rows, config.seed,
+                  config_dict(config), {"moments": moments})
     return 0
 
 
@@ -261,28 +247,16 @@ def cmd_histogram(args) -> int:
     config = _estimator_config(args, "born")
     table = estimator.overlap_histogram(config, args.bins, args.umax, threads=args.threads)
     print(f"bins={args.bins} in_range={table.n_in_range} total={table.n_total}")
-    if args.out:
-        out = _OutputSet()
-        try:
-            estimator.write_histogram_csv(args.out, config, table)
-            out.written.append(args.out)
-            mirror = args.out + ".json"
-            estimator.write_json_mirror(
-                mirror,
-                config,
-                {
-                    "bins": args.bins,
-                    "u_max": args.umax,
-                    "bin_width": table.bin_width,
-                    "n_in_range": table.n_in_range,
-                    "n_total": table.n_total,
-                },
-            )
-            out.written.append(mirror)
-            _manifest(out, args.out + ".manifest.json", _public_args(args), time.time() - t0)
-        except Exception:
-            out.cleanup()
-            raise
+    rows = zip(table.bin_centers, table.density, table.error)
+    summary = {
+        "bins": args.bins,
+        "u_max": args.umax,
+        "bin_width": table.bin_width,
+        "n_in_range": table.n_in_range,
+        "n_total": table.n_total,
+    }
+    write_outputs(args, t0, "bin_center,density,error", rows, config.seed,
+                  config_dict(config), summary)
     return 0
 
 
@@ -316,16 +290,7 @@ def cmd_oracle(args) -> int:
             rows.append((k, 0, float(mean[2 * i + 1]), float(err[2 * i + 1])))
     for k, n, mu, se in rows:
         print(f"k={k} n={n} mean={mu!r} stderr={se!r}")
-    if args.out:
-        out = _OutputSet()
-        args_dict = _public_args(args)
-        out.write_text(
-            args.out,
-            _csv_text(
-                "k,n,mean,stderr", rows, args.seed, _args_hash(args_dict), schema=ORACLE_SCHEMA
-            ),
-        )
-        _manifest(out, args.out + ".manifest.json", args_dict, time.time() - t0)
+    write_outputs(args, t0, "k,n,mean,stderr", rows, args.seed, _public_args(args))
     return 0
 
 
@@ -461,7 +426,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_floors(args)
         return args.func(args)
-    except (SizeLimitError, ShapeMismatchError, PreconditionError, ValueError) as exc:
+    except (SizeLimitError, ShapeMismatchError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

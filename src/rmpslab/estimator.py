@@ -19,22 +19,15 @@ bit-identical for a fixed config regardless of worker count.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mps, theory
 from .errors import PreconditionError, SizeLimitError
 from .weingarten import HAAR, EnsembleKind
-
-# version of the sample/histogram CSV and JSON formats; 3 since Haar gates
-# are drawn as isometries of their used columns, which moves the last bits
-# of every Haar state (2 was the batched Born sweep)
-SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -71,6 +64,10 @@ class EnsembleConfig:
             raise ValueError(f"unknown pair mode {self.pair_mode!r}")
         if self.k_max < 1 or self.pairs_per_state < 1 or self.realizations < 2:
             raise ValueError("need k_max >= 1, pairs_per_state >= 1, realizations >= 2")
+        if self.n != 0:
+            # no sampler reads n: born mode estimates the physical potentials,
+            # forced mode the n = 0 ones
+            raise ValueError(f"EnsembleConfig.n must be 0, got {self.n}")
 
     @property
     def d_a(self) -> int:
@@ -294,55 +291,3 @@ def overlap_histogram(
     error = np.sqrt(counts) / (n_in * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return HistogramTable(centers, density, error, float(width), n_in, samples.size)
-
-
-# ---------------------------------------------------------------------------
-# Machine-readable output
-# ---------------------------------------------------------------------------
-
-
-def config_dict(config: EnsembleConfig) -> dict:
-    out = asdict(config)
-    out["kind"] = {
-        "kind": config.kind.kind,
-        "variance": config.kind.variance,
-        "variance_b": config.kind.variance_b,
-    }
-    return out
-
-
-def config_hash(config: EnsembleConfig) -> str:
-    payload = json.dumps(config_dict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def write_moments_csv(path, config: EnsembleConfig, estimates: list[MomentEstimate]) -> None:
-    lines = [f"# schema={SCHEMA} seed={config.seed} config={config_hash(config)}"]
-    lines.append("k,mean,stderr,ratio,n_samples")
-    for est in estimates:
-        lines.append(
-            f"{est.k},{est.mean!r},{est.stderr!r},{est.ratio_to_haar!r},{est.n_samples}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_histogram_csv(path, config: EnsembleConfig, table: HistogramTable) -> None:
-    lines = [f"# schema={SCHEMA} seed={config.seed} config={config_hash(config)}"]
-    lines.append("bin_center,density,error")
-    for c, dens, err in zip(table.bin_centers, table.density, table.error):
-        lines.append(f"{float(c)!r},{float(dens)!r},{float(err)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_json_mirror(path, config: EnsembleConfig, payload: dict) -> None:
-    doc = {
-        "schema": SCHEMA,
-        "config": config_dict(config),
-        "config_hash": config_hash(config),
-    }
-    doc.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -59,6 +59,9 @@ CHUNK_ENTRIES = 2**16
 
 def stream(seed: int, realization: int = 0) -> np.random.Generator:
     """Counter-based RNG stream: Philox keyed by (master seed, realization)."""
+    for name, value in (("seed", seed), ("realization", realization)):
+        if value < 0:
+            raise ValueError(f"stream {name} must be >= 0, got {value}")
     key = np.array([seed, realization], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

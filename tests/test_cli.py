@@ -59,19 +59,59 @@ def test_contract_output_and_determinism(tmp_path, capsys):
     assert value == pytest.approx(0.72, rel=1e-10)
 
 
-def test_contract_file_is_schema_2_and_byte_stable(tmp_path, capsys):
-    # the orbit-space contraction changed the last digits of contract files
-    args = ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
-            "--k", "2", "--n", "1"]
+# one small invocation per subcommand, with the schema and seed its files carry
+SCHEMA_CASES = {
+    "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
+    "contract": (2, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
+                        "--k", "2", "--n", "1"]),
+    "oracle": (2, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+                      "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
+    "sample": (3, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+                      "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
+                      "--seed", "5", "--threads", "1"]),
+    "histogram": (3, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+                         "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
+                         "--realizations", "4", "--seed", "2", "--threads", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
+def test_output_is_schema_tagged_and_byte_stable(command, tmp_path, capsys):
+    schema, seed, args = SCHEMA_CASES[command]
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert run_cli(capsys, *args, "--out", str(out_a))[0] == 0
     assert run_cli(capsys, *args, "--out", str(out_b))[0] == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    assert out_a.read_text().startswith("# schema=2 seed=0 config=")
-    # the dense and Cayley-walk oracles are not reachable from the command line
+    assert out_a.read_text().startswith(f"# schema={schema} seed={seed} config=")
+    mirror_a, mirror_b = tmp_path / "a.csv.json", tmp_path / "b.csv.json"
+    assert mirror_a.exists() == (command in ("sample", "histogram"))
+    if mirror_a.exists():
+        assert mirror_a.read_bytes() == mirror_b.read_bytes()
+        assert json.loads(mirror_a.read_text())["schema"] == schema
+    # the dense and Cayley-walk contraction oracles are not reachable from the
+    # command line
     with pytest.raises(SystemExit):
         cli.main([*args, "--method", "dense"])
+
+
+def test_csv_and_json_outputs(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code, _, _ = run_cli(
+        capsys, "sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+        "--chi", "2", "--k", "2", "--pairs", "5", "--realizations", "10",
+        "--seed", "11", "--threads", "1", "--out", str(out),
+    )
+    assert code == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0].startswith("# schema=3 seed=11 config=")
+    assert lines[1] == "k,mean,stderr,ratio,n_samples"
+    assert len(lines) == 2 + 2
+    doc = json.loads((tmp_path / "m.csv.json").read_text())
+    assert doc["schema"] == 3
+    assert doc["config"]["seed"] == 11
+    assert doc["config"]["kind"]["kind"] == "haar"
+    assert lines[0].endswith(f"config={doc['config_hash']}")
 
 
 def test_sample_emits_rows_and_mirror(tmp_path, capsys):
@@ -185,6 +225,35 @@ def test_failed_run_leaves_no_partial_files(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+WRITE_FAILURE_ARGS = {
+    "contract": ["contract", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+                 "--chi", "2", "--k", "1", "--n", "0"],
+    "sample": ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+               "--chi", "2", "--k", "2", "--pairs", "2", "--realizations", "2",
+               "--seed", "0", "--threads", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("contract", None), ("contract", ".manifest.json"),
+     ("sample", None), ("sample", ".json"), ("sample", ".manifest.json")],
+)
+def test_failed_write_is_an_error_and_leaves_no_file(command, blocked, tmp_path, capsys):
+    # blocked: a directory sits where the mirror or manifest should go;
+    # None: the output's directory does not exist
+    if blocked is None:
+        out = tmp_path / "missing" / "x.csv"
+    else:
+        out = tmp_path / "x.csv"
+        (tmp_path / ("x.csv" + blocked)).mkdir()
+    code, _, err = run_cli(capsys, *WRITE_FAILURE_ARGS[command], "--out", str(out))
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.tmp"))
+
+
 def test_contract_bad_chi_is_an_error_not_a_traceback(capsys):
     code, _, err = run_cli(capsys, "contract", "--setup", "staircase", "--na", "2", "--nb", "2",
                            "--d", "2", "--chi", "0", "--k", "1", "--n", "0")
@@ -204,11 +273,13 @@ def test_config_without_path_is_an_error_not_a_traceback(tmp_path, capsys):
     assert "error:" in err and "missing.cfg" in err
 
 
-# smallest valid value of each integer flag of oracle and sample
-FLOORS = {"na": 1, "nb": 1, "d": 2, "chi": 1, "k": 1, "pairs": 1, "realizations": 2,
-          "seed": 0, "threads": 1}
+# smallest valid value of each integer flag of oracle, sample and predict
+FLOORS = {"na": 1, "nb": 1, "d": 2, "chi": 1, "k": 1, "pairs": 1, "points": 1,
+          "realizations": 2, "seed": 0, "threads": 1}
 # valid tiny invocations at those floors
 BELOW_FLOOR_BASE = {
+    "predict": ["predict", "--setup", "staircase", "--pdf", "--d", "2", "--k", "1",
+                "--points", "1"],
     "oracle": ["oracle", "--setup", "staircase", "--na", "1", "--nb", "1", "--d", "2",
                "--chi", "1", "--k", "1", "--realizations", "2", "--seed", "0", "--threads", "1"],
     "sample": ["sample", "--setup", "staircase", "--na", "1", "--nb", "1", "--d", "2",

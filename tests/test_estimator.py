@@ -1,6 +1,5 @@
-"""Monte-Carlo estimator tests: consistency with the exact engine, errors, I/O."""
+"""Monte-Carlo estimator tests: consistency with the exact engine, errors."""
 
-import json
 import math
 
 import numpy as np
@@ -39,6 +38,14 @@ def test_config_validation():
     assert cfg.n_b_effective == 4
     assert cfg.outcome_cardinality == 4**4
     assert tiny_born_config().outcome_cardinality == 2 * 2
+
+
+def test_config_rejects_an_n_no_sampler_reads():
+    # forced mode estimates the n = 0 potentials, whatever n says
+    for mode in ("born", "forced"):
+        with pytest.raises(ValueError, match="n must be 0"):
+            tiny_born_config(n=3, sampling_mode=mode)
+    assert tiny_born_config(n=0).n == 0
 
 
 def test_scaling_variable_property():
@@ -201,21 +208,3 @@ def test_histogram_properties():
     sel = tab.error > 0
     dev = np.abs(tab.density - expected)[sel] / np.maximum(3 * tab.error[sel], 0.05)
     assert np.mean(dev < 1.0) > 0.8
-
-
-def test_csv_and_json_outputs(tmp_path):
-    cfg = tiny_born_config(realizations=10, pairs_per_state=5)
-    ests = es.sample_moments(cfg)
-    csv_path = tmp_path / "m.csv"
-    es.write_moments_csv(csv_path, cfg, ests)
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=3 seed=11 config=")
-    assert lines[1] == "k,mean,stderr,ratio,n_samples"
-    assert len(lines) == 2 + cfg.k_max
-    json_path = tmp_path / "m.json"
-    es.write_json_mirror(json_path, cfg, {"moments": [e.k for e in ests]})
-    doc = json.loads(json_path.read_text())
-    assert doc["schema"] == 3
-    assert doc["config"]["seed"] == 11
-    assert doc["config"]["kind"]["kind"] == "haar"
-    assert doc["config_hash"] == es.config_hash(cfg)

@@ -111,6 +111,12 @@ def test_stream_reproducible_and_split():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("name", ["seed", "realization"])
+def test_stream_rejects_negative_key(name):
+    with pytest.raises(ValueError, match=name):
+        mps.stream(**{"seed": 0, "realization": 0, name: -1})
+
+
 def test_build_staircase_structure():
     state, layout = mps.build_staircase(3, 4, 2, 4, HAAR, mps.stream(1))
     assert state.phys_dims == (2, 2, 2, 2, 2, 2, 4)
