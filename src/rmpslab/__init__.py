@@ -32,13 +32,7 @@ from .mps import (
     stream,
 )
 from .permutations import ReplicaShape
-from .replica import (
-    ChainValue,
-    ReplicaChainSpec,
-    contract,
-    frame_potential_chain,
-    generalized_frame_potential,
-)
+from .replica import ChainValue, ReplicaChainSpec, contract, frame_potential_chain
 from .theory import (
     haar_frame_potential,
     leading_order,
@@ -74,7 +68,6 @@ __all__ = [
     "forced_ratio",
     "frame_potential_chain",
     "gaussian",
-    "generalized_frame_potential",
     "haar_frame_potential",
     "haar_unitary",
     "leading_order",

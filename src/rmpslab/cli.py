@@ -111,7 +111,8 @@ def write_outputs(args, t0: float, header: str, rows, seed: int, hashed: dict,
     the hash of ``hashed``; the mirror holds ``hashed`` in full plus the
     ``mirror`` payload.  Each file goes through ``<path>.tmp`` and
     ``os.replace``.  If any step fails, every file already written and the
-    pending ``.tmp`` are removed before the error propagates.
+    pending ``.tmp`` are removed before the error propagates; an ``OSError``
+    is raised again naming the file that failed.
     """
     if not args.out:
         return
@@ -142,10 +143,13 @@ def write_outputs(args, t0: float, header: str, rows, seed: int, hashed: dict,
                 fh.write(text)
             os.replace(path + ".tmp", path)
             written.append(path)
-    except BaseException:
+    except BaseException as exc:
         for stale in [*written, path + ".tmp"]:
             with contextlib.suppress(OSError):
                 os.remove(stale)
+        if isinstance(exc, OSError):
+            # name the file being written, not its temporary
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -14,8 +14,7 @@ The replica chain is contracted on the orbit space of its symmetry
 for the pairs (g, h) listed there, and under sigma -> sigma^-1.  A class
 kernel acting on invariant vectors reduces to an (orbits x orbits) matrix
 (``reduced_kernel``); at m = 8 that is 95 x 95 for n = 0 against 40,320 x
-40,320.  The matrix-free Cayley-graph matvec (``class_kernel_matvec``) and
-the dense tables remain as test oracles.
+40,320.  The dense m! x m! tables remain as test references.
 """
 
 from __future__ import annotations
@@ -328,10 +327,8 @@ def adjacency_matrix(m: int, alpha: int) -> np.ndarray:
 # Every bond matrix in the replica chain has entries depending only on the
 # conjugacy class of sigma_i . sigma_j^{-1} (Gram matrices only through the
 # cycle count, Weingarten matrices through the full cycle type).  Such a
-# kernel is stored as one value per class.  The engine applies it on the
-# orbit space of the chain (``reduced_kernel``); the depth-first Cayley-graph
-# walk of ``class_kernel_matvec`` applies it on the whole group and is kept
-# as an oracle.
+# kernel is stored as one value per class and applied on the orbit space of
+# the chain (``reduced_kernel``).
 # ---------------------------------------------------------------------------
 
 
@@ -360,72 +357,6 @@ def class_distance(m: int) -> np.ndarray:
     """Transposition distance to the identity for each conjugacy class."""
     class_of, sizes, types = conjugacy_classes(m)
     return np.array([m - len(t) for t in types], dtype=np.int8)
-
-
-@lru_cache(maxsize=None)
-def transposition_tables(m: int) -> np.ndarray:
-    """Left-translation index tables for all transpositions tau.
-
-    tables[t, j] = index of tau_t . sigma_j; shape (m(m-1)/2, m!).
-    Left-composing with a transposition (ab) swaps the values a and b in the
-    one-line word.
-    """
-    _check_enum_m(m)
-    p = perm_array(m)
-    taus = list(itertools.combinations(range(m), 2))
-    out = np.empty((len(taus), p.shape[0]), dtype=np.int32)
-    for t, (a, b) in enumerate(taus):
-        words = p.copy()
-        sel_a = words == a
-        sel_b = words == b
-        words[sel_a] = b
-        words[sel_b] = a
-        out[t] = rank_words(words)
-    out.flags.writeable = False
-    return out
-
-
-def class_kernel_matvec(m: int, kernel_by_class: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y[i] = sum_j f(class(sigma_i . sigma_j^{-1})) x[j], never materializing f as a matrix.
-
-    Walks the Cayley graph once (each group element visited exactly once via
-    a distance-increasing depth-first walk), carrying the left-translation
-    table of the current element; the live stack stays O(generators x
-    diameter) tables.  Cost: about two m!-gathers per group element.
-    """
-    _check_enum_m(m)
-    class_of, _, _ = conjugacy_classes(m)
-    dist = distance_to_identity(m)
-    tables = transposition_tables(m)
-    fac = perm_array(m).shape[0]
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fac,):
-        raise ShapeMismatchError(f"matvec: vector length {x.shape} != ({fac},)")
-    kernel_by_class = np.asarray(kernel_by_class, dtype=np.float64)
-    # x pre-gathered through each generator: x_tau[t][i] = x[tau_t . sigma_i],
-    # so a node's contribution needs only its parent's table
-    x_tau = x[tables]
-    f_of = kernel_by_class[class_of]
-    y = f_of[0] * x
-    visited = np.zeros(fac, dtype=bool)
-    visited[0] = True
-    max_depth = m - 1
-    stack = [(np.arange(fac, dtype=np.int32), 0)]
-    while stack:
-        table, depth = stack.pop()
-        head = table[0]
-        child_heads = tables[:, head]
-        grow = np.nonzero(~visited[child_heads] & (dist[child_heads] == depth + 1))[0]
-        if grow.size == 0:
-            continue
-        visited[child_heads[grow]] = True
-        for t in grow:
-            contrib = f_of[child_heads[t]]
-            if contrib != 0.0:
-                y += contrib * x_tau[t][table]
-            if depth + 1 < max_depth:
-                stack.append((tables[t][table], depth + 1))
-    return y
 
 
 @lru_cache(maxsize=None)

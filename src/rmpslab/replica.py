@@ -34,9 +34,9 @@ Every chain operator is invariant under the symmetry described in
 vectors hold one value per orbit and each bond is an (orbits x orbits)
 matrix.  At m = 8 and n = 0 that is 95 values instead of 40,320, and a
 contraction takes milliseconds.  The Weingarten dressing of the glue-site
-and staircase boundary weights goes through the same reduced kernel.  The
-dense (m <= 6) and matrix-free Cayley-walk paths survive as oracles behind
-``contract(method=...)``.
+and staircase boundary weights goes through the same reduced kernel.  It is
+the one contraction path; a dense whole-group contraction (m <= 6) serves
+the tests as its reference.
 """
 
 from __future__ import annotations
@@ -141,34 +141,6 @@ def _staircase_chi_leg_vector(shape: ReplicaShape, chi: int) -> np.ndarray:
     return float(chi) * np.where(mask, float(chi), 1.0)
 
 
-def bond_matrix(
-    shape: ReplicaShape, chi: int, d: int, kind: EnsembleKind, location: str
-) -> np.ndarray:
-    """Dense bond matrix for a chain gap (m <= 6).
-
-    staircase_bulk: the dressed interaction T(chi, d) = W(d chi) G(chi);
-    glued_A_to_B: the bare Gram matrix G(chi) carried by each auxiliary leg
-    (the glued A-gate constant c_W(d chi^2) is a scalar attached to the A
-    site weight).
-    """
-    m = shape.m
-    if location == "staircase_bulk":
-        return wg.interaction_matrix(m, float(chi), d, kind)
-    if location == "glued_A_to_B":
-        return wg.gram_matrix(m, float(chi))
-    raise ValueError(f"unknown bond location {location!r}")
-
-
-def _bond_class_vector(
-    shape: ReplicaShape, chi: int, d: int, kind: EnsembleKind, location: str
-) -> np.ndarray:
-    if location == "staircase_bulk":
-        return wg.interaction_class_vector(shape.m, float(chi), d, kind)
-    if location == "glued_A_to_B":
-        return wg.gram_class_vector(shape.m, float(chi))
-    raise ValueError(f"unknown bond location {location!r}")
-
-
 def boundary_vectors(
     setup: str, shape: ReplicaShape, chi: int, d: int, kind: EnsembleKind = HAAR
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +154,7 @@ def boundary_vectors(
 
     (gaussian: the diagonal Weingarten replacement).  A chain terminated
     with this vector carries the bare Gram bond G(chi) on its last gap and
-    one fewer explicit measured-site weight, so its site and bond counts are
-    equal (the sites-first equal-count form of ``ReplicaChainSpec``):
+    one fewer explicit measured-site weight, so its ops end on a bond:
 
         F = c_W(d chi) * ones . D_1 T ... T D_(gates - 1) G(chi) . v_R
 
@@ -208,19 +179,38 @@ def boundary_vectors(
     return left, q * var**m * inner
 
 
+def _check_chain_inputs(d: int, chi: int, n_a: int, n_b: int | None = None) -> None:
+    """Every chain builder needs d >= 2, chi >= 1, N_A >= 1 and, when given, N_B >= 1."""
+    if chi < 1 or d < 2 or n_a < 1 or (n_b is not None and n_b < 1):
+        got = f"chi={chi}, d={d}, N_A={n_a}" + ("" if n_b is None else f", N_B={n_b}")
+        raise ValueError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
+
+
+# chain selectors: name -> (role, its value for a spec); a site resolves to
+# its m!-vector, a bond to the class vector of its kernel
+SELECTORS = {
+    "A": ("site", lambda spec: site_weight_A(spec.shape, spec.d)),
+    "B_staircase": ("site", lambda spec: site_weight_B_staircase(spec.shape, spec.d)),
+    "B_glued": ("site", lambda spec: site_weight_B_glued(spec.shape, spec.chi, spec.kind)),
+    # the dressed interaction T(chi, d) = W(d chi) G(chi)
+    "staircase_bulk": (
+        "bond",
+        lambda spec: wg.interaction_class_vector(spec.shape.m, float(spec.chi), spec.d, spec.kind),
+    ),
+    # the bare Gram matrix G(chi) carried by each auxiliary leg (the glued
+    # A-gate constant c_W(d chi^2) is part of the prefactor)
+    "glued_A_to_B": ("bond", lambda spec: wg.gram_class_vector(spec.shape.m, float(spec.chi))),
+}
+
+
 @dataclass(frozen=True)
 class ReplicaChainSpec:
     """Declarative permutation-chain partition function.
 
-    sites and bonds may be role/location selectors (resolved through the
-    chain's shape, chi, d, kind) or explicit m!-vectors / matrices.  Sites
-    and bonds interleave between the two boundary vectors, left to right;
-    their counts differ by at most one:
-
-    * one more site: sites first and last (``staircase_chain``);
-    * equal counts: sites first, so a bond sits next to the right boundary
-      (the dressed-right-vector grouping of ``boundary_vectors``);
-    * one more bond: bonds first and last (``glued_chain``).
+    ops lists the chain operators between the two boundary vectors, left to
+    right.  Each is a key of ``SELECTORS`` (resolved through the chain's
+    shape, chi, d, kind), an explicit (m!,) site weight or an explicit
+    (m!, m!) bond.
 
     The orbit-space contraction accepts an explicit operand only when it is
     invariant under the chain symmetry (a bond: when it maps invariant
@@ -231,38 +221,25 @@ class ReplicaChainSpec:
     kind: EnsembleKind
     chi: int
     d: int
-    sites: tuple
-    bonds: tuple
+    ops: tuple
     left_boundary: np.ndarray
     right_boundary: np.ndarray
     log_prefactor: float = 0.0
 
     def __post_init__(self):
-        if abs(len(self.sites) - len(self.bonds)) > 1:
-            raise ShapeMismatchError(
-                f"sites ({len(self.sites)}) and bonds ({len(self.bonds)}) counts "
-                "must differ by at most 1"
-            )
         fac = math.factorial(self.shape.m)
         for v in (self.left_boundary, self.right_boundary):
-            if np.asarray(v).shape != (fac,):
+            if np.shape(v) != (fac,):
                 raise ShapeMismatchError(f"boundary vector length != {fac}")
-        for ops, shape in ((self.sites, (fac,)), (self.bonds, (fac, fac))):
-            for op in ops:
-                if not isinstance(op, str) and np.shape(op) != shape:
-                    raise ShapeMismatchError(
-                        f"explicit chain operand has shape {np.shape(op)}, expected {shape}"
-                    )
-
-
-def _resolve_site(spec: ReplicaChainSpec, role: str) -> np.ndarray:
-    if role == "A":
-        return site_weight_A(spec.shape, spec.d)
-    if role == "B_staircase":
-        return site_weight_B_staircase(spec.shape, spec.d)
-    if role == "B_glued":
-        return site_weight_B_glued(spec.shape, spec.chi, spec.kind)
-    raise ValueError(f"unknown site role {role!r}")
+        for op in self.ops:
+            if isinstance(op, str):
+                if op not in SELECTORS:
+                    raise ValueError(f"unknown chain selector {op!r}")
+            elif np.shape(op) not in ((fac,), (fac, fac)):
+                raise ShapeMismatchError(
+                    f"explicit chain operand has shape {np.shape(op)}, "
+                    f"expected ({fac},) or ({fac}, {fac})"
+                )
 
 
 def _reduce_operand(orbits: pg.ChainOrbits, operand) -> np.ndarray:
@@ -281,97 +258,41 @@ def _reduce_operand(orbits: pg.ChainOrbits, operand) -> np.ndarray:
     return reduced
 
 
-def contract(spec: ReplicaChainSpec, method: str = "reduced") -> ChainValue:
+def contract(spec: ReplicaChainSpec) -> ChainValue:
     """Evaluate the chain right-to-left with per-step max-norm rescaling.
 
-    method: 'reduced' (the engine) works on the orbit space of the chain
-    symmetry: site weights act on the orbit representatives, each bond is
-    the (orbits x orbits) ``pg.reduced_kernel``, and the closing product
-    weighs each orbit by its size.  The rescaling is unchanged, since an
-    invariant vector takes its maximum on a representative.  The oracles
-    work on the whole group: 'dense' materializes bond matrices (m <= 6),
-    'free' applies them as class kernels through Cayley-graph matvecs, at
-    O((m!)^2) per bond.
+    The contraction works on the orbit space of the chain symmetry: site
+    weights act on the orbit representatives, each bond is the
+    (orbits x orbits) ``pg.reduced_kernel``, and the closing product weighs
+    each orbit by its size.  The rescaling is that of the whole group, since
+    an invariant vector takes its maximum on a representative.
     """
     m = spec.shape.m
     if m > MAX_CHAIN_M:
         raise SizeLimitError(f"replica count m={m} exceeds cap {MAX_CHAIN_M}")
-    if method not in ("reduced", "dense", "free"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense" and m > pg.MAX_DENSE_M:
-        raise SizeLimitError(f"dense contraction capped at m={pg.MAX_DENSE_M}, got {m}")
-    orbits = pg.chain_orbits(spec.shape) if method == "reduced" else None
-
-    def explicit(operand) -> np.ndarray:
-        if orbits is not None:
-            return _reduce_operand(orbits, operand)
-        return np.asarray(operand, dtype=np.float64)
-
+    orbits = pg.chain_orbits(spec.shape)
     # each selector is resolved once per call: a chain repeats a few
     # selectors many times
-    resolved: dict[tuple[str, str], np.ndarray] = {}
+    resolved: dict[str, np.ndarray] = {}
+    for op in spec.ops:
+        if isinstance(op, str) and op not in resolved:
+            role, value_of = SELECTORS[op]
+            value = value_of(spec)
+            resolved[op] = (
+                value[orbits.reps] if role == "site" else pg.reduced_kernel(spec.shape, value)
+            )
+    ops = [resolved[op] if isinstance(op, str) else _reduce_operand(orbits, op) for op in spec.ops]
 
-    def site_of(s):
-        if not isinstance(s, str):
-            return explicit(s)
-        if ("site", s) not in resolved:
-            w = _resolve_site(spec, s)
-            resolved["site", s] = w if orbits is None else w[orbits.reps]
-        return resolved["site", s]
-
-    def bond_of(b):
-        if not isinstance(b, str):
-            if method == "free":
-                raise ValueError("matrix-free contraction needs selector bonds")
-            return explicit(b)
-        if ("bond", b) not in resolved:
-            if method == "dense":
-                op = bond_matrix(spec.shape, spec.chi, spec.d, spec.kind, b)
-            else:
-                op = _bond_class_vector(spec.shape, spec.chi, spec.d, spec.kind, b)
-                if orbits is not None:
-                    op = pg.reduced_kernel(spec.shape, op)
-            resolved["bond", b] = op
-        return resolved["bond", b]
-
-    sites = [site_of(s) for s in spec.sites]
-    bonds = [bond_of(b) for b in spec.bonds]
-    if method == "free":
-
-        def apply_bond(b, v):
-            return pg.class_kernel_matvec(m, b, v)
-
-    else:
-
-        def apply_bond(b, v):
-            return b @ v
-
-    # interleave sites and bonds left to right, sites first unless bonds
-    # outnumber them; the loop below applies them rightmost first
-    ops: list[tuple[str, object]] = []
-    if len(sites) >= len(bonds):
-        for i, s in enumerate(sites):
-            ops.append(("site", s))
-            if i < len(bonds):
-                ops.append(("bond", bonds[i]))
-    else:
-        for i, b in enumerate(bonds):
-            ops.append(("bond", b))
-            if i < len(sites):
-                ops.append(("site", sites[i]))
-
-    vec = explicit(spec.right_boundary)
+    vec = _reduce_operand(orbits, spec.right_boundary)
     log_scale = spec.log_prefactor
-    for kind_tag, op in reversed(ops):
-        vec = op * vec if kind_tag == "site" else apply_bond(op, vec)
+    for op in reversed(ops):
+        vec = op @ vec if op.ndim == 2 else op * vec
         peak = np.max(np.abs(vec))
         if peak == 0.0:
             return ChainValue(0.0, 0.0)
         vec = vec / peak
         log_scale += math.log(peak)
-    left = explicit(spec.left_boundary)
-    if orbits is not None:
-        left = left * orbits.sizes
+    left = _reduce_operand(orbits, spec.left_boundary) * orbits.sizes
     mantissa = float(np.dot(left, vec))
     return ChainValue(mantissa, log_scale)
 
@@ -385,18 +306,16 @@ def staircase_chain(
     d-sites), dressed bonds on every gap, the chi-leg vector on the right,
     and the first gate's average constant as a scalar prefactor.
     """
-    if n_a < 1 or n_b < 1:
-        raise ShapeMismatchError(f"need N_A >= 1 and N_B >= 1, got ({n_a}, {n_b})")
+    _check_chain_inputs(d, chi, n_a, n_b)
     m = shape.m
-    n_gates = n_a + n_b - 1
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
+    sites = ("A",) * n_a + ("B_staircase",) * (n_b - 1)
     return ReplicaChainSpec(
         shape=shape,
         kind=kind,
         chi=chi,
         d=d,
-        sites=("A",) * n_a + ("B_staircase",) * (n_b - 1),
-        bonds=("staircase_bulk",) * (n_gates - 1),
+        ops=tuple(op for site in sites for op in (site, "staircase_bulk"))[:-1],
         left_boundary=np.ones(math.factorial(m)),
         right_boundary=_staircase_chi_leg_vector(shape, chi),
         log_prefactor=log_pref,
@@ -413,8 +332,7 @@ def glued_chain(
     block gate contributes the scalar c_W(d chi^2) (haar) or
     varsigma_A^(2m) (gaussian), accumulated in the prefactor.
     """
-    if n_a < 1:
-        raise ShapeMismatchError(f"need N_A >= 1, got {n_a}")
+    _check_chain_inputs(d, chi, n_a)
     m = shape.m
     if kind.is_haar:
         log_block = math.log(wg.weingarten_sum_constant(m, float(d * chi * chi), HAAR))
@@ -422,18 +340,13 @@ def glued_chain(
         var_a = kind.variance if kind.variance is not None else 1.0 / (d * chi**2)
         log_block = m * math.log(var_a)
     beta = site_weight_B_glued(shape, chi, kind)
-    sites = []
-    for i in range(n_a):
-        sites.append("A")
-        if i < n_a - 1:
-            sites.append("B_glued")
     return ReplicaChainSpec(
         shape=shape,
         kind=kind,
         chi=chi,
         d=d,
-        sites=tuple(sites),
-        bonds=("glued_A_to_B",) * (2 * n_a),
+        # G A G B G A G ... B G A G
+        ops=(("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * n_a)[1:],
         left_boundary=beta.copy(),
         right_boundary=beta.copy(),
         log_prefactor=n_a * log_block,
@@ -449,7 +362,6 @@ def frame_potential_chain(
     d: int,
     chi: int,
     kind: EnsembleKind = HAAR,
-    method: str = "reduced",
 ) -> ChainValue:
     """Circuit-averaged generalized frame potential E_psi[F^(k, n)].
 
@@ -458,10 +370,6 @@ def frame_potential_chain(
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"the chain contraction needs integer n >= 0, got n={n}")
-    if chi < 1 or d < 2 or n_a < 1:
-        raise ValueError(f"need chi >= 1, d >= 2, N_A >= 1; got chi={chi}, d={d}, N_A={n_a}")
-    if setup == "staircase" and n_b is not None and n_b < 1:
-        raise ValueError(f"the staircase chain needs N_B >= 1, got {n_b}")
     shape = ReplicaShape(int(n), int(k))
     if shape.m > MAX_CHAIN_M:
         raise SizeLimitError(f"m = 2(n+k) = {shape.m} exceeds cap {MAX_CHAIN_M}")
@@ -473,25 +381,4 @@ def frame_potential_chain(
         spec = glued_chain(shape, d, chi, n_a, kind)
     else:
         raise ValueError(f"unknown setup {setup!r}")
-    return contract(spec, method=method)
-
-
-def generalized_frame_potential(config, method: str = "reduced") -> ChainValue:
-    """Duck-typed wrapper: reads setup/n/N_A/N_B/d/chi/kind off a config object.
-
-    The moment order is the config's k attribute when present, else k_max.
-    """
-    k = getattr(config, "k", None)
-    if k is None:
-        k = config.k_max
-    return frame_potential_chain(
-        config.setup,
-        k,
-        config.n,
-        config.n_a,
-        config.n_b,
-        config.d,
-        config.chi,
-        config.kind,
-        method=method,
-    )
+    return contract(spec)

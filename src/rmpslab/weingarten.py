@@ -19,7 +19,7 @@ Class-vector forms of the kernels (one value per conjugacy class) extend to
 m = 8; the replica engine applies them on the orbit space of the chain
 (``permutations.reduced_kernel``).  The class algebra they live in is
 computed once per m (``permutations.class_structure_constants``).  Dense
-matrices are capped at m <= 6 and serve the dense oracle and the tests.
+matrices are capped at m <= 6 and serve the tests as references.
 """
 
 from __future__ import annotations

@@ -251,6 +251,9 @@ def test_failed_write_is_an_error_and_leaves_no_file(command, blocked, tmp_path,
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
+    # the message names the file that failed, never its temporary
+    assert repr(str(out) + (blocked or "")) in err
+    assert ".tmp" not in err
     assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.tmp"))
 
 

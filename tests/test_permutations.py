@@ -157,17 +157,6 @@ def test_rank_words_roundtrip():
     assert np.array_equal(pg.rank_words(words), np.arange(120))
 
 
-def test_class_kernel_matvec_matches_dense():
-    rng = np.random.default_rng(0)
-    for m in (3, 4, 5):
-        class_of, _, _ = pg.conjugacy_classes(m)
-        kern = rng.normal(size=class_of.max() + 1)
-        x = rng.normal(size=math.factorial(m))
-        dense = kern[class_of[pg.relative_index_matrix(m)]]
-        err = np.abs(pg.class_kernel_matvec(m, kern, x) - dense @ x).max()
-        assert err < 1e-10 * np.abs(dense @ x).max()
-
-
 def test_class_convolution_matrix_matches_dense():
     rng = np.random.default_rng(1)
     m = 4

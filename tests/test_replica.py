@@ -20,6 +20,39 @@ from rmpslab.permutations import ReplicaShape
 from rmpslab.weingarten import HAAR, gaussian
 
 
+def chain_spec(setup, k, n, n_a, n_b, d, chi, kind=HAAR):
+    shape = ReplicaShape(n, k)
+    if setup == "staircase":
+        return rp.staircase_chain(shape, d, chi, n_a, n_b, kind)
+    return rp.glued_chain(shape, d, chi, n_a, kind)
+
+
+def dense_contract(spec):
+    """Whole-group reference for ``rp.contract``: the same walk and rescaling.
+
+    Bonds are the dense matrices built from the eigh pseudo-inverse of the
+    dense Gram matrix, not from the engine's class algebra (m <= 6).
+    """
+    m, chi = spec.shape.m, float(spec.chi)
+    dense = {
+        "A": lambda: rp.site_weight_A(spec.shape, spec.d),
+        "B_staircase": lambda: rp.site_weight_B_staircase(spec.shape, spec.d),
+        "B_glued": lambda: rp.site_weight_B_glued(spec.shape, spec.chi, spec.kind),
+        "staircase_bulk": lambda: wg.interaction_matrix(m, chi, spec.d, spec.kind),
+        "glued_A_to_B": lambda: wg.gram_matrix(m, chi),
+    }
+    resolved = {name: dense[name]() for name in {op for op in spec.ops if isinstance(op, str)}}
+    vec, log_scale = np.asarray(spec.right_boundary, dtype=np.float64), spec.log_prefactor
+    for op in reversed(spec.ops):
+        op = resolved[op] if isinstance(op, str) else np.asarray(op, dtype=np.float64)
+        vec = op @ vec if op.ndim == 2 else op * vec
+        peak = np.max(np.abs(vec))
+        if peak == 0.0:
+            return rp.ChainValue(0.0, 0.0)
+        vec, log_scale = vec / peak, log_scale + math.log(peak)
+    return rp.ChainValue(float(np.dot(spec.left_boundary, vec)), log_scale)
+
+
 def test_site_weight_A_values():
     for n, k, d in [(0, 1, 2), (1, 1, 2), (0, 2, 3)]:
         shape = ReplicaShape(n, k)
@@ -81,13 +114,19 @@ def test_site_weight_B_glued_haar_approaches_gaussian():
 
 
 def test_bond_matrix_locations():
+    # the bond selectors' class vectors, densified: T(chi, d) tends to
+    # d^-m times the identity as chi grows, and G(1) is all ones
     shape = ReplicaShape(1, 1)
-    t = rp.bond_matrix(shape, 10**6, 2, HAAR, "staircase_bulk")
+
+    def bond(location, chi):
+        spec = rp.ReplicaChainSpec(shape, HAAR, chi, 2, (location,), np.ones(24), np.ones(24))
+        role, value_of = rp.SELECTORS[location]
+        assert role == "bond"
+        return wg.densify_class_kernel(4, value_of(spec))
+
+    t = bond("staircase_bulk", 10**6)
     assert np.abs(t - 2.0**-4 * np.eye(24)).max() < 1e-5 * 2.0**-4
-    g1 = rp.bond_matrix(shape, 1, 2, HAAR, "glued_A_to_B")
-    assert np.array_equal(g1, np.ones((24, 24)))
-    with pytest.raises(ValueError):
-        rp.bond_matrix(shape, 2, 2, HAAR, "nowhere")
+    assert np.array_equal(bond("glued_A_to_B", 1), np.ones((24, 24)))
 
 
 def test_glued_block_constant():
@@ -118,14 +157,14 @@ def test_boundary_vector_chain_equivalence(kind, k, n):
     d, chi, na, nb = 2, 3, 2, 3
     clean = rp.frame_potential_chain("staircase", k, n, na, nb, d, chi, kind)
     vl, vr = rp.boundary_vectors("staircase", shape, chi, d, kind)
-    n_gates = na + nb - 1
+    sites = ("A",) * na + ("B_staircase",) * (nb - 2)
+    bonds = ("staircase_bulk",) * (len(sites) - 1) + ("glued_A_to_B",)
     spec = rp.ReplicaChainSpec(
         shape=shape,
         kind=kind,
         chi=chi,
         d=d,
-        sites=("A",) * na + ("B_staircase",) * (nb - 2),
-        bonds=("staircase_bulk",) * (n_gates - 2) + ("glued_A_to_B",),
+        ops=tuple(op for pair in zip(sites, bonds) for op in pair),
         left_boundary=vl,
         right_boundary=vr,
         log_prefactor=math.log(wg.weingarten_sum_constant(shape.m, float(d * chi), kind)),
@@ -141,8 +180,7 @@ def test_contract_all_ones_counts_group():
             kind=HAAR,
             chi=2,
             d=2,
-            sites=(np.ones(fac), np.ones(fac)),
-            bonds=(np.eye(fac),),
+            ops=(np.ones(fac), np.eye(fac), np.ones(fac)),
             left_boundary=np.ones(fac),
             right_boundary=np.ones(fac),
         )
@@ -157,8 +195,7 @@ def test_contract_linearity():
         kind=spec.kind,
         chi=spec.chi,
         d=spec.d,
-        sites=(2.0 * rp.site_weight_A(spec.shape, 2),) + spec.sites[1:],
-        bonds=spec.bonds,
+        ops=(2.0 * rp.site_weight_A(spec.shape, 2),) + spec.ops[1:],
         left_boundary=spec.left_boundary,
         right_boundary=2.0 * spec.right_boundary,
         log_prefactor=spec.log_prefactor,
@@ -234,18 +271,19 @@ def test_glued_leading_order_convergence():
         assert abs(math.exp(eng.log - lead) - 1) < 0.01
 
 
-def test_dense_vs_free_m4():
+def test_engine_vs_dense_m4():
     for setup, nb in (("staircase", 3), ("glued", None)):
-        dense = rp.frame_potential_chain(setup, 1, 1, 2, nb, 2, 3, HAAR, method="dense")
-        free = rp.frame_potential_chain(setup, 1, 1, 2, nb, 2, 3, HAAR, method="free")
-        assert free.value == pytest.approx(dense.value, rel=1e-10)
+        engine = rp.frame_potential_chain(setup, 1, 1, 2, nb, 2, 3, HAAR)
+        dense = dense_contract(chain_spec(setup, 1, 1, 2, nb, 2, 3, HAAR))
+        assert engine.value == pytest.approx(dense.value, rel=1e-10)
 
 
-def test_dense_vs_free_m6():
+def test_engine_vs_dense_m6():
+    # chi = 2 < m: the Gram matrices are singular, so both sides pseudo-invert
     for setup, nb in (("staircase", 3), ("glued", None)):
-        dense = rp.frame_potential_chain(setup, 3, 0, 2, nb, 2, 2, HAAR, method="dense")
-        free = rp.frame_potential_chain(setup, 3, 0, 2, nb, 2, 2, HAAR, method="free")
-        assert free.value == pytest.approx(dense.value, rel=1e-10)
+        engine = rp.frame_potential_chain(setup, 3, 0, 2, nb, 2, 2, HAAR)
+        dense = dense_contract(chain_spec(setup, 3, 0, 2, nb, 2, 2, HAAR))
+        assert engine.value == pytest.approx(dense.value, rel=1e-10)
 
 
 def test_m8_bondless_chain_matches_direct_sum():
@@ -255,9 +293,8 @@ def test_m8_bondless_chain_matches_direct_sum():
     weights = rp.site_weight_A(shape, d)
     r = float(chi) * np.where(pg.factorized_mask(8), float(chi), 1.0)
     direct = wg.weingarten_sum_constant(8, float(d * chi)) * float(np.dot(weights, r))
-    for method in ("reduced", "free"):
-        val = rp.frame_potential_chain("staircase", 4, 0, 1, 1, d, chi, method=method)
-        assert val.value == pytest.approx(direct, rel=1e-12)
+    val = rp.frame_potential_chain("staircase", 4, 0, 1, 1, d, chi)
+    assert val.value == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.slow
@@ -273,30 +310,26 @@ def test_frame_potential_chain_validation():
         rp.frame_potential_chain("staircase", 2, -1, 2, 2, 2, 2)
     with pytest.raises(SizeLimitError):
         rp.frame_potential_chain("staircase", 4, 1, 2, 2, 2, 2)
-    # dense storage is capped at m <= 6 (test_dense_vs_free_m6 runs m = 6)
-    with pytest.raises(SizeLimitError):
-        rp.frame_potential_chain("staircase", 4, 0, 2, 2, 2, 2, method="dense")
-    with pytest.raises(ShapeMismatchError):
-        rp.ReplicaChainSpec(
-            shape=ReplicaShape(0, 1),
-            kind=HAAR,
-            chi=2,
-            d=2,
-            sites=(np.ones(2),),
-            bonds=(np.eye(2), np.eye(2), np.eye(2)),
-            left_boundary=np.ones(2),
-            right_boundary=np.ones(2),
-        )
+
+    def spec(*ops):
+        return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops, np.ones(2), np.ones(2))
+
+    # an unknown selector is refused when the chain is declared
+    with pytest.raises(ValueError, match="unknown chain selector"):
+        spec("A", "nowhere")
+    # an explicit operand is a (2,) site or a (2, 2) bond at m = 2
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(ShapeMismatchError):
+            spec("A", bad)
 
 
-def test_generalized_frame_potential_config_wrapper():
-    from rmpslab.estimator import EnsembleConfig
-
-    cfg = EnsembleConfig(setup="staircase", n_a=2, n_b=2, d=2, chi=2, k_max=2, n=0,
-                         sampling_mode="forced")
-    direct = rp.frame_potential_chain("staircase", cfg.k_max, 0, 2, 2, 2, 2)
-    via_cfg = rp.generalized_frame_potential(cfg)
-    assert via_cfg.value == pytest.approx(direct.value, rel=1e-14)
+@pytest.mark.parametrize("setup", ["staircase", "glued"])
+@pytest.mark.parametrize(
+    "d,chi,n_a", [(2, 0, 2), (2, -1, 2), (1, 2, 2), (2, 2, 0)], ids=["chi0", "chi-1", "d1", "na0"]
+)
+def test_chain_builders_reject_bad_inputs(setup, d, chi, n_a):
+    with pytest.raises(ValueError, match="need chi >= 1"):
+        chain_spec(setup, 1, 0, n_a, 2, d, chi)
 
 
 M_LE_6 = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]
@@ -305,10 +338,10 @@ M_LE_6 = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]
 @pytest.mark.parametrize("kind", [HAAR, gaussian()], ids=["haar", "gaussian"])
 @pytest.mark.parametrize("n,k", M_LE_6)
 def test_reduced_matches_dense(n, k, kind):
-    # the orbit-space engine against the dense whole-group oracle
+    # the orbit-space engine against the dense whole-group reference
     for setup, n_a, n_b in (("staircase", 3, 4), ("staircase", 1, 1), ("glued", 3, None)):
         reduced = rp.frame_potential_chain(setup, k, n, n_a, n_b, 2, 3, kind)
-        dense = rp.frame_potential_chain(setup, k, n, n_a, n_b, 2, 3, kind, method="dense")
+        dense = dense_contract(chain_spec(setup, k, n, n_a, n_b, 2, 3, kind))
         assert abs(reduced.log - dense.log) <= 1e-12 * abs(dense.log)
 
 
@@ -354,16 +387,15 @@ def test_non_invariant_operands_raise():
         kind=spec.kind,
         chi=spec.chi,
         d=spec.d,
-        sites=(site,) + spec.sites[1:],
-        bonds=spec.bonds,
+        ops=(site,) + spec.ops[1:],
         left_boundary=spec.left_boundary,
         right_boundary=spec.right_boundary,
         log_prefactor=spec.log_prefactor,
     )
     with pytest.raises(ValueError, match="not invariant"):
         rp.contract(broken)
-    # the whole-group oracle takes it
-    assert math.isfinite(rp.contract(broken, method="dense").log)
+    # the whole-group reference takes it
+    assert math.isfinite(dense_contract(broken).log)
     bond = np.eye(24)
     bond[i, i] = 2.0
     with pytest.raises(ValueError, match="not invariant"):
@@ -372,8 +404,7 @@ def test_non_invariant_operands_raise():
             kind=spec.kind,
             chi=spec.chi,
             d=spec.d,
-            sites=spec.sites[:2],
-            bonds=(bond,),
+            ops=("A", bond, "A"),
             left_boundary=spec.left_boundary,
             right_boundary=spec.right_boundary,
         ))
