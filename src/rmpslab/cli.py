@@ -43,9 +43,10 @@ from .weingarten import HAAR, EnsembleKind, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: the batched Born
 # sweep, then the isometry gate draws moved the last bits of sample and
-# histogram files (3), the orbit-space contraction those of contract files and
-# the isometry gate draws those of oracle files (2)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 2, "sample": 3, "histogram": 3}
+# histogram files (3), the orbit-space contraction those of contract files (2);
+# the column-only gate stream draws new gates for sample and histogram (4) and
+# oracle files (3, after the isometry gate draws at 2)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 3, "sample": 4, "histogram": 4}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {

@@ -145,21 +145,30 @@ def _born_realization(config: EnsembleConfig, r: int) -> np.ndarray:
 
 
 def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
-    """Per-pair means of D_B^2 |<psi~(z)|psi~(z')>|^(2k) with uniform z, z'."""
+    """Per-pair means of D_B^2 |<psi~(z)|psi~(z')>|^(2k) with uniform z, z'.
+
+    Pair i is outcome rows (2i, 2i + 1).  Each chunk's strings come from one
+    ``rng.integers(0, dims, (2 pairs, N_B))`` and one batched projection,
+    with chunks sized so that one draw's widest intermediate times the
+    chunk's draws stays near ``mps.CHUNK_ENTRIES`` complex entries.
+    """
     rng = mps.stream(config.seed, r)
     state, layout = config.build(rng)
-    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
+    roles = layout.site_roles
+    dims = np.array([t.shape[1] for t, role in zip(state.tensors, roles) if role == "B"])
+    width = max(max(config.d_a, t.shape[0]) * t.shape[1] * t.shape[2] for t in state.tensors)
+    per_chunk = max(1, mps.CHUNK_ENTRIES // (2 * width))
     card = float(config.outcome_cardinality)
     ks = np.arange(1, config.k_max + 1)
+    n = config.pairs_per_state
     sums = np.zeros(config.k_max)
-    for _ in range(config.pairs_per_state):
-        z1 = [int(rng.integers(dim)) for dim in dims]
-        z2 = [int(rng.integers(dim)) for dim in dims]
-        amp1 = mps.project_outcomes(state, layout, z1)
-        amp2 = mps.project_outcomes(state, layout, z2)
-        v = abs(mps.overlap(amp1, amp2)) ** 2
-        sums += card**2 * v**ks
-    return sums / config.pairs_per_state
+    for lo in range(0, n, per_chunk):
+        count = min(per_chunk, n - lo)
+        z = rng.integers(0, dims, size=(2 * count, dims.size))
+        amps = mps._project_batch(state, layout, z)
+        v = np.abs(np.vecdot(amps[0::2], amps[1::2])) ** 2
+        sums += (card**2 * v[:, None] ** ks).sum(axis=0)
+    return sums / n
 
 
 def _per_realization(worker, config: EnsembleConfig, threads: int) -> list:
@@ -173,6 +182,8 @@ def _per_realization(worker, config: EnsembleConfig, threads: int) -> list:
 
 def _collect(config: EnsembleConfig, threads: int = 1) -> np.ndarray:
     """(realizations, k_max) per-realization means, in realization order."""
+    if config.d_a > mps.MAX_POST_DIM:
+        raise SizeLimitError(f"D_A = {config.d_a} exceeds cap {mps.MAX_POST_DIM}")
     worker = _born_realization if config.sampling_mode == "born" else _forced_realization
     return np.array(_per_realization(worker, config, threads))
 
@@ -224,8 +235,6 @@ def sample_moments(config: EnsembleConfig, threads: int = 1) -> list[MomentEstim
     """
     if config.sampling_mode != "born":
         raise PreconditionError("sample_moments needs a born-mode config")
-    if config.d_a > mps.MAX_POST_DIM:
-        raise SizeLimitError(f"D_A = {config.d_a} exceeds cap {mps.MAX_POST_DIM}")
     return _to_estimates(config, _collect(config, threads))
 
 

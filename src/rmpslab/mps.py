@@ -25,14 +25,13 @@ Tensor conventions (fixed so runs are reproducible per seed):
 * Gates are drawn in circuit order: staircase left to right; glued blocks
   left to right, then glue gates left to right starting with the left edge.
 * Each gate is drawn as the isometry of the columns its fresh |0> inputs
-  select: a Haar gate as a reduced QR of those columns of its Ginibre
-  matrix, not a QR of the whole matrix.  The whole matrix is still drawn,
-  so the RNG stream, and hence every later gate, is the same as for whole
-  gates, and the columns equal the whole gate's to rounding.
+  select, from a complex Ginibre block of just those columns: a Haar gate
+  is the phase-fixed reduced QR of the block, a Gaussian gate the scaled
+  block.  Any k columns of a Haar unitary form a Haar k-isometry, so this is
+  exact, and no entry is drawn that the circuit does not use.
 
 The Gaussian ensemble replaces every unitary with i.i.d. complex Gaussian
 entries; such states are not normalized and are never silently renormalized.
-Its gates are the same columns of the same draw, bit for bit.
 
 ``statevector_oracle`` rebuilds the same circuit by dense gate application
 (an independent code path sharing only the drawn gates) and enumerates the
@@ -67,36 +66,37 @@ def stream(seed: int, realization: int = 0) -> np.random.Generator:
 
 
 def _gate_columns(
-    q: int, cols: slice, variance: float | None, rng: np.random.Generator
+    q: int, ncols: int, variance: float | None, rng: np.random.Generator
 ) -> np.ndarray:
-    """Columns ``cols`` of one q x q random gate: Haar when variance is None,
+    """ncols columns of one q x q random gate: Haar when variance is None,
     else i.i.d. complex Gaussian entries of that variance.
 
-    Both kinds draw the whole real and imaginary (q, q) normal blocks, so the
-    stream ends where a whole-gate draw ends and the columns are those of the
-    whole gate.  A Gaussian gate's columns are bit-identical to the whole
-    gate's.  A Haar gate is Q of a complex Ginibre matrix with each column
-    divided by the phase of the matching R diagonal entry, which makes the
-    factorization unique and the distribution exactly Haar; Q's column j
-    depends only on the Ginibre columns 0..j, so a reduced QR of the column
-    prefix through the last column used gives the same columns.
+    Both kinds draw one (q, ncols) complex Ginibre block G as
+    ``rng.standard_normal((q, 2 ncols)).view(complex)``, so a gate consumes
+    exactly 2 q ncols normals.  A Gaussian gate is G scaled to the variance.
+    A Haar gate is Q of the reduced QR of G with each column divided by the
+    phase of the matching R diagonal entry (Mezzadri, Notices AMS 54, 592,
+    2007): that makes the factorization unique and Q a Haar-distributed
+    isometry.  One column is x / |x|, which is that Q.
     """
-    re = rng.standard_normal((q, q))
-    im = rng.standard_normal((q, q))
+    block = rng.standard_normal((q, 2 * ncols)).view(complex)
     if variance is not None:
-        return np.sqrt(variance / 2.0) * (re[:, cols] + 1j * im[:, cols])
-    prefix = slice(0, range(q)[cols][-1] + 1)
-    qmat, rmat = np.linalg.qr((re[:, prefix] + 1j * im[:, prefix]) / np.sqrt(2.0))
+        block *= np.sqrt(variance / 2.0)
+        return block
+    if ncols == 1:
+        block /= np.linalg.norm(block)
+        return block
+    qmat, rmat = np.linalg.qr(block)
     diag = np.diagonal(rmat)
     qmat /= (diag / np.abs(diag))[None, :]
-    return qmat[:, cols]
+    return qmat
 
 
 def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed q x q unitary via QR of a complex Ginibre matrix."""
+    """Haar-distributed q x q unitary: the q-column case of a gate draw."""
     if q < 1:
         raise ValueError(f"dimension must be >= 1, got {q}")
-    return _gate_columns(q, slice(None), None, rng)
+    return _gate_columns(q, q, None, rng)
 
 
 def draw_staircase_gates(
@@ -112,8 +112,8 @@ def draw_staircase_gates(
     var = None
     if not kind.is_haar:
         var = kind.variance if kind.variance is not None else 1.0 / q
-    first = _gate_columns(q, slice(0, 1), var, rng)
-    return [first] + [_gate_columns(q, slice(0, chi), var, rng) for _ in range(n_a + n_b - 2)]
+    first = _gate_columns(q, 1, var, rng)
+    return [first] + [_gate_columns(q, chi, var, rng) for _ in range(n_a + n_b - 2)]
 
 
 def draw_glued_gates(
@@ -122,17 +122,18 @@ def draw_glued_gates(
     """(block gates, glue gates) for the glued circuit, in layer order.
 
     Gates are returned as the columns their fresh |0> inputs select: each
-    block's column 0; the left-edge glue's columns (0, b), the leading chi;
-    the right-edge glue's columns (a, 0), every chi-th; middle glues whole.
+    block's column 0, a (d chi^2) x 1 isometry; the left-edge glue's columns
+    (0, b) and the right-edge glue's columns (a, 0), chi^2 x chi each,
+    indexed by b and a; middle glues whole.
     """
     chi2 = chi * chi
     var_a = var_b = None
     if not kind.is_haar:
         var_a = kind.variance if kind.variance is not None else 1.0 / (d * chi2)
         var_b = kind.variance_b if kind.variance_b is not None else 1.0 / chi2
-    blocks = [_gate_columns(d * chi2, slice(0, 1), var_a, rng) for _ in range(n_a)]
-    glue_cols = [slice(0, chi)] + [slice(None)] * (n_a - 1) + [slice(0, None, chi)]
-    glues = [_gate_columns(chi2, cols, var_b, rng) for cols in glue_cols]
+    blocks = [_gate_columns(d * chi2, 1, var_a, rng) for _ in range(n_a)]
+    glue_cols = [chi] + [chi2] * (n_a - 1) + [chi]
+    glues = [_gate_columns(chi2, ncols, var_b, rng) for ncols in glue_cols]
     return blocks, glues
 
 
@@ -306,10 +307,12 @@ class MeasurementBatch(NamedTuple):
 class BornSampler:
     """Reusable Born-rule sampler for one fixed state.
 
-    Per-state work: traced left environments for every site, the rightmost
-    site's marginal (the same for every draw), the traced kernels of B sites
-    met in density mode and, when no kept site lies right of the first B
-    site (staircase), the dense region-A map.
+    Per-state work: traced left environments for every site (as F^H F of
+    the thin left factor F while F has no more rows than columns), the
+    rightmost site's marginal (the same for every draw), the traced kernels
+    and by-outcome copies of the B sites met in density mode and, when no
+    kept site lies right of the first B site (staircase), the dense
+    region-A map.
 
     ``sample_batch`` sweeps the B sites right to left once for a chunk of
     draws, carrying one projected right side per draw: a vector while no
@@ -333,9 +336,19 @@ class BornSampler:
         self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
         # left environments with everything to the left traced out; index
         # convention: env[bra bond, ket bond].  The one past the last site is
-        # <psi|psi>, so the norm check costs no extra sweep.
+        # <psi|psi>, so the norm check costs no extra sweep.  While the left
+        # factor F (the contracted sites as a (physical..., bond) matrix) has
+        # no more rows than columns, env = F^H F is cheaper than the
+        # two-product recurrence on env.
         self._left = [np.ones((1, 1), dtype=complex)]
+        fac = self._left[0]
         for t, flat in zip(tensors, self._flat):
+            if fac is not None:
+                fac = (fac @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+                self._left.append(fac.conj().T @ fac)
+                if fac.shape[0] > fac.shape[1]:
+                    fac = None
+                continue
             lt = (self._left[-1] @ t.reshape(t.shape[0], -1)).reshape(flat.shape)
             self._left.append(flat.conj().T @ lt)
         nsq = float(self._left.pop().real[0, 0])
@@ -359,7 +372,6 @@ class BornSampler:
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]
         last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
-        self._by_z = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in tensors]
         # A sites met in density mode: conj(t) as a (physical x right, left)
         # matrix; the rightmost A site is met in vector mode
         self._conj_pr = {
@@ -367,16 +379,18 @@ class BornSampler:
             for i, t in enumerate(tensors)
             if roles[i] == "A" and self._first_b < i < last_a
         }
-        # B sites in density mode: marginal q[p] = sum_rs rho[r, s] K[p, r, s]
-        # with K[p, r, s] = sum_ab left[b, a] t[a, p, r] conj(t[b, p, s]),
-        # stored as a (r s, p) matrix
-        self._kernel = {}
+        # B sites in density mode (left of a kept site): marginal
+        # q[p] = sum_rs rho[r, s] K[p, r, s] with
+        # K[p, r, s] = sum_ab left[b, a] t[a, p, r] conj(t[b, p, s]), stored as
+        # a (r s, p) matrix, and t as a stack of (left, right) matrices by outcome
+        self._kernel, self._by_z = {}, {}
         for i in b_sites:
             if i < last_a:
                 t = tensors[i]
                 lt = (self._left[i] @ t.reshape(t.shape[0], -1)).reshape(t.shape)
                 k = lt.transpose(1, 2, 0) @ t.conj().transpose(1, 0, 2)
                 self._kernel[i] = np.ascontiguousarray(k.reshape(t.shape[1], -1).T)
+                self._by_z[i] = np.ascontiguousarray(t.transpose(1, 0, 2))
         # the rightmost site's marginal is the same for every draw
         self._last = None
         if roles[-1] == "B":

@@ -121,6 +121,7 @@ def site_weight_B_glued(shape: ReplicaShape, chi: int, kind: EnsembleKind = HAAR
     entries are smaller by 1/q; in some of them the haar value is about -q^-4
     against the gaussian +q^-3.
     """
+    _check_chain_inputs(chi)
     vec = _glued_measured_vector(shape, chi)
     if kind.is_haar:
         return _weingarten_dressed(shape, float(chi) ** 2, vec)
@@ -162,6 +163,7 @@ def boundary_vectors(
     vector instead, which also covers N_B = 1.  Glued boundaries are the
     measured-site weight ``site_weight_B_glued`` absorbed at each chain end.
     """
+    _check_chain_inputs(chi, d)
     m = shape.m
     fac = math.factorial(m)
     left = np.ones(fac)
@@ -179,11 +181,16 @@ def boundary_vectors(
     return left, q * var**m * inner
 
 
-def _check_chain_inputs(d: int, chi: int, n_a: int, n_b: int | None = None) -> None:
-    """Every chain builder needs d >= 2, chi >= 1, N_A >= 1 and, when given, N_B >= 1."""
-    if chi < 1 or d < 2 or n_a < 1 or (n_b is not None and n_b < 1):
-        got = f"chi={chi}, d={d}, N_A={n_a}" + ("" if n_b is None else f", N_B={n_b}")
-        raise ValueError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
+def _check_chain_inputs(
+    chi: int, d: int | None = None, n_a: int | None = None, n_b: int | None = None
+) -> None:
+    """Raise unless chi >= 1 and, each where given, d >= 2, N_A >= 1 and N_B >= 1."""
+    given = {"chi": (chi, 1), "d": (d, 2), "N_A": (n_a, 1), "N_B": (n_b, 1)}
+    given = {name: vf for name, vf in given.items() if vf[0] is not None}
+    if any(value < floor for value, floor in given.values()):
+        need = ", ".join(f"{name} >= {floor}" for name, (_, floor) in given.items())
+        got = ", ".join(f"{name}={value}" for name, (value, _) in given.items())
+        raise ValueError(f"need {need}; got {got}")
 
 
 # chain selectors: name -> (role, its value for a spec); a site resolves to
@@ -306,7 +313,7 @@ def staircase_chain(
     d-sites), dressed bonds on every gap, the chi-leg vector on the right,
     and the first gate's average constant as a scalar prefactor.
     """
-    _check_chain_inputs(d, chi, n_a, n_b)
+    _check_chain_inputs(chi, d, n_a, n_b)
     m = shape.m
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
     sites = ("A",) * n_a + ("B_staircase",) * (n_b - 1)
@@ -332,7 +339,7 @@ def glued_chain(
     block gate contributes the scalar c_W(d chi^2) (haar) or
     varsigma_A^(2m) (gaussian), accumulated in the prefactor.
     """
-    _check_chain_inputs(d, chi, n_a)
+    _check_chain_inputs(chi, d, n_a)
     m = shape.m
     if kind.is_haar:
         log_block = math.log(wg.weingarten_sum_constant(m, float(d * chi * chi), HAAR))

@@ -25,37 +25,36 @@ def test_haar_unitary_unitarity():
 
 
 def test_haar_unitary_first_moment():
-    # E |U_00|^2 = 1/q for Haar; Monte-Carlo check at q = 4
+    # Haar moments of one entry at q = 4: E |U_00|^2 = 1/q, E |U_00|^4 =
+    # 2/(q(q+1)), and E Re U_00 = 0, which fails without the R-diagonal
+    # phase fix (LAPACK's real R diagonal gives U_00 a real part of one sign)
+    q, n = 4, 100_000
     rng = mps.stream(2)
-    n = 100_000
-    vals = np.empty(n)
-    for i in range(n):
-        z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        vals[i] = abs((q / (d / np.abs(d))[None, :])[0, 0]) ** 2
-    se = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - 0.25) < 3 * se
+    u00 = np.array([mps.haar_unitary(q, rng)[0, 0] for _ in range(n)])
+    abs2 = np.abs(u00) ** 2
+    for vals, expected in ((abs2, 1 / q), (abs2**2, 2 / (q * (q + 1))), (u00.real, 0.0)):
+        se = vals.std(ddof=1) / np.sqrt(n)
+        assert abs(vals.mean() - expected) < 3 * se
 
 
-def reference_gate(q, rng, variance=None):
-    """A whole q x q gate: full QR of the Ginibre draw with the R-diagonal phase fix
-    (Haar, variance None) or the scaled Gaussian draw."""
-    re = rng.standard_normal((q, q))
-    im = rng.standard_normal((q, q))
+def ginibre_block(q, ncols, rng):
+    """The (q, ncols) complex Ginibre block a gate of ncols columns is made from."""
+    return rng.standard_normal((q, 2 * ncols)).view(complex)
+
+
+def assert_gate_of_block(gate, block, variance):
+    """Gaussian: the scaled block, bit for bit.  Haar: Q^H Q = I and Q^H G upper
+    triangular with a positive real diagonal, which pins the phase-fixed
+    reduced QR of G uniquely."""
+    assert gate.shape == block.shape
     if variance is not None:
-        return np.sqrt(variance / 2.0) * (re + 1j * im)
-    qmat, rmat = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
-    diag = np.diagonal(rmat)
-    return qmat / (diag / np.abs(diag))[None, :]
-
-
-def assert_same_columns(drawn, reference, kind):
-    assert drawn.shape == reference.shape
-    if kind.is_haar:
-        assert np.abs(drawn - reference).max() <= 1e-14
-    else:
-        assert np.array_equal(drawn, reference)
+        assert np.array_equal(gate, np.sqrt(variance / 2) * block)
+        return
+    assert np.abs(gate.conj().T @ gate - np.eye(gate.shape[1])).max() <= 1e-13
+    r = gate.conj().T @ block
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-13
+    assert np.abs(np.diagonal(r).imag).max() <= 1e-13
+    assert np.diagonal(r).real.min() > 0
 
 
 # (N_A, N_B, d, chi) of the staircase and (N_A, d, chi) of the glued draw tests
@@ -67,8 +66,8 @@ DRAW_KINDS = [HAAR, gaussian(), gaussian(0.3, 0.7)]
 @pytest.mark.parametrize("kind", DRAW_KINDS, ids=["haar", "gaussian", "gaussian-var"])
 @pytest.mark.parametrize("case", STAIRCASE_DRAWS)
 def test_staircase_draws_are_the_used_columns(case, kind):
-    # each gate is the columns of the whole gate that its |0> physical input
-    # selects, drawn from the stream exactly as the whole gate is
+    # each gate is made from a Ginibre block of only the columns its |0>
+    # physical input selects: one for the first gate, chi for the others
     n_a, n_b, d, chi = case
     q = d * chi
     var = None if kind.is_haar else (kind.variance or 1.0 / q)
@@ -76,16 +75,15 @@ def test_staircase_draws_are_the_used_columns(case, kind):
     gates = mps.draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
     assert len(gates) == n_a + n_b - 1
     for i, gate in enumerate(gates):
-        ref = reference_gate(q, rng_ref, var)
-        assert_same_columns(gate, ref[:, :1] if i == 0 else ref[:, :chi], kind)
+        assert_gate_of_block(gate, ginibre_block(q, 1 if i == 0 else chi, rng_ref), var)
     assert rng.random() == rng_ref.random()
 
 
 @pytest.mark.parametrize("kind", DRAW_KINDS, ids=["haar", "gaussian", "gaussian-var"])
 @pytest.mark.parametrize("case", GLUED_DRAWS)
 def test_glued_draws_are_the_used_columns(case, kind):
-    # blocks: column 0; left edge: columns (0, b); right edge: columns (a, 0);
-    # middle glues whole
+    # blocks: one column; edge glues: chi columns, (0, b) on the left and
+    # (a, 0) on the right; middle glues whole
     n_a, d, chi = case
     var_a = var_b = None
     if not kind.is_haar:
@@ -95,11 +93,19 @@ def test_glued_draws_are_the_used_columns(case, kind):
     blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, rng)
     assert len(blocks) == n_a and len(glues) == n_a + 1
     for v in blocks:
-        assert_same_columns(v, reference_gate(d * chi * chi, rng_ref, var_a)[:, :1], kind)
+        assert_gate_of_block(v, ginibre_block(d * chi * chi, 1, rng_ref), var_a)
     for j, r in enumerate(glues):
-        ref = reference_gate(chi * chi, rng_ref, var_b)
-        cols = ref[:, :chi] if j == 0 else ref[:, ::chi] if j == n_a else ref
-        assert_same_columns(r, cols, kind)
+        ncols = chi if j in (0, n_a) else chi * chi
+        assert_gate_of_block(r, ginibre_block(chi * chi, ncols, rng_ref), var_b)
+    assert rng.random() == rng_ref.random()
+
+
+def test_staircase_state_draws_only_the_used_normals():
+    # one chi = 256 state of the criterion-3 circuit (N_A = 6, N_B = 14, d = 2):
+    # 2 (512 + 18 x 512 x 256) = 4,719,616 normals, not 19 x 2 x 512^2
+    rng, rng_ref = mps.stream(23), mps.stream(23)
+    mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), rng)
+    rng_ref.standard_normal(4_719_616)
     assert rng.random() == rng_ref.random()
 
 

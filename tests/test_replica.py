@@ -332,6 +332,25 @@ def test_chain_builders_reject_bad_inputs(setup, d, chi, n_a):
         chain_spec(setup, 1, 0, n_a, 2, d, chi)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda shape: rp.boundary_vectors("staircase", shape, 0, 2),
+        lambda shape: rp.boundary_vectors("staircase", shape, 2, 1),
+        lambda shape: rp.boundary_vectors("glued", shape, 0, 2),
+        lambda shape: rp.boundary_vectors("glued", shape, 2, 1),
+        lambda shape: rp.site_weight_B_glued(shape, 0),
+        lambda shape: rp.site_weight_B_glued(shape, -1, gaussian()),
+    ],
+    ids=["staircase-chi0", "staircase-d1", "glued-chi0", "glued-d1", "glued-site-chi0",
+         "glued-site-chi-1"],
+)
+def test_chain_weights_reject_bad_inputs(call):
+    # the public weight functions take the chain builders' check, not a nan
+    with pytest.raises(ValueError, match="need chi >= 1"):
+        call(ReplicaShape(0, 1))
+
+
 M_LE_6 = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]
 
 
