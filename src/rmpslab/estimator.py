@@ -149,15 +149,13 @@ def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
 
     Pair i is outcome rows (2i, 2i + 1).  Each chunk's strings come from one
     ``rng.integers(0, dims, (2 pairs, N_B))`` and one batched projection,
-    with chunks sized so that one draw's widest intermediate times the
-    chunk's draws stays near ``mps.CHUNK_ENTRIES`` complex entries.
+    in whole pairs of the Born sampler's chunk size ``mps.chunk_draws``.
     """
     rng = mps.stream(config.seed, r)
     state, layout = config.build(rng)
     roles = layout.site_roles
     dims = np.array([t.shape[1] for t, role in zip(state.tensors, roles) if role == "B"])
-    width = max(max(config.d_a, t.shape[0]) * t.shape[1] * t.shape[2] for t in state.tensors)
-    per_chunk = max(1, mps.CHUNK_ENTRIES // (2 * width))
+    per_chunk = max(1, mps.chunk_draws(state, config.d_a) // 2)
     card = float(config.outcome_cardinality)
     ks = np.arange(1, config.k_max + 1)
     n = config.pairs_per_state

@@ -77,14 +77,11 @@ def _gate_columns(
     A Haar gate is Q of the reduced QR of G with each column divided by the
     phase of the matching R diagonal entry (Mezzadri, Notices AMS 54, 592,
     2007): that makes the factorization unique and Q a Haar-distributed
-    isometry.  One column is x / |x|, which is that Q.
+    isometry.
     """
     block = rng.standard_normal((q, 2 * ncols)).view(complex)
     if variance is not None:
         block *= np.sqrt(variance / 2.0)
-        return block
-    if ncols == 1:
-        block /= np.linalg.norm(block)
         return block
     qmat, rmat = np.linalg.qr(block)
     diag = np.diagonal(rmat)
@@ -292,6 +289,16 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
     return acc[:, :, 0]
 
 
+def chunk_draws(state: MpsState, d_a: int) -> int:
+    """Draws per batched sweep or projection: at most MAX_CHUNK_DRAWS, fewer
+    where one draw's widest row (the region-A vector or a site's bond x
+    physical slice) times the draw count would pass CHUNK_ENTRIES complex
+    entries.
+    """
+    width = max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]])
+    return max(1, min(MAX_CHUNK_DRAWS, CHUNK_ENTRIES // width))
+
+
 class MeasurementBatch(NamedTuple):
     """count measurements of region B, one row per draw.
 
@@ -363,11 +370,7 @@ class BornSampler:
         self.layout = layout
         self.d_a = d_a
         roles = layout.site_roles
-        # draws per batched sweep: at most MAX_CHUNK_DRAWS, fewer where one
-        # draw's widest row (the region-A vector or a site's bond x physical
-        # slice) times the draw count would pass CHUNK_ENTRIES complex entries
-        width = max([d_a] + [t.shape[0] * t.shape[1] for t in tensors[:-1]])
-        self.chunk = max(1, min(MAX_CHUNK_DRAWS, CHUNK_ENTRIES // width))
+        self.chunk = chunk_draws(state, d_a)
         b_sites = [i for i, r in enumerate(roles) if r == "B"]
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]

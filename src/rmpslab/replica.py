@@ -181,16 +181,11 @@ def boundary_vectors(
     return left, q * var**m * inner
 
 
-def _check_chain_inputs(
-    chi: int, d: int | None = None, n_a: int | None = None, n_b: int | None = None
-) -> None:
-    """Raise unless chi >= 1 and, each where given, d >= 2, N_A >= 1 and N_B >= 1."""
-    given = {"chi": (chi, 1), "d": (d, 2), "N_A": (n_a, 1), "N_B": (n_b, 1)}
-    given = {name: vf for name, vf in given.items() if vf[0] is not None}
-    if any(value < floor for value, floor in given.values()):
-        need = ", ".join(f"{name} >= {floor}" for name, (_, floor) in given.items())
-        got = ", ".join(f"{name}={value}" for name, (value, _) in given.items())
-        raise ValueError(f"need {need}; got {got}")
+def _check_chain_inputs(chi: int, d: int = 2, n_a: int = 1, n_b: int = 1) -> None:
+    """Every chain builder and weight needs chi >= 1, d >= 2, N_A >= 1 and N_B >= 1."""
+    if chi < 1 or d < 2 or n_a < 1 or n_b < 1:
+        got = f"chi={chi}, d={d}, N_A={n_a}, N_B={n_b}"
+        raise ValueError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
 
 
 # chain selectors: name -> (role, its value for a spec); a site resolves to
