@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -265,8 +264,8 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _oracle_realization(payload) -> list[float]:
-    setup, na, nb, d, chi, kmax, seed, r = payload
+def _oracle_realization(circuit: tuple, r: int) -> list[float]:
+    setup, na, nb, d, chi, kmax, seed = circuit
     ens = mps.statevector_oracle(setup, na, nb, d, chi, HAAR, mps.stream(seed, r))
     vals = []
     for k in range(1, kmax + 1):
@@ -278,15 +277,10 @@ def _oracle_realization(payload) -> list[float]:
 def cmd_oracle(args) -> int:
     t0 = time.time()
     nb = _default_nb(args)
-    payloads = [
-        (args.setup, args.na, nb, args.d, args.chi, args.k, args.seed, r)
-        for r in range(args.realizations)
-    ]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            per_real = np.array(list(pool.map(_oracle_realization, payloads, chunksize=64)))
-    else:
-        per_real = np.array([_oracle_realization(p) for p in payloads])
+    circuit = (args.setup, args.na, nb, args.d, args.chi, args.k, args.seed)
+    per_real = np.array(
+        estimator.per_realization(_oracle_realization, circuit, args.realizations, args.threads)
+    )
     mean, err = estimator.jackknife_mean(per_real)
     rows = []
     for i, k in enumerate(range(1, args.k + 1)):
@@ -396,7 +390,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend config-file entries as defaults (flags still override)."""
     if "--config" not in argv:
         return argv
@@ -427,7 +421,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         _check_floors(args)
         return args.func(args)

@@ -54,8 +54,7 @@ class EnsembleConfig:
         if self.setup == "glued":
             if self.n_b is not None and self.n_b != self.n_a + 1:
                 raise ValueError("glued layout fixes N_B = N_A + 1")
-        elif self.n_b is None:
-            raise ValueError("staircase config needs N_B")
+        mps.check_circuit(self.chi, self.d, self.n_a, self.n_b_effective)
         if self.sampling_mode not in ("born", "forced"):
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         if self.sampling_mode == "born" and not self.kind.is_haar:
@@ -169,13 +168,20 @@ def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
     return sums / n
 
 
-def _per_realization(worker, config: EnsembleConfig, threads: int) -> list:
-    """worker(config, r) for every realization r, in realization order."""
-    reals = range(config.realizations)
+def per_realization(worker, config, realizations: int, threads: int) -> list:
+    """worker(config, r) for r = 0 .. realizations - 1, in realization order.
+
+    With threads > 1 the realizations run on a pool of that many processes,
+    handed out in chunks of about a quarter of each worker's share, so that
+    cheap realizations do not pay one round trip each.  Every realization
+    draws from its own stream, so the results do not depend on threads.
+    """
+    reals = range(realizations)
     if threads <= 1:
         return [worker(config, r) for r in reals]
+    chunk = max(1, realizations // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, [config] * len(reals), reals))
+        return list(pool.map(worker, [config] * realizations, reals, chunksize=chunk))
 
 
 def _collect(config: EnsembleConfig, threads: int = 1) -> np.ndarray:
@@ -183,7 +189,7 @@ def _collect(config: EnsembleConfig, threads: int = 1) -> np.ndarray:
     if config.d_a > mps.MAX_POST_DIM:
         raise SizeLimitError(f"D_A = {config.d_a} exceeds cap {mps.MAX_POST_DIM}")
     worker = _born_realization if config.sampling_mode == "born" else _forced_realization
-    return np.array(_per_realization(worker, config, threads))
+    return np.array(per_realization(worker, config, config.realizations, threads))
 
 
 def jackknife_mean(per_real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +294,9 @@ def overlap_histogram(
     """
     if config.sampling_mode != "born":
         raise PreconditionError("overlap_histogram needs a born-mode config")
-    samples = np.concatenate(_per_realization(_born_overlaps, config, threads))
+    samples = np.concatenate(
+        per_realization(_born_overlaps, config, config.realizations, threads)
+    )
     counts, edges = np.histogram(samples, bins=bins, range=(0.0, u_max))
     width = edges[1] - edges[0]
     n_in = int(counts.sum())

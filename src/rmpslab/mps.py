@@ -66,10 +66,10 @@ def stream(seed: int, realization: int = 0) -> np.random.Generator:
 
 
 def _gate_columns(
-    q: int, ncols: int, variance: float | None, rng: np.random.Generator
+    q: int, ncols: int, kind: EnsembleKind, rng: np.random.Generator, glue: bool = False
 ) -> np.ndarray:
-    """ncols columns of one q x q random gate: Haar when variance is None,
-    else i.i.d. complex Gaussian entries of that variance.
+    """ncols columns of one q x q random gate of the given kind (glue selects
+    the glued glue-gate variance, see ``EnsembleKind.gate_variance``).
 
     Both kinds draw one (q, ncols) complex Ginibre block G as
     ``rng.standard_normal((q, 2 ncols)).view(complex)``, so a gate consumes
@@ -80,8 +80,8 @@ def _gate_columns(
     isometry.
     """
     block = rng.standard_normal((q, 2 * ncols)).view(complex)
-    if variance is not None:
-        block *= np.sqrt(variance / 2.0)
+    if not kind.is_haar:
+        block *= np.sqrt(kind.gate_variance(q, glue) / 2.0)
         return block
     qmat, rmat = np.linalg.qr(block)
     diag = np.diagonal(rmat)
@@ -93,7 +93,7 @@ def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed q x q unitary: the q-column case of a gate draw."""
     if q < 1:
         raise ValueError(f"dimension must be >= 1, got {q}")
-    return _gate_columns(q, q, None, rng)
+    return _gate_columns(q, q, HAAR, rng)
 
 
 def draw_staircase_gates(
@@ -106,11 +106,8 @@ def draw_staircase_gates(
     auxiliary input is |0> as well.
     """
     q = d * chi
-    var = None
-    if not kind.is_haar:
-        var = kind.variance if kind.variance is not None else 1.0 / q
-    first = _gate_columns(q, 1, var, rng)
-    return [first] + [_gate_columns(q, chi, var, rng) for _ in range(n_a + n_b - 2)]
+    first = _gate_columns(q, 1, kind, rng)
+    return [first] + [_gate_columns(q, chi, kind, rng) for _ in range(n_a + n_b - 2)]
 
 
 def draw_glued_gates(
@@ -124,13 +121,9 @@ def draw_glued_gates(
     indexed by b and a; middle glues whole.
     """
     chi2 = chi * chi
-    var_a = var_b = None
-    if not kind.is_haar:
-        var_a = kind.variance if kind.variance is not None else 1.0 / (d * chi2)
-        var_b = kind.variance_b if kind.variance_b is not None else 1.0 / chi2
-    blocks = [_gate_columns(d * chi2, 1, var_a, rng) for _ in range(n_a)]
+    blocks = [_gate_columns(d * chi2, 1, kind, rng) for _ in range(n_a)]
     glue_cols = [chi] + [chi2] * (n_a - 1) + [chi]
-    glues = [_gate_columns(chi2, ncols, var_b, rng) for ncols in glue_cols]
+    glues = [_gate_columns(chi2, ncols, kind, rng, glue=True) for ncols in glue_cols]
     return blocks, glues
 
 
@@ -147,10 +140,6 @@ class MpsState:
                     f"bond mismatch between sites {i} and {i + 1}: "
                     f"{self.tensors[i].shape} vs {self.tensors[i + 1].shape}"
                 )
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
 
     @property
     def phys_dims(self) -> tuple[int, ...]:
@@ -187,21 +176,20 @@ class MeasurementRecord:
     post_state: np.ndarray
 
 
-def _check_circuit(setup: str, n_a: int, n_b: int | None, d: int, chi: int) -> None:
-    """Raise unless N_A >= 1, d >= 2, chi >= 1 and, for the staircase, N_B >= 1."""
-    if setup == "staircase" and (n_b is None or n_b < 1):
-        raise ShapeMismatchError(f"the staircase circuit needs N_B >= 1, got {n_b}")
-    if n_a < 1 or chi < 1 or d < 2:
-        raise ShapeMismatchError(
-            f"need N_A >= 1, chi >= 1, d >= 2; got N_A={n_a}, d={d}, chi={chi}"
-        )
+def check_circuit(chi: int, d: int = 2, n_a: int = 1, n_b: int | None = 1) -> None:
+    """The one input rule of every circuit, chain and chain weight: chi >= 1,
+    d >= 2, N_A >= 1 and N_B >= 1.  Callers without an N_B of their own
+    (glued circuits, chain weights) leave it at 1; None is a missing N_B."""
+    if n_b is None or chi < 1 or d < 2 or n_a < 1 or n_b < 1:
+        got = f"chi={chi}, d={d}, N_A={n_a}, N_B={n_b}"
+        raise ShapeMismatchError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
 
 
 def build_staircase(
     n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind = HAAR, rng=None
 ) -> tuple[MpsState, RegionLayout]:
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
-    _check_circuit("staircase", n_a, n_b, d, chi)
+    check_circuit(chi, d, n_a, n_b)
     rng = rng if rng is not None else stream(0)
     first, *rest = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
     # isometry rows (z, b): outgoing physical and auxiliary; columns: the
@@ -217,7 +205,7 @@ def build_glued(
     n_a: int, d: int, chi: int, kind: EnsembleKind = HAAR, rng=None
 ) -> tuple[MpsState, RegionLayout]:
     """Glued shallow-circuit MPS: B A B ... A B with chi^2-dimensional B sites."""
-    _check_circuit("glued", n_a, None, d, chi)
+    check_circuit(chi, d, n_a)
     rng = rng if rng is not None else stream(0)
     blocks, glues = draw_glued_gates(n_a, d, chi, kind, rng)
     chi2 = chi * chi
@@ -592,7 +580,7 @@ def statevector_oracle(
     """
     if setup not in ("staircase", "glued"):
         raise ValueError(f"unknown setup {setup!r}")
-    _check_circuit(setup, n_a, n_b, d, chi)
+    check_circuit(chi, d, n_a, n_b if setup == "staircase" else n_a + 1)
     rng = rng if rng is not None else stream(0)
     if setup == "staircase":
         n_phys = n_a + n_b - 1
@@ -636,29 +624,3 @@ def statevector_oracle(
         )
     return ProjectedEnsemble(np.ascontiguousarray(amps), outcome_dims)
 
-
-def dump_state(path, state: MpsState, layout: RegionLayout) -> None:
-    """Debug dump of the tensor list (not a stability-guaranteed format)."""
-    payload = {f"tensor_{i}": t for i, t in enumerate(state.tensors)}
-    np.savez(
-        path,
-        n_sites=state.n_sites,
-        site_roles=np.array(layout.site_roles),
-        setup=np.array(layout.setup),
-        n_a=layout.n_a,
-        n_b=layout.n_b,
-        **payload,
-    )
-
-
-def load_state(path) -> tuple[MpsState, RegionLayout]:
-    data = np.load(path, allow_pickle=False)
-    n = int(data["n_sites"])
-    tensors = [data[f"tensor_{i}"] for i in range(n)]
-    layout = RegionLayout(
-        tuple(str(r) for r in data["site_roles"]),
-        str(data["setup"]),
-        int(data["n_a"]),
-        int(data["n_b"]),
-    )
-    return MpsState(tensors), layout

@@ -1,25 +1,25 @@
 """Symmetric-group combinatorics for the replica formalism.
 
-Permutations of [0, m) are held in one-line ("word") notation as tuples:
-``p[i]`` is the image of ``i``.  The canonical index of a permutation is the
-lexicographic rank of its word, so index 0 is always the identity.  All
-m!-indexed vectors and matrices elsewhere in the package follow this order.
+Permutations of [0, m) are held in one-line ("word") notation: ``p[i]`` is
+the image of ``i``, as a tuple or as a row of ``perm_array(m)``.  The
+canonical index of a permutation is the lexicographic rank of its word, so
+index 0 is always the identity.  All m!-indexed vectors elsewhere in the
+package follow this order.
 
 The replica degree of freedom is an element of S_m with m = 2(n+k) copies of
 the state: replicas [0, n+k) form group 1 and [n+k, m) form group 2.
-Enumeration is capped at m <= 8 and dense m! x m! matrices at m <= 6.
+Enumeration is capped at m <= ``MAX_ENUM_M`` = 8.
 
 The replica chain is contracted on the orbit space of its symmetry
 (``chain_orbits``): every chain operator is invariant under sigma -> g sigma h
 for the pairs (g, h) listed there, and under sigma -> sigma^-1.  A class
 kernel acting on invariant vectors reduces to an (orbits x orbits) matrix
 (``reduced_kernel``); at m = 8 that is 95 x 95 for n = 0 against 40,320 x
-40,320.  The dense m! x m! tables remain as test references.
+40,320.  No m! x m! table is built; the tests hold the dense references.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,71 +30,11 @@ from .errors import ShapeMismatchError, SizeLimitError
 Perm = tuple[int, ...]
 
 MAX_ENUM_M = 8
-MAX_DENSE_M = 6
 
 
 def _check_enum_m(m: int) -> None:
     if not 1 <= m <= MAX_ENUM_M:
         raise SizeLimitError(f"replica count m={m} outside enumerable range [1, {MAX_ENUM_M}]")
-
-
-def _check_dense_m(m: int) -> None:
-    _check_enum_m(m)
-    if m > MAX_DENSE_M:
-        raise SizeLimitError(f"dense m! x m! matrices capped at m={MAX_DENSE_M}, got m={m}")
-
-
-@lru_cache(maxsize=None)
-def enumerate_group(m: int) -> tuple[Perm, ...]:
-    """All m! permutations in lexicographic order of one-line notation."""
-    _check_enum_m(m)
-    return tuple(itertools.permutations(range(m)))
-
-
-@lru_cache(maxsize=None)
-def group_index(m: int) -> dict[Perm, int]:
-    """Map from permutation word to its canonical (lexicographic) index."""
-    return {p: i for i, p in enumerate(enumerate_group(m))}
-
-
-def identity(m: int) -> Perm:
-    return tuple(range(m))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Composition a after b: (a.b)[i] = a[b[i]]."""
-    if len(a) != len(b):
-        raise ShapeMismatchError(f"compose: mismatched sizes {len(a)} vs {len(b)}")
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def inverse(a: Perm) -> Perm:
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        inv[v] = i
-    return tuple(inv)
-
-
-def cycle_count(a: Perm) -> int:
-    """Number of cycles (fixed points included)."""
-    seen = [False] * len(a)
-    count = 0
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-    return count
-
-
-def transposition_distance(a: Perm, b: Perm) -> int:
-    """Cayley-graph distance under all transpositions: m - cycles(a.b^{-1})."""
-    if len(a) != len(b):
-        raise ShapeMismatchError(f"distance: mismatched sizes {len(a)} vs {len(b)}")
-    return len(a) - cycle_count(compose(a, inverse(b)))
 
 
 def cycle_type(a: Perm) -> tuple[int, ...]:
@@ -152,30 +92,6 @@ def overlap_permutation(shape: ReplicaShape) -> Perm:
     for j in range(k):
         word[n + j], word[n + k + j] = word[n + k + j], word[n + j]
     return tuple(word)
-
-
-def is_factorized(a: Perm) -> bool:
-    """True iff a preserves the two replica groups (element of S_{m/2} x S_{m/2})."""
-    m = len(a)
-    if m % 2 != 0:
-        raise ShapeMismatchError(f"factorized split needs even m, got {m}")
-    half = m // 2
-    return all(a[i] < half for i in range(half))
-
-
-def ground_states(shape: ReplicaShape) -> tuple[Perm, ...]:
-    """Factorized permutations at minimal distance k from the overlap permutation.
-
-    These are the k! degenerate minima of the onsite A-weight restricted to
-    the factorized set; the count is checked here as a structural invariant.
-    """
-    sig_a = overlap_permutation(shape)
-    k = shape.k
-    return tuple(
-        p
-        for p in enumerate_group(shape.m)
-        if is_factorized(p) and transposition_distance(p, sig_a) == k
-    )
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +189,7 @@ def distances_from(m: int, sigma: Perm) -> np.ndarray:
     if len(sigma) != m:
         raise ShapeMismatchError(f"distances_from: sigma has size {len(sigma)}, expected {m}")
     # d(p, sigma) = m - cycles(p . sigma^{-1}) and (p . sigma^{-1})[x] = p[sigma^{-1}[x]]
-    words = perm_array(m)[:, np.array(inverse(sigma))]
+    words = perm_array(m)[:, np.argsort(sigma)]
     return distance_to_identity(m)[rank_words(words)]
 
 
@@ -287,38 +203,6 @@ def factorized_mask(m: int) -> np.ndarray:
     mask = np.all(p[:, :half] < half, axis=1)
     mask.flags.writeable = False
     return mask
-
-
-@lru_cache(maxsize=None)
-def relative_index_matrix(m: int) -> np.ndarray:
-    """Dense (m!, m!) table R[i, j] = index of sigma_i . sigma_j^{-1} (m <= 6)."""
-    _check_dense_m(m)
-    p = perm_array(m)
-    pinv = inverse_array(m)
-    fac = p.shape[0]
-    out = np.empty((fac, fac), dtype=np.int32)
-    for i in range(fac):
-        # (sigma_i . sigma_j^{-1})[x] = sigma_i[sigma_j^{-1}[x]]
-        words = np.asarray(p[i])[pinv]
-        out[i] = rank_words(words)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def distance_matrix(m: int) -> np.ndarray:
-    """Dense (m!, m!) transposition-distance table (m <= 6)."""
-    d = distance_to_identity(m)[relative_index_matrix(m)]
-    d.flags.writeable = False
-    return d
-
-
-def adjacency_matrix(m: int, alpha: int) -> np.ndarray:
-    """0/1 matrix marking permutation pairs at distance exactly alpha."""
-    _check_dense_m(m)
-    if not 0 <= alpha <= m - 1:
-        raise ValueError(f"distance alpha={alpha} outside [0, {m - 1}]")
-    return (distance_matrix(m) == alpha).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

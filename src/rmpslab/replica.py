@@ -33,10 +33,11 @@ Every chain operator is invariant under the symmetry described in
 ``permutations.chain_orbits``, so ``contract`` works on its orbit space:
 vectors hold one value per orbit and each bond is an (orbits x orbits)
 matrix.  At m = 8 and n = 0 that is 95 values instead of 40,320, and a
-contraction takes milliseconds.  The Weingarten dressing of the glue-site
-and staircase boundary weights goes through the same reduced kernel.  It is
-the one contraction path; a dense whole-group contraction (m <= 6) serves
-the tests as its reference.
+contraction takes milliseconds.  The gate-average dressing of the glue-site
+and staircase boundary weights goes through the same reduced kernel, with
+one class vector per ensemble kind (``wg.gate_average_class_vector``).
+``contract`` is the one contraction path; a dense whole-group contraction
+(m <= 6) serves the tests as its reference.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ import numpy as np
 from . import permutations as pg
 from . import weingarten as wg
 from .errors import ShapeMismatchError, SizeLimitError
+from .mps import check_circuit
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind
 
-MAX_CHAIN_M = 8
 # explicit operands must be invariant under the chain symmetry to this relative size
 INVARIANCE_TOL = 1e-12
 
@@ -79,12 +80,6 @@ class ChainValue:
     def sign(self) -> float:
         return math.copysign(1.0, self.mantissa)
 
-    def __float__(self) -> float:
-        return self.value
-
-    def ratio_log(self, other: "ChainValue") -> float:
-        return self.log - other.log
-
 
 def site_weight_A(shape: ReplicaShape, d: int) -> np.ndarray:
     """Onsite weight in region A: d^(m - dist(sigma, overlap pairing))."""
@@ -109,30 +104,29 @@ def _glued_measured_vector(shape: ReplicaShape, chi: int) -> np.ndarray:
 
 
 def site_weight_B_glued(shape: ReplicaShape, chi: int, kind: EnsembleKind = HAAR) -> np.ndarray:
-    """Glue-gate measured-site weight, dressed by the Weingarten kernel.
+    """Glue-gate measured-site weight, dressed by the glue-gate average:
 
-    haar: sum_{sigma'} W_{sigma' sigma}(chi^2) [chi^4 1_F(sigma') + chi^2 (1 - 1_F)];
-    gaussian: the diagonal replacement varsigma^(2m) [chi^4 1_F + chi^2 (1-1_F)]
-    with varsigma^2 = 1/chi^2 unless overridden, exact for i.i.d. Gaussian
-    glue gates (Wick's theorem makes their m-fold average diagonal).
+        sum_{sigma'} W_{sigma' sigma}(chi^2) [chi^4 1_F(sigma') + chi^2 (1 - 1_F(sigma'))]
+
+    with W the Weingarten kernel (haar) or varsigma^(2m) times the identity,
+    varsigma^2 = 1/chi^2 unless overridden (gaussian).
 
     The gaussian kernel is the large-q diagonal limit of W(q), q = chi^2, but
     the two weights agree only on factorized entries, to 2/q.  Non-factorized
     entries are smaller by 1/q; in some of them the haar value is about -q^-4
     against the gaussian +q^-3.
     """
-    _check_chain_inputs(chi)
+    check_circuit(chi)
     vec = _glued_measured_vector(shape, chi)
-    if kind.is_haar:
-        return _weingarten_dressed(shape, float(chi) ** 2, vec)
-    var = kind.variance_b if kind.variance_b is not None else 1.0 / chi**2
-    return var**shape.m * vec
+    return _gate_dressed(shape, float(chi) ** 2, kind, vec, glue=True)
 
 
-def _weingarten_dressed(shape: ReplicaShape, q: float, vec: np.ndarray) -> np.ndarray:
-    """W(q) @ vec for an invariant vec, applied on the orbit space."""
+def _gate_dressed(
+    shape: ReplicaShape, q: float, kind: EnsembleKind, vec: np.ndarray, glue: bool = False
+) -> np.ndarray:
+    """The m-fold average of a gate from U(q) applied to an invariant vec, on the orbit space."""
     orbits = pg.chain_orbits(shape)
-    kernel = pg.reduced_kernel(shape, wg.weingarten_class_vector(shape.m, q))
+    kernel = pg.reduced_kernel(shape, wg.gate_average_class_vector(shape.m, q, kind, glue))
     return (kernel @ vec[orbits.reps])[orbits.label]
 
 
@@ -151,9 +145,9 @@ def boundary_vectors(
     staircase right vector absorbs the final gate average, the last measured
     d-site weight and the chi-leg:
 
-        (v_R)_pi = d chi sum_{pi'} W_{pi pi'}(d chi) [d chi 1_F(pi') + (1 - 1_F(pi'))]
+        (v_R)_pi = sum_{pi'} W_{pi pi'}(d chi) d chi [d chi 1_F(pi') + (1 - 1_F(pi'))]
 
-    (gaussian: the diagonal Weingarten replacement).  A chain terminated
+    (gaussian: the diagonal gate average).  A chain terminated
     with this vector carries the bare Gram bond G(chi) on its last gap and
     one fewer explicit measured-site weight, so its ops end on a bond:
 
@@ -163,29 +157,15 @@ def boundary_vectors(
     vector instead, which also covers N_B = 1.  Glued boundaries are the
     measured-site weight ``site_weight_B_glued`` absorbed at each chain end.
     """
-    _check_chain_inputs(chi, d)
-    m = shape.m
-    fac = math.factorial(m)
-    left = np.ones(fac)
+    check_circuit(chi, d)
+    left = np.ones(math.factorial(shape.m))
     if setup == "glued":
-        beta = site_weight_B_glued(shape, chi, kind)
-        return left, beta.copy()
+        return left, site_weight_B_glued(shape, chi, kind)
     if setup != "staircase":
         raise ValueError(f"unknown setup {setup!r}")
     q = float(d * chi)
-    mask = pg.factorized_mask(m)
-    inner = np.where(mask, q, 1.0)
-    if kind.is_haar:
-        return left, q * _weingarten_dressed(shape, q, inner)
-    var = kind.variance if kind.variance is not None else 1.0 / q
-    return left, q * var**m * inner
-
-
-def _check_chain_inputs(chi: int, d: int = 2, n_a: int = 1, n_b: int = 1) -> None:
-    """Every chain builder and weight needs chi >= 1, d >= 2, N_A >= 1 and N_B >= 1."""
-    if chi < 1 or d < 2 or n_a < 1 or n_b < 1:
-        got = f"chi={chi}, d={d}, N_A={n_a}, N_B={n_b}"
-        raise ValueError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
+    inner = np.where(pg.factorized_mask(shape.m), q * q, q)
+    return left, _gate_dressed(shape, q, kind, inner)
 
 
 # chain selectors: name -> (role, its value for a spec); a site resolves to
@@ -269,9 +249,6 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
     each orbit by its size.  The rescaling is that of the whole group, since
     an invariant vector takes its maximum on a representative.
     """
-    m = spec.shape.m
-    if m > MAX_CHAIN_M:
-        raise SizeLimitError(f"replica count m={m} exceeds cap {MAX_CHAIN_M}")
     orbits = pg.chain_orbits(spec.shape)
     # each selector is resolved once per call: a chain repeats a few
     # selectors many times
@@ -308,7 +285,7 @@ def staircase_chain(
     d-sites), dressed bonds on every gap, the chi-leg vector on the right,
     and the first gate's average constant as a scalar prefactor.
     """
-    _check_chain_inputs(chi, d, n_a, n_b)
+    check_circuit(chi, d, n_a, n_b)
     m = shape.m
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
     sites = ("A",) * n_a + ("B_staircase",) * (n_b - 1)
@@ -334,13 +311,14 @@ def glued_chain(
     block gate contributes the scalar c_W(d chi^2) (haar) or
     varsigma_A^(2m) (gaussian), accumulated in the prefactor.
     """
-    _check_chain_inputs(chi, d, n_a)
+    check_circuit(chi, d, n_a)
     m = shape.m
     if kind.is_haar:
         log_block = math.log(wg.weingarten_sum_constant(m, float(d * chi * chi), HAAR))
     else:
-        var_a = kind.variance if kind.variance is not None else 1.0 / (d * chi**2)
-        log_block = m * math.log(var_a)
+        # m log(varsigma_A^2): log(weingarten_sum_constant) differs in the
+        # last bits of log_scale, which the contract files record
+        log_block = m * math.log(kind.gate_variance(d * chi**2))
     beta = site_weight_B_glued(shape, chi, kind)
     return ReplicaChainSpec(
         shape=shape,
@@ -373,11 +351,10 @@ def frame_potential_chain(
     if n < 0 or int(n) != n:
         raise ValueError(f"the chain contraction needs integer n >= 0, got n={n}")
     shape = ReplicaShape(int(n), int(k))
-    if shape.m > MAX_CHAIN_M:
-        raise SizeLimitError(f"m = 2(n+k) = {shape.m} exceeds cap {MAX_CHAIN_M}")
+    # before any m!-vector is allocated: at m = 12 one is 3.8 GB
+    if shape.m > pg.MAX_ENUM_M:
+        raise SizeLimitError(f"m = 2(n+k) = {shape.m} exceeds cap {pg.MAX_ENUM_M}")
     if setup == "staircase":
-        if n_b is None:
-            raise ValueError("staircase chain needs N_B")
         spec = staircase_chain(shape, d, chi, n_a, n_b, kind)
     elif setup == "glued":
         spec = glued_chain(shape, d, chi, n_a, kind)

@@ -319,7 +319,7 @@ def leading_order_log(
     if setup == "staircase":
         if n_b is None or n_b < 1:
             raise ValueError("staircase leading order needs N_B >= 1")
-        var = kind.variance if (not kind.is_haar and kind.variance is not None) else 1.0 / (d * chi)
+        var = kind.gate_variance(d * chi)
         n_gates = n_a + n_b - 1
         return (
             log_fact_sum
@@ -329,8 +329,8 @@ def leading_order_log(
             + m * n_gates * math.log(var)
         )
     if setup == "glued":
-        var_a = kind.variance if (not kind.is_haar and kind.variance is not None) else 1.0 / (d * chi**2)
-        var_b = kind.variance_b if (not kind.is_haar and kind.variance_b is not None) else 1.0 / chi**2
+        var_a = kind.gate_variance(d * chi**2)
+        var_b = kind.gate_variance(chi**2, glue=True)
         return (
             log_fact_sum
             + n_a * m * math.log(var_a)

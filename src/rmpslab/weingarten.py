@@ -1,25 +1,26 @@
-"""Gram and Weingarten matrices over S_m and the bond kernels built from them.
+"""Gram and Weingarten kernels over S_m and the gate averages built from them.
 
-The Gram matrix G_{sigma,pi}(q) = q^(m - dist(sigma,pi)) collects the overlaps
+The Gram kernel G_{sigma,pi}(q) = q^(m - dist(sigma,pi)) collects the overlaps
 of permutation states on m replicas of a q-dimensional space; the Weingarten
-matrix W(q) is its Moore-Penrose pseudoinverse and plays the role of the Haar
-average kernel.  The product T(chi, d) = W(d chi) G(chi) is the two-site bond
-("interaction") matrix of the replica chain.
+kernel W(q) is its Moore-Penrose pseudoinverse and is the m-fold average of
+a Haar gate from U(q).  The product T(chi, d) = W(d chi) G(chi) is the
+two-site bond ("interaction") kernel of the replica chain.
 
-Two ensembles are supported everywhere: exact Haar unitaries, and the i.i.d.
-complex Gaussian surrogate where W(q) collapses to varsigma^(2m) times the
-identity (the large-q diagonal limit of the exact kernel).  That diagonal
-form is exposed through the gaussian ensemble kind.  It is exact for
+Two ensembles are supported everywhere, and the one place they differ is the
+gate average (``gate_average_class_vector``): W(q) for exact Haar unitaries,
+varsigma^(2m) times the identity for the i.i.d. complex Gaussian surrogate.
+The Gaussian form is the large-q diagonal limit of W(q).  It is exact for
 Gaussian gates, not an approximation to the Haar kernel entry by entry: the
 dressed glue-site weights of the two kinds agree to 2/q only on factorized
 permutations, while some non-factorized Haar entries are about -q^-4 where
 the Gaussian ones are +q^-3 (subleading by 1/q either way).
 
-Class-vector forms of the kernels (one value per conjugacy class) extend to
-m = 8; the replica engine applies them on the orbit space of the chain
-(``permutations.reduced_kernel``).  The class algebra they live in is
-computed once per m (``permutations.class_structure_constants``).  Dense
-matrices are capped at m <= 6 and serve the tests as references.
+Every kernel is a class vector (one value per conjugacy class of the
+relative permutation), valid to m = 8; the replica engine applies them on
+the orbit space of the chain (``permutations.reduced_kernel``).  The class
+algebra they live in is computed once per m
+(``permutations.class_structure_constants``).  No m! x m! matrix is built;
+the tests hold the dense references.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ _EIG_REL_TOL = 1e-12
 class EnsembleKind:
     """Gate ensemble selector: exact Haar unitaries or i.i.d. complex Gaussians.
 
-    variance is the Gaussian entry variance varsigma^2; None picks the
-    context default (1/(d chi) for staircase gates, 1/(d chi^2) for glued
-    block gates).  variance_b overrides the glued glue-gate family, default
-    1/chi^2.  Both are ignored for the haar kind.
+    ``gate_variance`` is the one rule for the Gaussian entry variance
+    varsigma^2 of a gate from U(q): 1/q unless set.  variance sets it for
+    the staircase gates and the glued block gates, variance_b for the glued
+    glue gates.  Both are ignored for the haar kind.
     """
 
     kind: str = "haar"
@@ -61,6 +62,16 @@ class EnsembleKind:
     def is_haar(self) -> bool:
         return self.kind == "haar"
 
+    def gate_variance(self, q: float, glue: bool = False) -> float:
+        """varsigma^2 of a gate from U(q); glue selects the glued glue-gate family.
+
+        The defaults are 1/(d chi) for staircase gates, 1/(d chi^2) for glued
+        blocks and 1/chi^2 for glue gates.  For the haar kind this is 1/q,
+        the large-q scale of its Weingarten kernel.
+        """
+        var = self.variance_b if glue else self.variance
+        return var if var is not None and not self.is_haar else 1.0 / q
+
 
 HAAR = EnsembleKind("haar")
 
@@ -77,33 +88,6 @@ def rising_factorial(q: float, m: int) -> float:
     return out
 
 
-@lru_cache(maxsize=None)
-def gram_matrix(m: int, q: float) -> np.ndarray:
-    """Dense Gram matrix q^(m - dist) over the canonical enumeration (m <= 6)."""
-    if q <= 0:
-        raise ValueError(f"dimension q must be positive, got {q}")
-    g = float(q) ** (m - pg.distance_matrix(m).astype(np.float64))
-    g.flags.writeable = False
-    return g
-
-
-@lru_cache(maxsize=None)
-def weingarten_matrix(m: int, q: float) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the Gram matrix.
-
-    Computed from the symmetric eigendecomposition of G(q)/q^m, dropping
-    eigenvalues below 1e-12 of the largest; for integer q >= m the Gram
-    matrix is invertible and this is the exact inverse.
-    """
-    g_scaled = gram_matrix(m, q) / float(q) ** m
-    vals, vecs = np.linalg.eigh(g_scaled)
-    cut = _EIG_REL_TOL * np.max(np.abs(vals))
-    inv_vals = np.where(np.abs(vals) > cut, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    w = (vecs * inv_vals) @ vecs.T / float(q) ** m
-    w.flags.writeable = False
-    return w
-
-
 def weingarten_sum_constant(m: int, q: float, kind: EnsembleKind = HAAR) -> float:
     """Row sum of the Haar Weingarten matrix, or varsigma^(2m) for Gaussians.
 
@@ -112,33 +96,7 @@ def weingarten_sum_constant(m: int, q: float, kind: EnsembleKind = HAAR) -> floa
     """
     if kind.is_haar:
         return 1.0 / rising_factorial(q, m)
-    var = kind.variance if kind.variance is not None else 1.0 / q
-    return var**m
-
-
-def interaction_matrix(m: int, chi: float, d: int, kind: EnsembleKind = HAAR) -> np.ndarray:
-    """Bond matrix T(chi, d) = W(d chi) G(chi), or its Gaussian diagonal surrogate.
-
-    For the gaussian kind the Weingarten factor collapses to varsigma^(2m)
-    times the identity with varsigma^2 = 1/(d chi) unless overridden, giving
-    varsigma^(2m) G(chi).  As chi -> infinity both tend to d^(-m) times the
-    identity: a strong ferromagnetic coupling between neighboring replicas.
-    """
-    if chi < 1:
-        raise ValueError(f"bond dimension chi must be >= 1, got {chi}")
-    if d < 2:
-        raise ValueError(f"physical dimension d must be >= 2, got {d}")
-    if kind.is_haar:
-        return weingarten_matrix(m, d * chi) @ gram_matrix(m, chi)
-    var = kind.variance if kind.variance is not None else 1.0 / (d * chi)
-    return var**m * gram_matrix(m, chi)
-
-
-# ---------------------------------------------------------------------------
-# Class-vector forms (one value per conjugacy class of the relative
-# permutation).  These agree entrywise with the dense kernels above and are
-# the representation the replica engine consumes at every m.
-# ---------------------------------------------------------------------------
+    return kind.gate_variance(q) ** m
 
 
 def gram_class_vector(m: int, q: float) -> np.ndarray:
@@ -170,16 +128,28 @@ def weingarten_class_vector(m: int, q: float) -> np.ndarray:
     return (pinv_sym * (root[None, :] / root[:, None]))[:, 0] / scale
 
 
-def interaction_class_vector(m: int, chi: float, d: int, kind: EnsembleKind = HAAR) -> np.ndarray:
-    """Class-vector form of the bond matrix T(chi, d)."""
+def gate_average_class_vector(
+    m: int, q: float, kind: EnsembleKind = HAAR, glue: bool = False
+) -> np.ndarray:
+    """The m-fold average of a gate from U(q) as a class kernel.
+
+    haar: the Weingarten vector W(q); gaussian: varsigma^(2m) on the
+    identity class (class 0), exact for i.i.d. Gaussian gates because
+    Wick's theorem makes their m-fold average diagonal.
+    """
     if kind.is_haar:
-        conv = pg.class_convolution_matrix(m, gram_class_vector(m, chi))
-        return conv @ weingarten_class_vector(m, d * chi)
-    var = kind.variance if kind.variance is not None else 1.0 / (d * chi)
-    return var**m * gram_class_vector(m, chi)
+        return weingarten_class_vector(m, q)
+    out = np.zeros(pg.class_distance(m).size)
+    out[0] = kind.gate_variance(q, glue) ** m
+    return out
 
 
-def densify_class_kernel(m: int, kernel_by_class: np.ndarray) -> np.ndarray:
-    """Materialize a class kernel as a dense m! x m! matrix (m <= 6)."""
-    class_of, _, _ = pg.conjugacy_classes(m)
-    return np.asarray(kernel_by_class, dtype=np.float64)[class_of[pg.relative_index_matrix(m)]]
+def interaction_class_vector(m: int, chi: float, d: int, kind: EnsembleKind = HAAR) -> np.ndarray:
+    """Class-vector form of the bond kernel T(chi, d): the gate average at
+    q = d chi convolved with G(chi).
+
+    As chi -> infinity both kinds tend to d^(-m) times the identity: a strong
+    ferromagnetic coupling between neighboring replicas.
+    """
+    conv = pg.class_convolution_matrix(m, gram_class_vector(m, chi))
+    return conv @ gate_average_class_vector(m, d * chi, kind)

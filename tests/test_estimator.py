@@ -34,6 +34,9 @@ def test_config_validation():
         es.EnsembleConfig(setup="staircase", n_a=2, d=2, chi=2)  # missing N_B
     with pytest.raises(ValueError):
         tiny_born_config(pair_mode="both")
+    # the circuit input rule holds at construction, not first inside a realization
+    with pytest.raises(ValueError, match="need chi >= 1"):
+        es.EnsembleConfig(setup="staircase", n_a=0, n_b=2, d=1, chi=0)
     cfg = es.EnsembleConfig(setup="glued", n_a=3, d=2, chi=2)
     assert cfg.n_b_effective == 4
     assert cfg.outcome_cardinality == 4**4

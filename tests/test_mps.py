@@ -374,12 +374,3 @@ def test_oracle_size_caps():
         # the full state fits, but the outcome space is too large to enumerate
         mps.statevector_oracle("staircase", 2, 13, 2, 2, HAAR, mps.stream(0))
 
-
-def test_dump_load_roundtrip(tmp_path):
-    state, layout = mps.build_glued(2, 2, 2, HAAR, mps.stream(5))
-    path = tmp_path / "state.npz"
-    mps.dump_state(path, state, layout)
-    state2, layout2 = mps.load_state(path)
-    assert layout2 == layout
-    for t1, t2 in zip(state.tensors, state2.tensors):
-        assert np.array_equal(t1, t2)

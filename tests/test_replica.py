@@ -19,6 +19,8 @@ from rmpslab.errors import ShapeMismatchError, SizeLimitError
 from rmpslab.permutations import ReplicaShape
 from rmpslab.weingarten import HAAR, gaussian
 
+import oracles
+
 
 def chain_spec(setup, k, n, n_a, n_b, d, chi, kind=HAAR):
     shape = ReplicaShape(n, k)
@@ -38,8 +40,8 @@ def dense_contract(spec):
         "A": lambda: rp.site_weight_A(spec.shape, spec.d),
         "B_staircase": lambda: rp.site_weight_B_staircase(spec.shape, spec.d),
         "B_glued": lambda: rp.site_weight_B_glued(spec.shape, spec.chi, spec.kind),
-        "staircase_bulk": lambda: wg.interaction_matrix(m, chi, spec.d, spec.kind),
-        "glued_A_to_B": lambda: wg.gram_matrix(m, chi),
+        "staircase_bulk": lambda: oracles.interaction_matrix(m, chi, spec.d, spec.kind),
+        "glued_A_to_B": lambda: oracles.gram_matrix(m, chi),
     }
     resolved = {name: dense[name]() for name in {op for op in spec.ops if isinstance(op, str)}}
     vec, log_scale = np.asarray(spec.right_boundary, dtype=np.float64), spec.log_prefactor
@@ -57,10 +59,10 @@ def test_site_weight_A_values():
     for n, k, d in [(0, 1, 2), (1, 1, 2), (0, 2, 3)]:
         shape = ReplicaShape(n, k)
         w = rp.site_weight_A(shape, d)
-        idx = pg.group_index(shape.m)
+        idx = oracles.group_index(shape.m)
         sig = pg.overlap_permutation(shape)
         assert w[idx[sig]] == pytest.approx(float(d) ** shape.m)
-        for gs in pg.ground_states(shape):
+        for gs in oracles.ground_states(shape):
             assert w[idx[gs]] == pytest.approx(float(d) ** (shape.m - k))
 
 
@@ -75,8 +77,8 @@ def test_factorized_minimum_distance_is_k(n, k):
 def test_site_weight_B_staircase():
     shape = ReplicaShape(1, 1)
     w = rp.site_weight_B_staircase(shape, 3)
-    idx = pg.group_index(4)
-    assert w[idx[pg.identity(4)]] == 9.0
+    idx = oracles.group_index(4)
+    assert w[idx[oracles.identity(4)]] == 9.0
     assert w[idx[pg.overlap_permutation(shape)]] == 3.0
     assert int(np.sum(w == 9.0)) == 4  # ((m/2)!)^2 factorized entries
 
@@ -85,8 +87,15 @@ def test_site_weight_B_glued_gaussian_value():
     # factorized entry at chi = 3, m = 4: 3^4 / 3^8 = 3^-4
     shape = ReplicaShape(1, 1)
     w = rp.site_weight_B_glued(shape, 3, gaussian())
-    idx = pg.group_index(4)
-    assert w[idx[pg.identity(4)]] == pytest.approx(3.0**-4, rel=1e-14)
+    idx = oracles.group_index(4)
+    assert w[idx[oracles.identity(4)]] == pytest.approx(3.0**-4, rel=1e-14)
+    # the gaussian glue-gate average is varsigma_B^(2m) times the identity,
+    # bit for bit, at every m the engine takes
+    for n, k in M_LE_6 + [(0, 4), (1, 3)]:
+        shape = ReplicaShape(n, k)
+        vec = np.where(pg.factorized_mask(shape.m), 3.0**4, 3.0**2)
+        for kind, var in ((gaussian(), 1 / 9), (gaussian(0.3, 0.7), 0.7)):
+            assert np.array_equal(rp.site_weight_B_glued(shape, 3, kind), var**shape.m * vec)
 
 
 def test_site_weight_B_glued_haar_vs_dense_oracle():
@@ -96,7 +105,7 @@ def test_site_weight_B_glued_haar_vs_dense_oracle():
     w = rp.site_weight_B_glued(shape, chi, HAAR)
     mask = pg.factorized_mask(4)
     vec = np.where(mask, float(chi) ** 4, float(chi) ** 2)
-    oracle = wg.weingarten_matrix(4, float(chi * chi)) @ vec
+    oracle = oracles.weingarten_matrix(4, float(chi * chi)) @ vec
     assert np.abs(w - oracle).max() < 1e-14 * np.abs(oracle).max()
 
 
@@ -122,7 +131,7 @@ def test_bond_matrix_locations():
         spec = rp.ReplicaChainSpec(shape, HAAR, chi, 2, (location,), np.ones(24), np.ones(24))
         role, value_of = rp.SELECTORS[location]
         assert role == "bond"
-        return wg.densify_class_kernel(4, value_of(spec))
+        return oracles.densify_class_kernel(4, value_of(spec))
 
     t = bond("staircase_bulk", 10**6)
     assert np.abs(t - 2.0**-4 * np.eye(24)).max() < 1e-5 * 2.0**-4
@@ -145,6 +154,14 @@ def test_boundary_vectors():
     left_g, right_g = rp.boundary_vectors("glued", shape, 3, 2, gaussian())
     assert np.array_equal(right_g, rp.site_weight_B_glued(shape, 3, gaussian()))
     assert np.all(left_g == 1.0)
+    # the staircase right vector is the gaussian gate average of
+    # d chi (d chi 1_F + (1 - 1_F)), bit for bit, at every m the engine takes
+    for n, k in M_LE_6 + [(0, 4), (1, 3)]:
+        shape = ReplicaShape(n, k)
+        vec = np.where(pg.factorized_mask(shape.m), 36.0, 6.0)
+        for kind, var in ((gaussian(), 1 / 6), (gaussian(0.3, 0.7), 0.3)):
+            right = rp.boundary_vectors("staircase", shape, 3, 2, kind)[1]
+            assert np.array_equal(right, var**shape.m * vec)
 
 
 @pytest.mark.parametrize("kind", [HAAR, gaussian()])
@@ -389,7 +406,7 @@ def test_weingarten_dressing_matches_dense(n, k):
     shape = ReplicaShape(n, k)
     chi = 3
     vec = np.where(pg.factorized_mask(shape.m), float(chi) ** 4, float(chi) ** 2)
-    dense = wg.weingarten_matrix(shape.m, float(chi * chi)) @ vec
+    dense = oracles.weingarten_matrix(shape.m, float(chi * chi)) @ vec
     w = rp.site_weight_B_glued(shape, chi, HAAR)
     assert np.abs(w - dense).max() < 1e-12 * np.abs(dense).max()
 

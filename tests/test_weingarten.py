@@ -6,17 +6,19 @@ import pytest
 from rmpslab import permutations as pg
 from rmpslab import weingarten as wg
 
+import oracles
+
 
 def test_gram_small_values():
-    g = wg.gram_matrix(2, 3.0)
+    g = oracles.gram_matrix(2, 3.0)
     assert np.allclose(g, [[9.0, 3.0], [3.0, 9.0]])
-    g4 = wg.gram_matrix(4, 3.0)
+    g4 = oracles.gram_matrix(4, 3.0)
     assert np.allclose(np.diag(g4), 3.0**4)
     assert np.allclose(g4, g4.T)
 
 
 def test_weingarten_hand_value_m2_q2():
-    w = wg.weingarten_matrix(2, 2.0)
+    w = oracles.weingarten_matrix(2, 2.0)
     assert np.allclose(w, [[1 / 3, -1 / 6], [-1 / 6, 1 / 3]], atol=1e-14)
 
 
@@ -24,16 +26,16 @@ def test_weingarten_hand_value_m2_q2():
 @pytest.mark.parametrize("q_mult", [1.0, 2.0])
 def test_inverse_identity(m, q_mult):
     q = q_mult * m
-    g = wg.gram_matrix(m, q)
-    w = wg.weingarten_matrix(m, q)
+    g = oracles.gram_matrix(m, q)
+    w = oracles.weingarten_matrix(m, q)
     assert np.abs(w @ g - np.eye(g.shape[0])).max() < 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_pseudoinverse_identities(m):
     for q in (1.0, 2.0, float(m), 2.0 * m):
-        g = wg.gram_matrix(m, q)
-        w = wg.weingarten_matrix(m, q)
+        g = oracles.gram_matrix(m, q)
+        w = oracles.weingarten_matrix(m, q)
         scale = np.abs(g).max()
         assert np.abs(g @ w @ g - g).max() < 1e-10 * scale
         assert np.abs(w @ g @ w - w).max() < 1e-10 * np.abs(w).max()
@@ -42,7 +44,7 @@ def test_pseudoinverse_identities(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_gram_positive_definite_integer_q(m):
     for q in (m, m + 1, 2 * m):
-        vals = np.linalg.eigvalsh(wg.gram_matrix(m, float(q)))
+        vals = np.linalg.eigvalsh(oracles.gram_matrix(m, float(q)))
         assert np.all(vals > 0)
 
 
@@ -52,20 +54,20 @@ def test_sum_constant():
     # consistency with explicit row sums
     for m in (2, 3, 4):
         for q in (float(m), 5.0):
-            w = wg.weingarten_matrix(m, q)
+            w = oracles.weingarten_matrix(m, q)
             rs = w.sum(axis=1)
             c = wg.weingarten_sum_constant(m, q)
             assert np.abs(rs - c).max() < 1e-10 * abs(c)
 
 
 def test_row_sum_rule_m4_q5():
-    w = wg.weingarten_matrix(4, 5.0)
+    w = oracles.weingarten_matrix(4, 5.0)
     target = 1.0 / (5 * 6 * 7 * 8)
     assert np.abs(w.sum(axis=1) - target).max() < 1e-12 * target
 
 
 def test_interaction_large_chi_ferromagnetic():
-    t = wg.interaction_matrix(4, 1e6, 2, wg.HAAR)
+    t = oracles.interaction_matrix(4, 1e6, 2, wg.HAAR)
     dm = 2.0**-4
     assert np.abs(t - dm * np.eye(24)).max() / dm < 1e-5
 
@@ -73,8 +75,8 @@ def test_interaction_large_chi_ferromagnetic():
 def test_interaction_gaussian_adjacency_coefficient():
     # chi d^m T equals 1 exactly on distance-1 pairs for the gaussian kind
     for chi in (10.0, 1000.0):
-        t = wg.interaction_matrix(4, chi, 2, wg.gaussian())
-        mask = pg.distance_matrix(4) == 1
+        t = oracles.interaction_matrix(4, chi, 2, wg.gaussian())
+        mask = oracles.distance_matrix(4) == 1
         vals = (chi * 2.0**4) * t[mask]
         assert np.abs(vals - 1.0).max() < 1e-12
 
@@ -83,7 +85,7 @@ def richardson_coefficient(beta, d, m, pair_index):
     chis = [1e2, 1e3, 1e4]
     vals = []
     for chi in chis:
-        t = wg.interaction_matrix(m, chi, d, wg.HAAR)
+        t = oracles.interaction_matrix(m, chi, d, wg.HAAR)
         vals.append(d**m * t[0, pair_index] * chi**beta)
     h = np.array([1.0 / c for c in chis])
     coef = np.linalg.solve(np.vander(h, 3, increasing=True), vals)
@@ -92,7 +94,7 @@ def richardson_coefficient(beta, d, m, pair_index):
 
 def test_unitary_dressing_spot_check():
     # composite-wall coefficient ((d-1)/d)^beta on commuting-transposition pairs
-    idx = pg.group_index(4)
+    idx = oracles.group_index(4)
     c1 = richardson_coefficient(1, 2, 4, idx[(1, 0, 2, 3)])
     c2 = richardson_coefficient(2, 2, 4, idx[(1, 0, 3, 2)])
     assert abs(c1 - 0.5) < 1e-3
@@ -101,10 +103,10 @@ def test_unitary_dressing_spot_check():
 
 def test_interaction_row_expansion_bounded():
     # sum_pi T[sigma, pi] chi^dist stays bounded as chi grows
-    dm = pg.distance_matrix(4).astype(float)
+    dm = oracles.distance_matrix(4).astype(float)
     prev = None
     for chi in (1e2, 1e3, 1e4):
-        t = wg.interaction_matrix(4, chi, 2, wg.HAAR)
+        t = oracles.interaction_matrix(4, chi, 2, wg.HAAR)
         row = np.sum(np.abs(t[0]) * chi**dm[0])
         if prev is not None:
             assert row < 1.5 * prev + 1.0
@@ -114,8 +116,8 @@ def test_interaction_row_expansion_bounded():
 @pytest.mark.parametrize("m,q", [(2, 2.0), (4, 2.0), (4, 8.0), (5, 3.0), (6, 7.0)])
 def test_class_vectors_match_dense(m, q):
     wc = wg.weingarten_class_vector(m, q)
-    wd = wg.weingarten_matrix(m, q)
-    dense = wg.densify_class_kernel(m, wc)
+    wd = oracles.weingarten_matrix(m, q)
+    dense = oracles.densify_class_kernel(m, wc)
     assert np.abs(dense - wd).max() < 1e-9 * np.abs(wd).max()
 
 
@@ -128,8 +130,8 @@ def test_class_vector_row_sum_m8():
 
 def test_interaction_class_vector_matches_dense():
     for kind in (wg.HAAR, wg.gaussian()):
-        t = wg.interaction_matrix(4, 3.0, 2, kind)
-        tc = wg.densify_class_kernel(4, wg.interaction_class_vector(4, 3.0, 2, kind))
+        t = oracles.interaction_matrix(4, 3.0, 2, kind)
+        tc = oracles.densify_class_kernel(4, wg.interaction_class_vector(4, 3.0, 2, kind))
         assert np.abs(t - tc).max() < 1e-9 * np.abs(t).max()
 
 
@@ -142,8 +144,24 @@ def test_ensemble_kind_validation():
     assert not wg.gaussian().is_haar
 
 
+def test_gate_variance_rule():
+    # the gaussian default 1/q at each gate family's q, the overrides, and a
+    # haar kind that ignores a variance it was given
+    d, chi = 3, 5
+    kind = wg.gaussian()
+    assert kind.gate_variance(d * chi) == 1 / (d * chi)  # staircase gates
+    assert kind.gate_variance(d * chi**2) == 1 / (d * chi**2)  # glued blocks
+    assert kind.gate_variance(chi**2, glue=True) == 1 / chi**2  # glue gates
+    assert wg.gaussian(0.3, 0.7).gate_variance(15) == 0.3
+    assert wg.gaussian(0.3, 0.7).gate_variance(25, glue=True) == 0.7
+    assert wg.gaussian(0.3).gate_variance(25, glue=True) == 1 / 25
+    assert wg.gaussian(None, 0.7).gate_variance(15) == 1 / 15
+    assert wg.EnsembleKind("haar", 0.3, 0.7).gate_variance(15) == 1 / 15
+    assert wg.EnsembleKind("haar", 0.3, 0.7).gate_variance(25, glue=True) == 1 / 25
+
+
 def test_dense_size_cap():
     from rmpslab.errors import SizeLimitError
 
     with pytest.raises(SizeLimitError):
-        wg.gram_matrix(8, 2.0)
+        oracles.gram_matrix(8, 2.0)
