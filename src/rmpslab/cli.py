@@ -16,8 +16,9 @@ seed.  Each file is written to ``.tmp`` and renamed into place, and a failed
 write removes whatever the run already wrote.
 
 Flags override an optional plain-text key=value config file (--config).
-Integer flags below their floor (``FLOORS``) are an error, reported before
-any work starts.  Bad input and failed writes exit 1 with an ``error:`` line.
+Integer flags below their floor (``FLOORS``) and circuit flags the run would
+ignore (``_check_applicable``) are errors, reported before any work starts.
+Bad input and failed writes exit 1 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from .weingarten import HAAR, EnsembleKind, gaussian
 # sweep, then the isometry gate draws moved the last bits of sample and
 # histogram files (3), the orbit-space contraction those of contract files (2);
 # the column-only gate stream draws new gates for sample and histogram (4) and
-# oracle files (3, after the isometry gate draws at 2)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 3, "sample": 4, "histogram": 4}
+# oracle files (3, after the isometry gate draws at 2); staircase gates drawn
+# only on the rank their input bond carries change them again (5 and 4)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 4, "sample": 5, "histogram": 5}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -68,6 +70,23 @@ def _check_floors(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < floor:
             raise ValueError(f"--{name} must be >= {floor}, got {value}")
+
+
+def _check_applicable(args) -> None:
+    """Reject circuit flags the run would ignore: they would change only the
+    file's config= hash, not its numbers."""
+    if not hasattr(args, "kind"):
+        return  # predict has no circuit
+    if args.setup == "glued" and args.nb is not None:
+        raise ValueError("--nb applies to --setup staircase only (glued N_B is N_A + 1)")
+    if args.kind == "haar":
+        for name in ("variance", "variance_b"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} applies to --kind gaussian only")
+    elif args.command == "oracle":
+        raise ValueError("oracle draws haar gates only; --kind gaussian does not apply")
+    if args.setup == "staircase" and args.variance_b is not None:
+        raise ValueError("--variance-b applies to --setup glued only (the glue gates)")
 
 
 def _kind_from_args(args) -> EnsembleKind:
@@ -424,6 +443,7 @@ def main(argv=None) -> int:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         _check_floors(args)
+        _check_applicable(args)
         return args.func(args)
     except (SizeLimitError, ShapeMismatchError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

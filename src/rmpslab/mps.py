@@ -29,6 +29,14 @@ Tensor conventions (fixed so runs are reproducible per seed):
   is the phase-fixed reduced QR of the block, a Gaussian gate the scaled
   block.  Any k columns of a Haar unitary form a Haar k-isometry, so this is
   exact, and no entry is drawn that the circuit does not use.
+* Staircase bonds carry the rank a sequentially generated MPS can have: the
+  bond right of site j has dimension min(d^(j+1), chi) (Schön et al., PRL
+  95, 110503, 2005).  Gate j is drawn on its input bond's rank only, and
+  while its output auxiliary spans fewer than chi directions (never for the
+  last gate, whose output leg is measured) it is rotated onto an orthonormal
+  basis of that span.  This is exact in law: the next gate restricted to the
+  span is again a Haar isometry, or an i.i.d. Gaussian block of the same
+  variance, independent of the earlier gates.
 
 The Gaussian ensemble replaces every unitary with i.i.d. complex Gaussian
 entries; such states are not normalized and are never silently renormalized.
@@ -101,13 +109,29 @@ def draw_staircase_gates(
 ) -> list[np.ndarray]:
     """The N_A + N_B - 1 gates of the staircase circuit, in application order.
 
-    Each gate is returned as the columns its fresh |0> physical input
-    selects: (d chi) x chi isometries, the first (d chi) x 1 because its
-    auxiliary input is |0> as well.
+    Gate j acts on the rank r_(j-1) = min(d^j, chi) its incoming auxiliary
+    leg can carry (r_(-1) = 1: the first input is |0>).  It is drawn as the
+    r_(j-1) columns its fresh |0> physical input selects, a (d chi) x r_(j-1)
+    block.  While d r_(j-1) < chi its chi-dimensional output auxiliary only
+    spans d r_(j-1) directions; writing the gate as M = U R with M the
+    (chi, d r_(j-1)) matrix of rows b, columns (z, a), the gate is returned as
+    R, a (d r_j) x r_(j-1) matrix with r_j = d r_(j-1).  The last gate is
+    never rotated: its output is the exposed chi leg, measured as it is.
     """
     q = d * chi
-    first = _gate_columns(q, 1, kind, rng)
-    return [first] + [_gate_columns(q, chi, kind, rng) for _ in range(n_a + n_b - 2)]
+    n_gates = n_a + n_b - 1
+    gates, rank = [], 1
+    for j in range(n_gates):
+        gate = _gate_columns(q, rank, kind, rng)
+        if d * rank < chi and j < n_gates - 1:
+            m = gate.reshape(d, chi, rank).transpose(1, 0, 2).reshape(chi, d * rank)
+            r = np.linalg.qr(m, mode="r")
+            gate = r.reshape(d * rank, d, rank).transpose(1, 0, 2).reshape(d * d * rank, rank)
+            rank *= d
+        else:
+            rank = chi
+        gates.append(gate)
+    return gates
 
 
 def draw_glued_gates(
@@ -191,11 +215,12 @@ def build_staircase(
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
     check_circuit(chi, d, n_a, n_b)
     rng = rng if rng is not None else stream(0)
-    first, *rest = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
-    # isometry rows (z, b): outgoing physical and auxiliary; columns: the
-    # incoming auxiliary a, which becomes the left bond
-    tensors = [first.reshape(1, d, chi)]
-    tensors += [np.ascontiguousarray(g.reshape(d, chi, chi).transpose(2, 0, 1)) for g in rest]
+    gates = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
+    # gate rows (z, b): outgoing physical and auxiliary, which becomes the
+    # right bond; columns: the incoming auxiliary a, which becomes the left bond
+    tensors = [
+        np.ascontiguousarray(g.reshape(d, -1, g.shape[1]).transpose(2, 0, 1)) for g in gates
+    ]
     tensors.append(np.eye(chi, dtype=complex).reshape(chi, chi, 1))
     roles = ("A",) * n_a + ("B",) * n_b
     return MpsState(tensors), RegionLayout(roles, "staircase", n_a, n_b)
@@ -591,7 +616,7 @@ def statevector_oracle(
         # auxiliary leg, which each gate grows into (its physical leg, aux)
         state = np.ones((1, 1), dtype=complex)
         for gate in draw_staircase_gates(n_a, n_b, d, chi, kind, rng):
-            state = (state @ gate.T).reshape(-1, chi)
+            state = (state @ gate.T).reshape(-1, gate.shape[0] // d)
         amps = state.reshape(d**n_a, d ** (n_b - 1) * chi)
         outcome_dims = (d,) * (n_b - 1) + (chi,)
     else:

@@ -64,12 +64,12 @@ SCHEMA_CASES = {
     "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
     "contract": (2, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
                         "--k", "2", "--n", "1"]),
-    "oracle": (3, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "oracle": (4, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (4, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (5, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                       "--seed", "5", "--threads", "1"]),
-    "histogram": (4, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (5, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -106,11 +106,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=4 seed=11 config=")
+    assert lines[0].startswith("# schema=5 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -158,8 +158,8 @@ def test_oracle_rows(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    # the column-only gate draws changed the oracle's realizations
-    assert lines[0].startswith("# schema=3 seed=3 config=")
+    # the rank-limited staircase gate draws changed the oracle's realizations
+    assert lines[0].startswith("# schema=4 seed=3 config=")
     assert lines[1] == "k,n,mean,stderr"
     assert len(lines) == 2 + 3  # (1,0), (2,-1), (2,0)
     k1 = float(lines[2].split(",")[2])
@@ -267,6 +267,45 @@ def test_contract_bad_chi_is_an_error_not_a_traceback(capsys):
     assert "Traceback" not in err
 
 
+GLUED = ["--setup", "glued", "--na", "2", "--d", "2", "--chi", "2"]
+STAIRCASE = ["--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2", "--chi", "2"]
+ORACLE = ["oracle", "--realizations", "2", "--threads", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["contract", *GLUED, "--k", "1", "--n", "0", "--nb", "99"], "--nb"),
+        (["sample", *GLUED, "--pairs", "1", "--realizations", "2", "--seed", "0", "--nb", "3"],
+         "--nb"),
+        (["contract", *STAIRCASE, "--k", "1", "--n", "0", "--variance", "0.5"], "--variance"),
+        (["contract", *GLUED, "--k", "1", "--n", "0", "--variance-b", "0.5"], "--variance-b"),
+        (["contract", *STAIRCASE, "--k", "1", "--n", "0", "--kind", "gaussian",
+          "--variance-b", "0.5"], "--variance-b"),
+        ([*ORACLE, *STAIRCASE, "--kind", "gaussian"], "--kind"),
+        ([*ORACLE, *GLUED, "--kind", "gaussian"], "--kind"),
+    ],
+)
+def test_inapplicable_flag_is_an_error(argv, flag, tmp_path, capsys):
+    # a flag the run would ignore changes only the config= hash, so it is
+    # refused before any work, on the command line and from a config file
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
+    assert not list(tmp_path.iterdir())
+    i = argv.index(flag)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag.lstrip('-')}={argv[i + 1]}\n")
+    rest = argv[:i] + argv[i + 2:]
+    code, _, err = run_cli(capsys, "--config", str(cfg), *rest)
+    assert code == 1
+    assert err.startswith("error:") and flag in err
+    # without the flag the same run is accepted
+    assert run_cli(capsys, *rest)[0] == 0
+
+
 def test_config_without_path_is_an_error_not_a_traceback(tmp_path, capsys):
     code, _, err = run_cli(capsys, "predict", "--setup", "staircase", "--config")
     assert code == 1
@@ -304,6 +343,10 @@ def below_floor(draw):
     setup = draw(st.sampled_from(["staircase", "glued"]))
     if argv[i] != "--nb":
         argv[argv.index("--setup") + 1] = setup
+        if setup == "glued" and "--nb" in argv:
+            # a glued run refuses --nb, which would hide the floor check
+            j = argv.index("--nb")
+            del argv[j : j + 2]
     return argv
 
 

@@ -66,16 +66,39 @@ DRAW_KINDS = [HAAR, gaussian(), gaussian(0.3, 0.7)]
 @pytest.mark.parametrize("kind", DRAW_KINDS, ids=["haar", "gaussian", "gaussian-var"])
 @pytest.mark.parametrize("case", STAIRCASE_DRAWS)
 def test_staircase_draws_are_the_used_columns(case, kind):
-    # each gate is made from a Ginibre block of only the columns its |0>
-    # physical input selects: one for the first gate, chi for the others
+    # gate j is made from a Ginibre block of only the r_(j-1) columns its
+    # incoming auxiliary can carry (r_(-1) = 1); while d r_(j-1) < chi and j is
+    # not the last gate it comes back as the R of its (chi, d r_(j-1)) matrix
+    # M = U R, so R^H R = M^H M, and r_j = d r_(j-1); otherwise r_j = chi
     n_a, n_b, d, chi = case
     q = d * chi
     var = None if kind.is_haar else (kind.variance or 1.0 / q)
     rng, rng_ref = mps.stream(21, 4), mps.stream(21, 4)
     gates = mps.draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
     assert len(gates) == n_a + n_b - 1
-    for i, gate in enumerate(gates):
-        assert_gate_of_block(gate, ginibre_block(q, 1 if i == 0 else chi, rng_ref), var)
+    rank, used = 1, 0
+    for j, gate in enumerate(gates):
+        block = ginibre_block(q, rank, rng_ref)
+        used += 2 * q * rank
+        if d * rank >= chi or j == len(gates) - 1:
+            assert_gate_of_block(gate, block, var)
+            rank = chi
+            continue
+        assert gate.shape == (d * d * rank, rank)
+        if kind.is_haar:
+            assert np.abs(gate.conj().T @ gate - np.eye(rank)).max() <= 1e-13
+            full, rdiag = np.linalg.qr(block)
+            full = full * (np.abs(np.diagonal(rdiag)) / np.diagonal(rdiag))
+        else:
+            full = np.sqrt(var / 2) * block
+        m = full.reshape(d, chi, rank).transpose(1, 0, 2).reshape(chi, d * rank)
+        r = gate.reshape(d, d * rank, rank).transpose(1, 0, 2).reshape(d * rank, d * rank)
+        assert np.abs(np.tril(r, -1)).max(initial=0.0) == 0.0
+        gram = m.conj().T @ m
+        assert np.abs(r.conj().T @ r - gram).max() <= 1e-13 * np.abs(gram).max()
+        rank *= d
+    rng_ref = mps.stream(21, 4)
+    rng_ref.standard_normal(used)
     assert rng.random() == rng_ref.random()
 
 
@@ -102,10 +125,11 @@ def test_glued_draws_are_the_used_columns(case, kind):
 
 def test_staircase_state_draws_only_the_used_normals():
     # one chi = 256 state of the criterion-3 circuit (N_A = 6, N_B = 14, d = 2):
-    # 2 (512 + 18 x 512 x 256) = 4,719,616 normals, not 19 x 2 x 512^2
+    # gates on bonds of rank 1, 2, ..., 128, then 11 on 256, so
+    # 2 x 512 x (255 + 11 x 256) = 3,144,704 normals, not 2 x 512 x (1 + 18 x 256)
     rng, rng_ref = mps.stream(23), mps.stream(23)
     mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), rng)
-    rng_ref.standard_normal(4_719_616)
+    rng_ref.standard_normal(3_144_704)
     assert rng.random() == rng_ref.random()
 
 
@@ -127,8 +151,11 @@ def test_build_staircase_structure():
     state, layout = mps.build_staircase(3, 4, 2, 4, HAAR, mps.stream(1))
     assert state.phys_dims == (2, 2, 2, 2, 2, 2, 4)
     assert layout.site_roles == ("A",) * 3 + ("B",) * 4
-    assert [t.shape for t in state.tensors][0] == (1, 2, 4)
-    assert all(t.shape[0] == 4 for t in state.tensors[1:])
+    # the bond right of site j carries rank min(d^(j+1), chi)
+    bonds = [min(2 ** (j + 1), 4) for j in range(6)]
+    assert [t.shape for t in state.tensors] == list(
+        zip([1] + bonds, state.phys_dims, bonds + [1])
+    )
     assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -174,22 +201,31 @@ def test_oracle_validation(setup, n_a, n_b, d, chi):
         ("staircase", dict(n_a=1, n_b=1, d=2, chi=3)),
         ("glued", dict(n_a=2, d=2, chi=2)),
         ("glued", dict(n_a=3, d=2, chi=2)),
+        # chi > d: the staircase bonds grow as min(d^(j+1), chi)
+        *[
+            ("staircase", dict(n_a=n_a, n_b=n_b, d=2, chi=chi, kind=kind))
+            for kind in (HAAR, gaussian())
+            for n_a, n_b, chi in ((2, 3, 4), (3, 2, 8), (1, 2, 8))
+        ],
     ],
 )
 def test_mps_matches_oracle_per_outcome(setup, kwargs):
     seed = 11
+    kwargs = dict(kwargs)
+    kind = kwargs.pop("kind", HAAR)
     if setup == "staircase":
-        state, layout = mps.build_staircase(kind=HAAR, rng=mps.stream(seed), **kwargs)
+        state, layout = mps.build_staircase(kind=kind, rng=mps.stream(seed), **kwargs)
         ens = mps.statevector_oracle(
-            setup, kwargs["n_a"], kwargs["n_b"], kwargs["d"], kwargs["chi"], HAAR, mps.stream(seed)
+            setup, kwargs["n_a"], kwargs["n_b"], kwargs["d"], kwargs["chi"], kind, mps.stream(seed)
         )
     else:
-        state, layout = mps.build_glued(kind=HAAR, rng=mps.stream(seed), **kwargs)
+        state, layout = mps.build_glued(kind=kind, rng=mps.stream(seed), **kwargs)
         ens = mps.statevector_oracle(
-            setup, kwargs["n_a"], None, kwargs["d"], kwargs["chi"], HAAR, mps.stream(seed)
+            setup, kwargs["n_a"], None, kwargs["d"], kwargs["chi"], kind, mps.stream(seed)
         )
     p = ens.probabilities
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    norm = 1.0 if kind.is_haar else state.norm_squared()
+    assert p.sum() == pytest.approx(norm, abs=1e-12)
     for z in range(ens.amplitudes.shape[1]):
         zt = ens.outcome_tuple(z)
         amp = mps.project_outcomes(state, layout, zt)

@@ -241,10 +241,10 @@ def test_seed_free_determinism():
     assert a.mantissa == b.mantissa and a.log_scale == b.log_scale
 
 
-def oracle_mc(setup, n_a, n_b, d, chi, pairs_kn, reals, seed):
+def oracle_mc(setup, n_a, n_b, d, chi, pairs_kn, reals, seed, kind=HAAR):
     per = np.empty((reals, len(pairs_kn)))
     for r in range(reals):
-        ens = mps.statevector_oracle(setup, n_a, n_b, d, chi, HAAR, mps.stream(seed, r))
+        ens = mps.statevector_oracle(setup, n_a, n_b, d, chi, kind, mps.stream(seed, r))
         per[r] = [ens.generalized_frame_potential(k, n) for k, n in pairs_kn]
     mean = per.mean(axis=0)
     err = per.std(axis=0, ddof=1) / np.sqrt(reals)
@@ -261,6 +261,38 @@ def test_engine_matches_oracle_small():
     for (k, n), mu, se in zip(pairs, mean, err):
         eng = rp.frame_potential_chain("glued", k, n, 2, None, 2, 2).value
         assert abs(eng - mu) < 4 * se
+
+
+@pytest.mark.parametrize("kind", [HAAR, gaussian()], ids=["haar", "gaussian"])
+def test_staircase_rank_limited_gates_in_law(kind):
+    # at chi > d the staircase gates act only on the rank min(d^(j+1), chi)
+    # of their input bond; the oracle on those draws must still average to
+    # the exact chain (criterion 2 runs at chi = d and never compresses)
+    pairs = [(1, 0), (2, 0), (1, 1)]
+    for n_a, n_b, chi in ((2, 3, 4), (3, 2, 8)):
+        mean, err = oracle_mc("staircase", n_a, n_b, 2, chi, pairs, 10_000, 7, kind)
+        for (k, n), mu, se in zip(pairs, mean, err):
+            eng = rp.frame_potential_chain("staircase", k, n, n_a, n_b, 2, chi, kind).value
+            assert abs(eng - mu) < 4 * se
+
+
+def test_staircase_born_ratio_approaches_setup1_ratio():
+    # at k = 1 the n = 0 chain is the Born moment, so D_A F^(1,0) is the Born
+    # ratio; at x = 1 (chi = D_A / 2) it climbs to setup1_ratio = 4 from below
+    # as 3.753, 3.948, 3.988 for N_A = 4, 6, 8, the deficit shrinking about
+    # 4x per two sites (O(1/chi)), independent of N_B
+    assert th.setup1_ratio(1, 1.0, 2) == pytest.approx(4.0)
+    deficits = []
+    for n_a in (4, 6, 8):
+        chi = 2 ** (n_a - 1)
+        ratios = {
+            n_b: 2**n_a * rp.frame_potential_chain("staircase", 1, 0, n_a, n_b, 2, chi).value
+            for n_b in (14, 30)
+        }
+        assert ratios[30] == pytest.approx(ratios[14], rel=1e-12)
+        deficits.append(4.0 - ratios[14])
+    assert deficits[-1] > 0
+    assert all(a / b >= 3.5 for a, b in zip(deficits, deficits[1:]))
 
 
 def test_staircase_leading_order_convergence():
