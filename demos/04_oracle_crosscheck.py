@@ -2,7 +2,8 @@
 
 At (N_A, N_B, d, chi) = (2, 2, 2, 2) the full Hilbert space is 16
 dimensional, so the projected ensemble can be enumerated exhaustively by
-dense simulation.  Averaged over circuit realizations, those exact frame
+dense simulation (``oracle_frame_potentials`` does it for stacks of
+realizations at once).  Averaged over circuit realizations, those exact frame
 potentials must agree with the replica-chain contraction (an exact average)
 and with the Monte-Carlo sampler.
 """
@@ -16,10 +17,7 @@ from rmpslab.weingarten import HAAR
 
 pairs = [(1, 0), (2, 0), (1, 1)]
 reals = 4000
-per = np.empty((reals, len(pairs)))
-for r in range(reals):
-    ens = mps.statevector_oracle("staircase", 2, 2, 2, 2, HAAR, mps.stream(123, r))
-    per[r] = [ens.generalized_frame_potential(k, n) for k, n in pairs]
+per = mps.oracle_frame_potentials("staircase", 2, 2, 2, 2, HAAR, 123, reals, pairs)
 mean, err = es.jackknife_mean(per)
 
 print("staircase (2, 2, 2, 2), generalized frame potentials F^(k,n)")

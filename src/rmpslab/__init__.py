@@ -23,11 +23,10 @@ from .mps import (
     MeasurementRecord,
     MpsState,
     RegionLayout,
-    born_sample,
     build_glued,
     build_staircase,
     haar_unitary,
-    overlap,
+    oracle_frame_potentials,
     statevector_oracle,
     stream,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ReplicaShape",
     "ShapeMismatchError",
     "SizeLimitError",
-    "born_sample",
     "build_glued",
     "build_staircase",
     "contract",
@@ -72,7 +70,7 @@ __all__ = [
     "haar_unitary",
     "leading_order",
     "leading_order_log",
-    "overlap",
+    "oracle_frame_potentials",
     "overlap_histogram",
     "sample_moments",
     "setup1_pdf",

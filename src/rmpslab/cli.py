@@ -46,8 +46,9 @@ from .weingarten import HAAR, EnsembleKind, gaussian
 # histogram files (3), the orbit-space contraction those of contract files (2);
 # the column-only gate stream draws new gates for sample and histogram (4) and
 # oracle files (3, after the isometry gate draws at 2); staircase gates drawn
-# only on the rank their input bond carries change them again (5 and 4)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 4, "sample": 5, "histogram": 5}
+# only on the rank their input bond carries change them again (5 and 4); the
+# oracle evaluated on stacks of realizations sums in a new order (oracle 5)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 5, "sample": 5, "histogram": 5}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -283,29 +284,30 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _oracle_realization(circuit: tuple, r: int) -> list[float]:
-    setup, na, nb, d, chi, kmax, seed = circuit
-    ens = mps.statevector_oracle(setup, na, nb, d, chi, HAAR, mps.stream(seed, r))
-    vals = []
-    for k in range(1, kmax + 1):
-        vals.append(ens.frame_potential(k))
-        vals.append(ens.generalized_frame_potential(k, 0))
-    return vals
+def _oracle_chunk(circuit: tuple, c: int) -> np.ndarray:
+    """Frame potentials of chunk c: realizations c MAX_CHUNK_DRAWS onwards, up
+    to MAX_CHUNK_DRAWS of them, so the chunks do not depend on --threads."""
+    *shape, seed, realizations, pairs = circuit
+    lo = c * mps.MAX_CHUNK_DRAWS
+    reals = range(lo, min(realizations, lo + mps.MAX_CHUNK_DRAWS))
+    return mps.oracle_frame_potentials(*shape, HAAR, seed, reals, pairs)
 
 
 def cmd_oracle(args) -> int:
     t0 = time.time()
-    nb = _default_nb(args)
-    circuit = (args.setup, args.na, nb, args.d, args.chi, args.k, args.seed)
-    per_real = np.array(
-        estimator.per_realization(_oracle_realization, circuit, args.realizations, args.threads)
+    pairs = []
+    for k in range(1, args.k + 1):
+        pairs.append((k, 1 - k))
+        if k > 1:  # at k = 1 the physical and n = 0 potentials coincide
+            pairs.append((k, 0))
+    circuit = (args.setup, args.na, _default_nb(args), args.d, args.chi, args.seed,
+               args.realizations, pairs)
+    chunks = math.ceil(args.realizations / mps.MAX_CHUNK_DRAWS)
+    per_real = np.concatenate(
+        estimator.per_realization(_oracle_chunk, circuit, chunks, args.threads)
     )
     mean, err = estimator.jackknife_mean(per_real)
-    rows = []
-    for i, k in enumerate(range(1, args.k + 1)):
-        rows.append((k, 1 - k, float(mean[2 * i]), float(err[2 * i])))
-        if k > 1:  # at k = 1 the physical and n = 0 potentials coincide
-            rows.append((k, 0, float(mean[2 * i + 1]), float(err[2 * i + 1])))
+    rows = [(k, n, float(mu), float(se)) for (k, n), mu, se in zip(pairs, mean, err)]
     for k, n, mu, se in rows:
         print(f"k={k} n={n} mean={mu!r} stderr={se!r}")
     write_outputs(args, t0, "k,n,mean,stderr", rows, args.seed, _public_args(args))

@@ -175,6 +175,8 @@ def per_realization(worker, config, realizations: int, threads: int) -> list:
     handed out in chunks of about a quarter of each worker's share, so that
     cheap realizations do not pay one round trip each.  Every realization
     draws from its own stream, so the results do not depend on threads.
+    The oracle subcommand maps fixed chunks of realizations the same way,
+    worker(config, c) for chunk c.
     """
     reals = range(realizations)
     if threads <= 1:

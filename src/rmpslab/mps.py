@@ -41,13 +41,21 @@ Tensor conventions (fixed so runs are reproducible per seed):
 The Gaussian ensemble replaces every unitary with i.i.d. complex Gaussian
 entries; such states are not normalized and are never silently renormalized.
 
-``statevector_oracle`` rebuilds the same circuit by dense gate application
-(an independent code path sharing only the drawn gates) and enumerates the
-projected ensemble exhaustively.
+The gate draws take a sequence of streams and return each gate as a stack
+over them, one circuit realization per stream; the builders pass one stream.
+
+The dense oracle rebuilds the same circuits by dense gate application (an
+independent code path sharing only the drawn gates) and enumerates the
+projected ensemble exhaustively.  ``oracle_frame_potentials`` runs it on
+stacks of up to MAX_CHUNK_DRAWS realizations, realization r drawn from
+``stream(seed, r)``: one stacked draw per gate, batched dense products, and
+every (k, n) frame potential from batched products with the overlap matrices.
+``statevector_oracle`` is its one-realization view.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 from typing import NamedTuple
@@ -74,26 +82,32 @@ def stream(seed: int, realization: int = 0) -> np.random.Generator:
 
 
 def _gate_columns(
-    q: int, ncols: int, kind: EnsembleKind, rng: np.random.Generator, glue: bool = False
+    q: int, ncols: int, kind: EnsembleKind, rngs: Sequence[np.random.Generator], glue: bool = False
 ) -> np.ndarray:
-    """ncols columns of one q x q random gate of the given kind (glue selects
-    the glued glue-gate variance, see ``EnsembleKind.gate_variance``).
+    """ncols columns of one q x q random gate of the given kind per stream, as a
+    (streams, q, ncols) stack (glue selects the glued glue-gate variance, see
+    ``EnsembleKind.gate_variance``).
 
-    Both kinds draw one (q, ncols) complex Ginibre block G as
-    ``rng.standard_normal((q, 2 ncols)).view(complex)``, so a gate consumes
-    exactly 2 q ncols normals.  A Gaussian gate is G scaled to the variance.
-    A Haar gate is Q of the reduced QR of G with each column divided by the
-    phase of the matching R diagonal entry (Mezzadri, Notices AMS 54, 592,
-    2007): that makes the factorization unique and Q a Haar-distributed
-    isometry.
+    Each stream draws one (q, ncols) complex Ginibre block G as
+    ``rng.standard_normal((q, 2 ncols)).view(complex)``, written in place into
+    the stack, so a gate consumes exactly 2 q ncols normals of its stream.  A
+    Gaussian gate is G scaled to the variance.  A Haar gate is Q of the
+    reduced QR of G with each column divided by the phase of the matching R
+    diagonal entry (Mezzadri, Notices AMS 54, 592, 2007): that makes the
+    factorization unique and Q a Haar-distributed isometry.  The stacked QR
+    factors each block on its own, so a gate does not depend on the other
+    streams of the stack.
     """
-    block = rng.standard_normal((q, 2 * ncols)).view(complex)
+    block = np.empty((len(rngs), q, 2 * ncols))
+    for rng, out in zip(rngs, block):
+        rng.standard_normal(out=out)
+    block = block.view(complex)
     if not kind.is_haar:
         block *= np.sqrt(kind.gate_variance(q, glue) / 2.0)
         return block
     qmat, rmat = np.linalg.qr(block)
-    diag = np.diagonal(rmat)
-    qmat /= (diag / np.abs(diag))[None, :]
+    diag = np.diagonal(rmat, axis1=-2, axis2=-1)
+    qmat /= (diag / np.abs(diag))[:, None, :]
     return qmat
 
 
@@ -101,13 +115,14 @@ def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed q x q unitary: the q-column case of a gate draw."""
     if q < 1:
         raise ValueError(f"dimension must be >= 1, got {q}")
-    return _gate_columns(q, q, HAAR, rng)
+    return _gate_columns(q, q, HAAR, [rng])[0]
 
 
 def draw_staircase_gates(
-    n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind, rng: np.random.Generator
+    n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind, rngs: Sequence[np.random.Generator]
 ) -> list[np.ndarray]:
-    """The N_A + N_B - 1 gates of the staircase circuit, in application order.
+    """The N_A + N_B - 1 gates of the staircase circuit, in application order,
+    each a stack over the streams (one circuit realization per stream).
 
     Gate j acts on the rank r_(j-1) = min(d^j, chi) its incoming auxiliary
     leg can carry (r_(-1) = 1: the first input is |0>).  It is drawn as the
@@ -120,13 +135,15 @@ def draw_staircase_gates(
     """
     q = d * chi
     n_gates = n_a + n_b - 1
+    count = len(rngs)
     gates, rank = [], 1
     for j in range(n_gates):
-        gate = _gate_columns(q, rank, kind, rng)
+        gate = _gate_columns(q, rank, kind, rngs)
         if d * rank < chi and j < n_gates - 1:
-            m = gate.reshape(d, chi, rank).transpose(1, 0, 2).reshape(chi, d * rank)
-            r = np.linalg.qr(m, mode="r")
-            gate = r.reshape(d * rank, d, rank).transpose(1, 0, 2).reshape(d * d * rank, rank)
+            m = gate.reshape(count, d, chi, rank).transpose(0, 2, 1, 3)
+            r = np.linalg.qr(m.reshape(count, chi, d * rank), mode="r")
+            gate = r.reshape(count, d * rank, d, rank).transpose(0, 2, 1, 3)
+            gate = gate.reshape(count, d * d * rank, rank)
             rank *= d
         else:
             rank = chi
@@ -135,9 +152,10 @@ def draw_staircase_gates(
 
 
 def draw_glued_gates(
-    n_a: int, d: int, chi: int, kind: EnsembleKind, rng: np.random.Generator
+    n_a: int, d: int, chi: int, kind: EnsembleKind, rngs: Sequence[np.random.Generator]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(block gates, glue gates) for the glued circuit, in layer order.
+    """(block gates, glue gates) for the glued circuit, in layer order, each a
+    stack over the streams (one circuit realization per stream).
 
     Gates are returned as the columns their fresh |0> inputs select: each
     block's column 0, a (d chi^2) x 1 isometry; the left-edge glue's columns
@@ -145,9 +163,9 @@ def draw_glued_gates(
     indexed by b and a; middle glues whole.
     """
     chi2 = chi * chi
-    blocks = [_gate_columns(d * chi2, 1, kind, rng) for _ in range(n_a)]
+    blocks = [_gate_columns(d * chi2, 1, kind, rngs) for _ in range(n_a)]
     glue_cols = [chi] + [chi2] * (n_a - 1) + [chi]
-    glues = [_gate_columns(chi2, ncols, kind, rng, glue=True) for ncols in glue_cols]
+    glues = [_gate_columns(chi2, ncols, kind, rngs, glue=True) for ncols in glue_cols]
     return blocks, glues
 
 
@@ -215,7 +233,7 @@ def build_staircase(
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
     check_circuit(chi, d, n_a, n_b)
     rng = rng if rng is not None else stream(0)
-    gates = draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
+    gates = [g[0] for g in draw_staircase_gates(n_a, n_b, d, chi, kind, [rng])]
     # gate rows (z, b): outgoing physical and auxiliary, which becomes the
     # right bond; columns: the incoming auxiliary a, which becomes the left bond
     tensors = [
@@ -232,7 +250,8 @@ def build_glued(
     """Glued shallow-circuit MPS: B A B ... A B with chi^2-dimensional B sites."""
     check_circuit(chi, d, n_a)
     rng = rng if rng is not None else stream(0)
-    blocks, glues = draw_glued_gates(n_a, d, chi, kind, rng)
+    blocks, glues = draw_glued_gates(n_a, d, chi, kind, [rng])
+    blocks, glues = [v[0] for v in blocks], [r[0] for r in glues]
     chi2 = chi * chi
     # block rows (physical, left aux, right aux); glue rows: the fused pair,
     # columns (left member in, right member in), the edges' fresh |0> member
@@ -246,15 +265,6 @@ def build_glued(
         tensors += [np.ascontiguousarray(v.reshape(d, chi, chi).transpose(1, 0, 2)), glue]
     roles = ("B",) + ("A", "B") * n_a
     return MpsState(tensors), RegionLayout(roles, "glued", n_a, n_a + 1)
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> with the first argument conjugated."""
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"overlap: lengths {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def region_a_dim(state: MpsState, layout: RegionLayout) -> int:
@@ -308,7 +318,12 @@ def chunk_draws(state: MpsState, d_a: int) -> int:
     physical slice) times the draw count would pass CHUNK_ENTRIES complex
     entries.
     """
-    width = max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]])
+    return _chunk_rows(max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]]))
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of width complex entries per chunk: at most MAX_CHUNK_DRAWS, and
+    no more than CHUNK_ENTRIES entries together."""
     return max(1, min(MAX_CHUNK_DRAWS, CHUNK_ENTRIES // width))
 
 
@@ -505,17 +520,6 @@ class BornSampler:
         return MeasurementBatch(outcomes, prob, amp)
 
 
-def born_sample(state: MpsState, layout: RegionLayout, rng: np.random.Generator) -> MeasurementRecord:
-    """Draw one outcome string with its exact Born probability and post-state."""
-    return BornSampler(state, layout).sample(rng)
-
-
-def born_probability(state: MpsState, layout: RegionLayout, outcomes) -> float:
-    """Exact Born probability of a given outcome string (normalized states)."""
-    amp = project_outcomes(state, layout, outcomes)
-    return float(np.vdot(amp, amp).real)
-
-
 # ---------------------------------------------------------------------------
 # Dense statevector oracle
 # ---------------------------------------------------------------------------
@@ -523,7 +527,7 @@ def born_probability(state: MpsState, layout: RegionLayout, outcomes) -> float:
 
 @dataclass
 class ProjectedEnsemble:
-    """Exhaustive projected ensemble from the dense oracle.
+    """Exhaustive projected ensemble of one realization from the dense oracle.
 
     amplitudes[:, z] is the unnormalized post-measurement vector on A for
     outcome index z (mixed-radix over B sites, left to right, first site
@@ -545,17 +549,7 @@ class ProjectedEnsemble:
         return self.generalized_frame_potential(k, 1 - k)
 
     def generalized_frame_potential(self, k: int, n: float) -> float:
-        if k < 1:
-            raise ValueError(f"moment order k must be >= 1, got {k}")
-        p = self.probabilities
-        o2 = np.abs(self.overlap_matrix()) ** 2
-        if n == 0:
-            weights = np.ones_like(p)
-        else:
-            # p^n only where p > 0: zero-probability outcomes weigh 0 even at n < 0
-            weights = np.zeros_like(p)
-            np.power(p, float(n), out=weights, where=p > 0)
-        return float(weights @ (o2**k) @ weights)
+        return float(_frame_potentials(self.amplitudes[None], [(k, n)])[0, 0])
 
     def outcome_tuple(self, z: int) -> tuple[int, ...]:
         out = []
@@ -574,17 +568,119 @@ class ProjectedEnsemble:
             yield self.outcome_tuple(z), float(p[z]), post
 
 
+def _frame_potentials(amps: np.ndarray, pairs) -> np.ndarray:
+    """(count, len(pairs)) generalized frame potentials of a (count, D_A, D_B)
+    stack of projected ensembles: for each (k, n) of pairs,
+    F^(k,n) = sum_(z,z') w_z |<a_z|a_z'>|^(2k) w_z' with w_z = p_z^n, p_z = |a_z|^2.
+
+    p^n is taken only where p > 0: zero-probability outcomes weigh 0 even at
+    n < 0 (and 1 at n = 0).  The D_B x D_B overlap blocks are formed for
+    sub-blocks of the stack holding at most CHUNK_ENTRIES / 4 entries.
+    """
+    for k, _ in pairs:
+        if k < 1:
+            raise ValueError(f"moment order k must be >= 1, got {k}")
+    count, _, d_b = amps.shape
+    ns = list(dict.fromkeys(n for _, n in pairs))
+    ks = np.array([k for k, _ in pairs], dtype=int)
+    cols = np.array([ns.index(n) for _, n in pairs], dtype=int)
+    out = np.empty((count, len(pairs)))
+    step = max(1, CHUNK_ENTRIES // 4 // (d_b * d_b))
+    for lo in range(0, count, step):
+        a = amps[lo : lo + step]
+        ov = a.conj().transpose(0, 2, 1) @ a
+        p = np.diagonal(ov, axis1=1, axis2=2).real
+        w = np.zeros((len(a), d_b, len(ns)))
+        for j, n in enumerate(ns):
+            if n == 0:
+                w[:, :, j] = 1.0
+            else:
+                np.power(p, float(n), out=w[:, :, j], where=p > 0)
+        o2 = np.abs(ov)
+        del ov, p  # free the complex block before the powers of |ov|^2
+        o2 *= o2
+        o2k = o2
+        for k in range(1, ks.max(initial=0) + 1):
+            if k > 1:
+                o2k = o2k * o2
+            sel = ks == k
+            if sel.any():
+                out[lo : lo + step, sel] = np.vecdot(w, o2k @ w, axis=-2)[:, cols[sel]]
+    return out
+
+
+def _oracle_shape(setup: str, n_a: int, n_b: int | None, d: int, chi: int):
+    """(dense state size, outcome dims) of one oracle realization, after the
+    input rule and the size caps."""
+    if setup not in ("staircase", "glued"):
+        raise ValueError(f"unknown setup {setup!r}")
+    check_circuit(chi, d, n_a, n_b if setup == "staircase" else n_a + 1)
+    if setup == "staircase":
+        total = d ** (n_a + n_b - 1) * chi
+        outcome_dims = (d,) * (n_b - 1) + (chi,)
+    else:
+        total = d**n_a * chi ** (2 * n_a + 2)
+        outcome_dims = (chi * chi,) * (n_a + 1)
+    if total > MAX_ORACLE_DIM:
+        raise SizeLimitError(f"oracle dimension {total} exceeds cap {MAX_ORACLE_DIM}")
+    if prod(outcome_dims) > _ORACLE_MAX_OUTCOMES:
+        raise SizeLimitError(
+            f"outcome space {prod(outcome_dims)} too large for exhaustive enumeration"
+        )
+    return total, outcome_dims
+
+
 def _apply_gate(state: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Apply a gate to the given tensor axes (gate rows/cols in axis order)."""
-    n = state.ndim
-    rest = [ax for ax in range(n) if ax not in axes]
-    perm = rest + list(axes)
+    """Apply a (count, rows, cols) stack of gates to a (count, ...) stack of
+    states, gate i to state i; axes count after the stack axis, and the gate
+    rows/cols run over them in axis order."""
+    axes = [1 + ax for ax in axes]
+    rest = [ax for ax in range(state.ndim) if ax not in axes]
+    perm = rest + axes
     moved = np.transpose(state, perm)
-    block = prod(moved.shape[len(rest) :])
-    flat = moved.reshape(-1, block)
-    flat = flat @ gate.T
-    moved = flat.reshape(moved.shape)
-    return np.transpose(moved, np.argsort(perm))
+    flat = moved.reshape(state.shape[0], -1, gate.shape[2]) @ gate.transpose(0, 2, 1)
+    return np.transpose(flat.reshape(moved.shape), np.argsort(perm))
+
+
+def _dense_amplitudes(
+    setup: str, n_a: int, n_b: int | None, d: int, chi: int, kind: EnsembleKind, rngs
+) -> np.ndarray:
+    """(count, D_A, D_B) dense post-measurement amplitudes of one circuit
+    realization per stream, by batched dense gate application.
+
+    Shares the gate draws (and their order) with the MPS builders, so with an
+    identically seeded stream the two paths realize the same state.  Each
+    drawn isometry maps the legs it acts on from the fresh |0> inputs it
+    already selects.
+    """
+    count = len(rngs)
+    if setup == "staircase":
+        # rows: the physical legs so far, first most significant; columns: the
+        # auxiliary leg, which each gate grows into (its physical leg, aux)
+        state = np.ones((count, 1, 1), dtype=complex)
+        for gate in draw_staircase_gates(n_a, n_b, d, chi, kind, rngs):
+            state = (state @ gate.transpose(0, 2, 1)).reshape(count, -1, gate.shape[1] // d)
+        return state.reshape(count, d**n_a, -1)
+    # axes after the stack axis: [eL, (l_i, a_i, r_i) per block ..., eR]
+    blocks, glues = draw_glued_gates(n_a, d, chi, kind, rngs)
+    # the blocks' outputs on their fresh inputs, as a product state on the
+    # (l_i, a_i, r_i) axes
+    state = np.ones((count, 1), dtype=complex)
+    for v in blocks:
+        lar = v.reshape(count, 1, d, chi, chi).transpose(0, 1, 3, 2, 4)
+        state = (state[:, :, None, None, None] * lar).reshape(count, -1)
+    state = state.reshape(count, *[chi, d, chi] * n_a)
+    for j, r in enumerate(glues[1:-1], start=1):
+        state = _apply_gate(state, r, (3 * j - 1, 3 * j))  # (r_j, l_{j+1})
+    # edge glues map l_1 to (eL, l_1) and r_{N_A} to (r_{N_A}, eR)
+    state = glues[0] @ state.reshape(count, chi, -1)
+    state = state.reshape(count, -1, chi) @ glues[-1].transpose(0, 2, 1)
+    state = state.reshape(count, *[chi] + [chi, d, chi] * n_a + [chi])
+    # regroup: A axes first, then the measured pairs left to right
+    a_axes = [3 * i - 1 for i in range(1, n_a + 1)]
+    b_axes = [ax for j in range(n_a + 1) for ax in (3 * j, 3 * j + 1)]
+    state = np.transpose(state, [0] + [1 + ax for ax in a_axes + b_axes])
+    return state.reshape(count, d**n_a, -1)
 
 
 def statevector_oracle(
@@ -596,56 +692,45 @@ def statevector_oracle(
     kind: EnsembleKind = HAAR,
     rng=None,
 ) -> ProjectedEnsemble:
-    """Dense end-to-end simulation of either circuit plus exhaustive projection.
-
-    Shares the gate draws (and their order) with the MPS builders, so with an
-    identically seeded stream the two paths realize the same state.  Each
-    drawn isometry maps the legs it acts on from the fresh |0> inputs it
-    already selects.
-    """
-    if setup not in ("staircase", "glued"):
-        raise ValueError(f"unknown setup {setup!r}")
-    check_circuit(chi, d, n_a, n_b if setup == "staircase" else n_a + 1)
+    """Dense end-to-end simulation of either circuit plus exhaustive projection:
+    the one-realization view of the dense build behind
+    ``oracle_frame_potentials``, for the realization drawn from rng."""
+    _, outcome_dims = _oracle_shape(setup, n_a, n_b, d, chi)
     rng = rng if rng is not None else stream(0)
-    if setup == "staircase":
-        n_phys = n_a + n_b - 1
-        total = d**n_phys * chi
-        if total > MAX_ORACLE_DIM:
-            raise SizeLimitError(f"oracle dimension {total} exceeds cap {MAX_ORACLE_DIM}")
-        # rows: the physical legs so far, first most significant; columns: the
-        # auxiliary leg, which each gate grows into (its physical leg, aux)
-        state = np.ones((1, 1), dtype=complex)
-        for gate in draw_staircase_gates(n_a, n_b, d, chi, kind, rng):
-            state = (state @ gate.T).reshape(-1, gate.shape[0] // d)
-        amps = state.reshape(d**n_a, d ** (n_b - 1) * chi)
-        outcome_dims = (d,) * (n_b - 1) + (chi,)
-    else:
-        # axes: [eL, (l_i, a_i, r_i) per block ..., eR]
-        total = d**n_a * chi ** (2 * n_a + 2)
-        if total > MAX_ORACLE_DIM:
-            raise SizeLimitError(f"oracle dimension {total} exceeds cap {MAX_ORACLE_DIM}")
-        blocks, glues = draw_glued_gates(n_a, d, chi, kind, rng)
-        # the blocks' outputs on their fresh inputs, as a product state on
-        # the (l_i, a_i, r_i) axes
-        state = np.ones((), dtype=complex)
-        for v in blocks:
-            state = np.multiply.outer(state, v.reshape(d, chi, chi).transpose(1, 0, 2))
-        for j, r in enumerate(glues[1:-1], start=1):
-            state = _apply_gate(state, r, (3 * j - 1, 3 * j))  # (r_j, l_{j+1})
-        # edge glues map l_1 to (eL, l_1) and r_{N_A} to (r_{N_A}, eR)
-        state = glues[0] @ state.reshape(chi, -1)
-        state = state.reshape(-1, chi) @ glues[-1].T
-        dims = [chi] + [chi, d, chi] * n_a + [chi]
-        state = state.reshape(dims)
-        # regroup: A axes first, then the measured pairs left to right
-        a_axes = [3 * i - 1 for i in range(1, n_a + 1)]
-        b_axes = [ax for j in range(n_a + 1) for ax in (3 * j, 3 * j + 1)]
-        state = np.transpose(state, a_axes + b_axes)
-        amps = state.reshape(d**n_a, chi ** (2 * n_a + 2))
-        outcome_dims = (chi * chi,) * (n_a + 1)
-    if amps.shape[1] > _ORACLE_MAX_OUTCOMES:
-        raise SizeLimitError(
-            f"outcome space {amps.shape[1]} too large for exhaustive enumeration"
-        )
+    amps = _dense_amplitudes(setup, n_a, n_b, d, chi, kind, [rng])[0]
     return ProjectedEnsemble(np.ascontiguousarray(amps), outcome_dims)
 
+
+def _oracle_blocks(setup, n_a, n_b, d, chi, kind, seed: int, realizations: range):
+    """Dense amplitudes of each realization r in realizations, drawn from
+    ``stream(seed, r)``, in order: (count, D_A, D_B) stacks of at most
+    MAX_CHUNK_DRAWS realizations whose dense states together hold no more
+    than CHUNK_ENTRIES entries."""
+    total, _ = _oracle_shape(setup, n_a, n_b, d, chi)
+    step = _chunk_rows(total)
+    for lo in range(0, len(realizations), step):
+        reals = realizations[lo : lo + step]
+        # the streams are a temporary list, freed as soon as the stack is built
+        yield _dense_amplitudes(setup, n_a, n_b, d, chi, kind, [stream(seed, r) for r in reals])
+
+
+def oracle_frame_potentials(
+    setup: str, n_a: int, n_b: int | None, d: int, chi: int, kind: EnsembleKind, seed: int,
+    realizations: int | range, pairs,
+) -> np.ndarray:
+    """Exact generalized frame potentials F^(k,n) of many circuit realizations.
+
+    Returns a (realizations, len(pairs)) array: row i holds, for each (k, n)
+    of pairs, the frame potential of the exhaustive projected ensemble of the
+    realization r = realizations[i] (r = i when realizations is a count),
+    drawn from ``stream(seed, r)`` exactly as ``statevector_oracle`` draws it.
+    The realizations are built and evaluated in stacks of up to
+    MAX_CHUNK_DRAWS, starting at the first one.
+    """
+    reals = range(realizations) if isinstance(realizations, int) else realizations
+    out = np.empty((len(reals), len(pairs)))
+    lo = 0
+    for amps in _oracle_blocks(setup, n_a, n_b, d, chi, kind, seed, reals):
+        out[lo : lo + len(amps)] = _frame_potentials(amps, pairs)
+        lo += len(amps)
+    return out

@@ -1,4 +1,5 @@
-"""Dense whole-group references for the tests (not collected as a test module).
+"""Dense references and one-call helpers for the tests (not collected as a
+test module).
 
 The library works on conjugacy classes and chain orbits and never builds an
 m! x m! table.  These are the independent references it is checked against:
@@ -8,6 +9,10 @@ dense Gram, Weingarten and bond matrices, the last from an eigh
 pseudo-inverse of the dense Gram matrix rather than from the class algebra.
 Enumeration follows ``permutations.MAX_ENUM_M``; dense tables stop at
 m = ``MAX_DENSE_M``.
+
+The helpers at the end (one Born draw, one outcome's Born probability, a
+vector overlap) are thin wrappers over the library's sampler and projection
+that only the tests use.
 """
 
 import itertools
@@ -15,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from rmpslab import mps
 from rmpslab import permutations as pg
 from rmpslab.errors import ShapeMismatchError, SizeLimitError
 from rmpslab.weingarten import HAAR, EnsembleKind
@@ -165,3 +171,23 @@ def densify_class_kernel(m: int, kernel_by_class: np.ndarray) -> np.ndarray:
     """Materialize a class kernel as a dense m! x m! matrix (m <= 6)."""
     class_of, _, _ = pg.conjugacy_classes(m)
     return np.asarray(kernel_by_class, dtype=np.float64)[class_of[relative_index_matrix(m)]]
+
+
+def born_sample(state: mps.MpsState, layout: mps.RegionLayout, rng) -> mps.MeasurementRecord:
+    """Draw one outcome string with its exact Born probability and post-state."""
+    return mps.BornSampler(state, layout).sample(rng)
+
+
+def born_probability(state: mps.MpsState, layout: mps.RegionLayout, outcomes) -> float:
+    """Exact Born probability of a given outcome string (normalized states)."""
+    amp = mps.project_outcomes(state, layout, outcomes)
+    return float(np.vdot(amp, amp).real)
+
+
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> with the first argument conjugated."""
+    a = np.asarray(a).ravel()
+    b = np.asarray(b).ravel()
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"overlap: lengths {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))

@@ -56,10 +56,7 @@ def test_criterion_2_oracle_equivalence():
     lines = []
     ok = True
     for setup, n_b, seed in (("staircase", 2, 20260809), ("glued", None, 20260810)):
-        per = np.empty((reals, len(pairs)))
-        for r in range(reals):
-            ens = mps.statevector_oracle(setup, 2, n_b, 2, 2, HAAR, mps.stream(seed, r))
-            per[r] = [ens.generalized_frame_potential(k, n) for k, n in pairs]
+        per = mps.oracle_frame_potentials(setup, 2, n_b, 2, 2, HAAR, seed, reals, pairs)
         mean, err = es.jackknife_mean(per)
         for (k, n), mu, se in zip(pairs, mean, err):
             eng = rp.frame_potential_chain(setup, k, n, 2, n_b, 2, 2).value

@@ -64,7 +64,7 @@ SCHEMA_CASES = {
     "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
     "contract": (2, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
                         "--k", "2", "--n", "1"]),
-    "oracle": (4, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "oracle": (5, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
     "sample": (5, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
@@ -158,12 +158,28 @@ def test_oracle_rows(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    # the rank-limited staircase gate draws changed the oracle's realizations
-    assert lines[0].startswith("# schema=4 seed=3 config=")
+    # evaluating the realizations in stacks moved the oracle's last digits
+    assert lines[0].startswith("# schema=5 seed=3 config=")
     assert lines[1] == "k,n,mean,stderr"
     assert len(lines) == 2 + 3  # (1,0), (2,-1), (2,0)
     k1 = float(lines[2].split(",")[2])
     assert 0.5 < k1 < 0.9  # purity of the tiny staircase instance
+
+
+@pytest.mark.parametrize("setup", ["staircase", "glued"])
+def test_oracle_chunks_do_not_depend_on_threads(setup, tmp_path, capsys):
+    # 150 realizations make three chunks of MAX_CHUNK_DRAWS; two workers split
+    # them between processes and must write the same bytes as one
+    shape = ["--nb", "2"] if setup == "staircase" else []
+    args = ["oracle", "--setup", setup, "--na", "2", *shape, "--d", "2", "--chi", "2",
+            "--k", "3", "--realizations", "150", "--seed", "8"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        assert run_cli(capsys, *args, "--threads", threads, "--out", str(out))[0] == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].decode().strip().split("\n")) == 2 + 5  # (1,0), (k,1-k), (k,0)
 
 
 def test_histogram_mass(tmp_path, capsys):

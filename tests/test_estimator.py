@@ -11,6 +11,8 @@ from rmpslab import replica as rp
 from rmpslab.errors import PreconditionError
 from rmpslab.weingarten import HAAR, gaussian
 
+import oracles
+
 # oracle references draw their states from a stream of their own, independent
 # of the Born runs they are compared with
 ORACLE_SEED = 114
@@ -139,7 +141,7 @@ def test_forced_all_zero_outcomes_product_state():
     state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
     layout = mps.RegionLayout(("A", "B", "B"), "staircase", 1, 2)
     amp = mps.project_outcomes(state, layout, (0, 0))
-    assert abs(mps.overlap(amp, amp)) == pytest.approx(1.0)
+    assert abs(oracles.overlap(amp, amp)) == pytest.approx(1.0)
     assert np.linalg.norm(mps.project_outcomes(state, layout, (1, 0))) == 0.0
 
 
@@ -172,13 +174,11 @@ def test_haar_recovery_large_chi():
         pairs_per_state=60, realizations=120, seed=14,
     )
     ests = es.sample_moments(cfg)
-    ks = np.arange(1, cfg.k_max + 1)
-    exact = np.array(
-        [
-            [cfg.d_a**k * ens.frame_potential(k) / math.factorial(k) for k in ks]
-            for ens in oracle_ensembles(cfg, 400)
-        ]
-    )
+    ks = range(1, cfg.k_max + 1)
+    exact = mps.oracle_frame_potentials(
+        cfg.setup, cfg.n_a, cfg.n_b, cfg.d, cfg.chi, HAAR, ORACLE_SEED, 400,
+        [(k, 1 - k) for k in ks],
+    ) * np.array([cfg.d_a**k / math.factorial(k) for k in ks])
     ref = exact.mean(axis=0)
     ref_err = exact.std(axis=0, ddof=1) / math.sqrt(exact.shape[0])
     for est, mu, se in zip(ests, ref, ref_err):

@@ -5,6 +5,7 @@ seeded streams must realize the same state; that makes per-outcome equality
 checks exact rather than statistical.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -14,6 +15,8 @@ from scipy import stats
 from rmpslab import mps
 from rmpslab.errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from rmpslab.weingarten import HAAR, gaussian
+
+import oracles
 
 
 def test_haar_unitary_unitarity():
@@ -74,7 +77,7 @@ def test_staircase_draws_are_the_used_columns(case, kind):
     q = d * chi
     var = None if kind.is_haar else (kind.variance or 1.0 / q)
     rng, rng_ref = mps.stream(21, 4), mps.stream(21, 4)
-    gates = mps.draw_staircase_gates(n_a, n_b, d, chi, kind, rng)
+    gates = [g[0] for g in mps.draw_staircase_gates(n_a, n_b, d, chi, kind, [rng])]
     assert len(gates) == n_a + n_b - 1
     rank, used = 1, 0
     for j, gate in enumerate(gates):
@@ -113,14 +116,36 @@ def test_glued_draws_are_the_used_columns(case, kind):
         var_a = kind.variance or 1.0 / (d * chi * chi)
         var_b = kind.variance_b or 1.0 / (chi * chi)
     rng, rng_ref = mps.stream(22, 5), mps.stream(22, 5)
-    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, rng)
+    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, [rng])
     assert len(blocks) == n_a and len(glues) == n_a + 1
     for v in blocks:
-        assert_gate_of_block(v, ginibre_block(d * chi * chi, 1, rng_ref), var_a)
+        assert_gate_of_block(v[0], ginibre_block(d * chi * chi, 1, rng_ref), var_a)
     for j, r in enumerate(glues):
         ncols = chi if j in (0, n_a) else chi * chi
-        assert_gate_of_block(r, ginibre_block(chi * chi, ncols, rng_ref), var_b)
+        assert_gate_of_block(r[0], ginibre_block(chi * chi, ncols, rng_ref), var_b)
     assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS[:2], ids=["haar", "gaussian"])
+@pytest.mark.parametrize("setup", ["staircase", "glued"])
+def test_stacked_draws_are_the_one_stream_draws(setup, kind):
+    # a stack of streams draws, bit for bit, the gates each stream draws alone,
+    # and leaves every stream where a one-stream draw leaves it
+    def draw(rngs):
+        if setup == "staircase":
+            return mps.draw_staircase_gates(2, 3, 2, 8, kind, rngs)
+        blocks, glues = mps.draw_glued_gates(3, 2, 2, kind, rngs)
+        return blocks + glues
+
+    rngs = [mps.stream(24, r) for r in range(5)]
+    stacked = draw(rngs)
+    for r, rng in enumerate(rngs):
+        alone = mps.stream(24, r)
+        gates = draw([alone])
+        assert len(gates) == len(stacked)
+        for gate, stack in zip(gates, stacked):
+            assert np.array_equal(gate[0], stack[r])
+        assert rng.random() == alone.random()
 
 
 def test_staircase_state_draws_only_the_used_normals():
@@ -128,7 +153,7 @@ def test_staircase_state_draws_only_the_used_normals():
     # gates on bonds of rank 1, 2, ..., 128, then 11 on 256, so
     # 2 x 512 x (255 + 11 x 256) = 3,144,704 normals, not 2 x 512 x (1 + 18 x 256)
     rng, rng_ref = mps.stream(23), mps.stream(23)
-    mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), rng)
+    mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), [rng])
     rng_ref.standard_normal(3_144_704)
     assert rng.random() == rng_ref.random()
 
@@ -230,7 +255,57 @@ def test_mps_matches_oracle_per_outcome(setup, kwargs):
         zt = ens.outcome_tuple(z)
         amp = mps.project_outcomes(state, layout, zt)
         assert np.abs(amp - ens.amplitudes[:, z]).max() < 1e-12
-        assert mps.born_probability(state, layout, zt) == pytest.approx(float(p[z]), abs=1e-12)
+        assert oracles.born_probability(state, layout, zt) == pytest.approx(float(p[z]), abs=1e-12)
+
+
+# (setup, N_A, N_B, d, chi, kind) of the batched-oracle tests: a staircase
+# whose gates are rotated onto their output span (chi > d), its Gaussian
+# twin, and a glued circuit
+ORACLE_BATCH_CASES = [
+    ("staircase", 2, 3, 2, 4, HAAR),
+    ("staircase", 2, 3, 2, 4, gaussian()),
+    ("glued", 2, None, 2, 2, HAAR),
+]
+
+
+def mps_amplitudes(setup, n_a, n_b, d, chi, kind, rng):
+    """(D_A, D_B) projections of every outcome string onto the MPS of the circuit."""
+    if setup == "staircase":
+        state, layout = mps.build_staircase(n_a, n_b, d, chi, kind, rng)
+    else:
+        state, layout = mps.build_glued(n_a, d, chi, kind, rng)
+    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
+    outcomes = itertools.product(*map(range, dims))
+    return np.array([mps.project_outcomes(state, layout, z) for z in outcomes]).T
+
+
+@pytest.mark.parametrize(
+    "case", ORACLE_BATCH_CASES, ids=["staircase", "staircase-gaussian", "glued"]
+)
+def test_batched_oracle_matches_mps_projection(case):
+    # 70 realizations span two stacks of MAX_CHUNK_DRAWS; each one's dense
+    # amplitudes are the MPS projections of the same stream's circuit, and its
+    # frame potentials the direct double sum over pairs of outcomes
+    seed, reals = 9, 70
+    blocks = list(mps._oracle_blocks(*case, seed, range(reals)))
+    assert [len(b) for b in blocks] == [mps.MAX_CHUNK_DRAWS, reals - mps.MAX_CHUNK_DRAWS]
+    amps = np.concatenate(blocks)
+    refs = [mps_amplitudes(*case, mps.stream(seed, r)) for r in range(reals)]
+    for amp, ref in zip(amps, refs):
+        assert np.abs(amp - ref).max() < 1e-12
+    pairs = [(1, 0), (2, 0), (3, 0), (1, 1), (2, -1), (3, -2)]
+    fp = mps.oracle_frame_potentials(*case, seed, reals, pairs)
+    assert fp.shape == (reals, len(pairs))
+    for r in (0, 1, 63, 64, 69):
+        cols = list(refs[r].T)
+        p = [float(np.vdot(a, a).real) for a in cols]
+        o2 = [[abs(np.vdot(a, b)) ** 2 for b in cols] for a in cols]
+        for (k, n), got in zip(pairs, fp[r]):
+            w = [pz**n for pz in p]
+            direct = sum(
+                w[z] * w[y] * o2[z][y] ** k for z in range(len(p)) for y in range(len(p))
+            )
+            assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_born_product_state_deterministic():
@@ -239,7 +314,7 @@ def test_born_product_state_deterministic():
     e0[0, 0, 0] = 1.0
     state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
     layout = mps.RegionLayout(("A", "B", "B"), "staircase", 1, 2)
-    rec = mps.born_sample(state, layout, mps.stream(0))
+    rec = oracles.born_sample(state, layout, mps.stream(0))
     assert rec.outcomes == (0, 0)
     assert rec.probability == pytest.approx(1.0)
     assert np.allclose(rec.post_state, [1.0, 0.0])
@@ -342,14 +417,14 @@ def test_sample_batch_kept_sites_at_both_ends():
     batch = mps.BornSampler(state, layout).sample_batch(mps.stream(4), 30)
     for outcome, p, post in zip(batch.outcomes, batch.probabilities, batch.post_states):
         amp = mps.project_outcomes(state, layout, outcome)
-        assert p == pytest.approx(mps.born_probability(state, layout, outcome), abs=1e-12)
+        assert p == pytest.approx(oracles.born_probability(state, layout, outcome), abs=1e-12)
         assert np.abs(post - amp / np.linalg.norm(amp)).max() < 1e-12
 
 
 def test_born_rejects_unnormalized():
     state, layout = mps.build_staircase(2, 2, 2, 2, gaussian(), mps.stream(3))
     with pytest.raises(PreconditionError):
-        mps.born_sample(state, layout, mps.stream(0))
+        oracles.born_sample(state, layout, mps.stream(0))
 
 
 def test_gaussian_states_not_renormalized():
@@ -357,7 +432,7 @@ def test_gaussian_states_not_renormalized():
     nsq = state.norm_squared()
     assert abs(nsq - 1.0) > 1e-8  # generically unnormalized
     total = sum(
-        mps.born_probability(state, layout, mps.statevector_oracle(
+        oracles.born_probability(state, layout, mps.statevector_oracle(
             "staircase", 2, 2, 2, 2, gaussian(), mps.stream(3)).outcome_tuple(z))
         for z in range(4)
     )
@@ -367,11 +442,11 @@ def test_gaussian_states_not_renormalized():
 def test_overlap():
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 1.0])
-    assert mps.overlap(a, a) == pytest.approx(1.0)
-    assert mps.overlap(a, b) == 0.0
-    assert mps.overlap(np.array([1j, 0]), np.array([1j, 0])) == pytest.approx(1.0)
+    assert oracles.overlap(a, a) == pytest.approx(1.0)
+    assert oracles.overlap(a, b) == 0.0
+    assert oracles.overlap(np.array([1j, 0]), np.array([1j, 0])) == pytest.approx(1.0)
     with pytest.raises(ShapeMismatchError):
-        mps.overlap(np.ones(2), np.ones(3))
+        oracles.overlap(np.ones(2), np.ones(3))
 
 
 def test_oracle_purity_identity():

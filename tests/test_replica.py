@@ -242,10 +242,7 @@ def test_seed_free_determinism():
 
 
 def oracle_mc(setup, n_a, n_b, d, chi, pairs_kn, reals, seed, kind=HAAR):
-    per = np.empty((reals, len(pairs_kn)))
-    for r in range(reals):
-        ens = mps.statevector_oracle(setup, n_a, n_b, d, chi, kind, mps.stream(seed, r))
-        per[r] = [ens.generalized_frame_potential(k, n) for k, n in pairs_kn]
+    per = mps.oracle_frame_potentials(setup, n_a, n_b, d, chi, kind, seed, reals, pairs_kn)
     mean = per.mean(axis=0)
     err = per.std(axis=0, ddof=1) / np.sqrt(reals)
     return mean, err
