@@ -47,8 +47,10 @@ from .weingarten import HAAR, EnsembleKind, gaussian
 # the column-only gate stream draws new gates for sample and histogram (4) and
 # oracle files (3, after the isometry gate draws at 2); staircase gates drawn
 # only on the rank their input bond carries change them again (5 and 4); the
-# oracle evaluated on stacks of realizations sums in a new order (oracle 5)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 5, "sample": 5, "histogram": 5}
+# oracle evaluated on stacks of realizations sums in a new order (oracle 5);
+# tall Haar gates by Cholesky-QR move in their last bits, and the sample and
+# histogram config hash loses EnsembleConfig.n (all three 6)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 6, "histogram": 6}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {

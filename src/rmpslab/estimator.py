@@ -20,6 +20,7 @@ bit-identical for a fixed config regardless of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ class EnsembleConfig:
     n_b: int | None = None
     kind: EnsembleKind = HAAR
     k_max: int = 3
-    n: int = 0
     pairs_per_state: int = 100
     realizations: int = 100
     seed: int = 0
@@ -63,10 +63,6 @@ class EnsembleConfig:
             raise ValueError(f"unknown pair mode {self.pair_mode!r}")
         if self.k_max < 1 or self.pairs_per_state < 1 or self.realizations < 2:
             raise ValueError("need k_max >= 1, pairs_per_state >= 1, realizations >= 2")
-        if self.n != 0:
-            # no sampler reads n: born mode estimates the physical potentials,
-            # forced mode the n = 0 ones
-            raise ValueError(f"EnsembleConfig.n must be 0, got {self.n}")
 
     @property
     def d_a(self) -> int:
@@ -171,18 +167,19 @@ def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
 def per_realization(worker, config, realizations: int, threads: int) -> list:
     """worker(config, r) for r = 0 .. realizations - 1, in realization order.
 
-    With threads > 1 the realizations run on a pool of that many processes,
-    handed out in chunks of about a quarter of each worker's share, so that
-    cheap realizations do not pay one round trip each.  Every realization
-    draws from its own stream, so the results do not depend on threads.
-    The oracle subcommand maps fixed chunks of realizations the same way,
-    worker(config, c) for chunk c.
+    The realizations run on a pool of min(threads, realizations, CPUs)
+    processes, or in this process when that is 1, handed out in chunks of
+    about a quarter of each worker's share, so that cheap realizations do not
+    pay one round trip each.  Every realization draws from its own stream, so
+    the results do not depend on threads.  The oracle subcommand maps fixed
+    chunks of realizations the same way, worker(config, c) for chunk c.
     """
     reals = range(realizations)
-    if threads <= 1:
+    workers = min(threads, realizations, os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(config, r) for r in reals]
-    chunk = max(1, realizations // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, realizations // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, [config] * realizations, reals, chunksize=chunk))
 
 

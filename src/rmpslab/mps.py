@@ -28,7 +28,13 @@ Tensor conventions (fixed so runs are reproducible per seed):
   select, from a complex Ginibre block of just those columns: a Haar gate
   is the phase-fixed reduced QR of the block, a Gaussian gate the scaled
   block.  Any k columns of a Haar unitary form a Haar k-isometry, so this is
-  exact, and no entry is drawn that the circuit does not use.
+  exact, and no entry is drawn that the circuit does not use.  A block at
+  least twice as tall as wide (every staircase gate, the glued blocks and
+  edge glues) is factored by Cholesky-QR, which is accurate for such a
+  well-conditioned block and built from matrix products; a square one (the
+  glued middle glues, ``haar_unitary``) keeps the Householder QR.  A
+  Cholesky-QR gate's memory is already (column, row) order, which is the
+  (left bond, physical, right bond) order of a staircase MPS tensor.
 * Staircase bonds carry the rank a sequentially generated MPS can have: the
   bond right of site j has dimension min(d^(j+1), chi) (Schön et al., PRL
   95, 110503, 2005).  Gate j is drawn on its input bond's rank only, and
@@ -92,11 +98,22 @@ def _gate_columns(
     ``rng.standard_normal((q, 2 ncols)).view(complex)``, written in place into
     the stack, so a gate consumes exactly 2 q ncols normals of its stream.  A
     Gaussian gate is G scaled to the variance.  A Haar gate is Q of the
-    reduced QR of G with each column divided by the phase of the matching R
-    diagonal entry (Mezzadri, Notices AMS 54, 592, 2007): that makes the
-    factorization unique and Q a Haar-distributed isometry.  The stacked QR
-    factors each block on its own, so a gate does not depend on the other
-    streams of the stack.
+    reduced QR of G with R's diagonal positive and real (Mezzadri, Notices
+    AMS 54, 592, 2007): that makes the factorization unique and Q a
+    Haar-distributed isometry.  Every step factors each block on its own, so
+    a gate does not depend on the other streams of the stack.
+
+    A tall block (q >= 2 ncols) is factored by Cholesky-QR: G^H G = L L^H
+    with L lower triangular and its diagonal positive, so R = L^H and
+    Q = G L^-H, from BLAS-3 products only.  Its loss of orthogonality grows
+    as kappa(G)^2 eps (Yamamoto et al., ETNA 44, 306, 2015), and a tall
+    Ginibre block is well conditioned (kappa <~ 5.8 at q = 2 ncols, the
+    Marchenko-Pastur edges).  The gate is returned as a transposed view of
+    Q^T = conj(L^-1) G^T, so each gate's memory runs over (column, row): for a
+    staircase gate that is already the (left bond, physical, right bond)
+    order of its MPS tensor.  A square block is ill conditioned (kappa ~ q,
+    with a heavy tail) and keeps the Householder QR with each column divided
+    by the phase of its R diagonal entry.
     """
     block = np.empty((len(rngs), q, 2 * ncols))
     for rng, out in zip(rngs, block):
@@ -105,10 +122,32 @@ def _gate_columns(
     if not kind.is_haar:
         block *= np.sqrt(kind.gate_variance(q, glue) / 2.0)
         return block
+    if q >= 2 * ncols:
+        # G^T conj(G) = conj(L) conj(L)^H, so its Cholesky factor is conj(L)
+        low = np.linalg.cholesky(block.mT @ block.conj())
+        return (_tril_inverse(low) @ block.mT).mT
     qmat, rmat = np.linalg.qr(block)
     diag = np.diagonal(rmat, axis1=-2, axis2=-1)
     qmat /= (diag / np.abs(diag))[:, None, :]
     return qmat
+
+
+def _tril_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a (count, n, n) stack of lower-triangular matrices, by the
+    2 x 2 block recursion [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
+    down to blocks of 32 or fewer (numpy has no triangular solve, and a full
+    ``inv`` costs several times the products)."""
+    n = low.shape[-1]
+    if n <= 32:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    a_inv = _tril_inverse(low[:, :h, :h])
+    d_inv = _tril_inverse(low[:, h:, h:])
+    out = np.zeros_like(low)
+    out[:, :h, :h] = a_inv
+    out[:, h:, h:] = d_inv
+    out[:, h:, :h] = -(d_inv @ (low[:, h:, :h] @ a_inv))
+    return out
 
 
 def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:

@@ -64,12 +64,12 @@ SCHEMA_CASES = {
     "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
     "contract": (2, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
                         "--k", "2", "--n", "1"]),
-    "oracle": (5, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "oracle": (6, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (5, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (6, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                       "--seed", "5", "--threads", "1"]),
-    "histogram": (5, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (6, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -106,11 +106,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=5 seed=11 config=")
+    assert lines[0].startswith("# schema=6 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -159,7 +159,7 @@ def test_oracle_rows(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     # evaluating the realizations in stacks moved the oracle's last digits
-    assert lines[0].startswith("# schema=5 seed=3 config=")
+    assert lines[0].startswith("# schema=6 seed=3 config=")
     assert lines[1] == "k,n,mean,stderr"
     assert len(lines) == 2 + 3  # (1,0), (2,-1), (2,0)
     k1 = float(lines[2].split(",")[2])

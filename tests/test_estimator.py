@@ -45,14 +45,6 @@ def test_config_validation():
     assert tiny_born_config().outcome_cardinality == 2 * 2
 
 
-def test_config_rejects_an_n_no_sampler_reads():
-    # forced mode estimates the n = 0 potentials, whatever n says
-    for mode in ("born", "forced"):
-        with pytest.raises(ValueError, match="n must be 0"):
-            tiny_born_config(n=3, sampling_mode=mode)
-    assert tiny_born_config(n=0).n == 0
-
-
 def test_scaling_variable_property():
     cfg = es.EnsembleConfig(setup="staircase", n_a=6, n_b=14, d=2, chi=64)
     assert cfg.x == pytest.approx(0.5)
@@ -90,6 +82,39 @@ def test_bit_reproducibility_and_threads():
     for x, y, z in zip(a, b, c):
         assert x.mean == y.mean == z.mean
         assert x.stderr == y.stderr == z.stderr
+
+
+def test_pool_never_outgrows_the_work(monkeypatch):
+    # a huge --threads starts no more workers than realizations (or CPUs),
+    # and one worker runs in this process without a pool; the stand-in pool
+    # records max_workers and maps in this process, so it starts no worker
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(es, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_born_config(realizations=3, pairs_per_state=4)
+    serial = es.per_realization(es._born_realization, cfg, 3, threads=1)
+    assert sizes == []
+    monkeypatch.setattr(es.os, "cpu_count", lambda: 64)
+    pooled = es.per_realization(es._born_realization, cfg, 3, threads=10**6)
+    assert sizes == [3]
+    monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
+    capped = es.per_realization(es._born_realization, cfg, 3, threads=10**6)
+    assert sizes == [3, 2]
+    for got in (pooled, capped):
+        assert all(np.array_equal(a, b) for a, b in zip(got, serial, strict=True))
 
 
 def test_pooled_pairs():

@@ -40,6 +40,32 @@ def test_haar_unitary_first_moment():
         assert abs(vals.mean() - expected) < 3 * se
 
 
+def test_tall_haar_gate_entry_moments():
+    # the same moments for the (0, 0) entry of a 4 x 2 Haar isometry, which
+    # comes from the Cholesky-QR path: one stack over a single repeated stream
+    q, n = 4, 100_000
+    rng = mps.stream(3)
+    q00 = mps._gate_columns(q, 2, HAAR, [rng] * n)[:, 0, 0]
+    abs2 = np.abs(q00) ** 2
+    for vals, expected in ((abs2, 1 / q), (abs2**2, 2 / (q * (q + 1))), (q00.real, 0.0)):
+        se = vals.std(ddof=1) / np.sqrt(n)
+        assert abs(vals.mean() - expected) < 3 * se
+
+
+@pytest.mark.parametrize("q, ncols", [(512, 256), (200, 37), (8, 4), (4, 2), (3, 1)])
+def test_tall_haar_gate_is_the_householder_gate(q, ncols):
+    # a tall block (q >= 2 ncols) is factored by Cholesky-QR; its gate is the
+    # phase-fixed Householder Q of the same block, to rounding
+    rng, rng_ref = mps.stream(25, q), mps.stream(25, q)
+    gates = mps._gate_columns(q, ncols, HAAR, [rng] * 4)
+    for gate in gates:
+        block = ginibre_block(q, ncols, rng_ref)
+        assert_gate_of_block(gate, block, None)
+        full, rdiag = np.linalg.qr(block)
+        full = full * (np.abs(np.diagonal(rdiag)) / np.diagonal(rdiag))
+        assert np.abs(gate - full).max() <= 1e-14
+
+
 def ginibre_block(q, ncols, rng):
     """The (q, ncols) complex Ginibre block a gate of ncols columns is made from."""
     return rng.standard_normal((q, 2 * ncols)).view(complex)
@@ -127,13 +153,17 @@ def test_glued_draws_are_the_used_columns(case, kind):
 
 
 @pytest.mark.parametrize("kind", DRAW_KINDS[:2], ids=["haar", "gaussian"])
-@pytest.mark.parametrize("setup", ["staircase", "glued"])
+@pytest.mark.parametrize("setup", ["staircase", "glued", "staircase-wide"])
 def test_stacked_draws_are_the_one_stream_draws(setup, kind):
     # a stack of streams draws, bit for bit, the gates each stream draws alone,
     # and leaves every stream where a one-stream draw leaves it
+    # staircase-wide: gates of 64 and 128 columns, wider than the base block
+    # of the triangular inverse behind tall Haar gates
     def draw(rngs):
         if setup == "staircase":
             return mps.draw_staircase_gates(2, 3, 2, 8, kind, rngs)
+        if setup == "staircase-wide":
+            return mps.draw_staircase_gates(1, 9, 2, 128, kind, rngs)
         blocks, glues = mps.draw_glued_gates(3, 2, 2, kind, rngs)
         return blocks + glues
 
@@ -327,11 +357,13 @@ def test_born_probabilities_and_frequencies():
     sampler = mps.BornSampler(state, layout)
     rng = mps.stream(123, 5)
     n = 100_000
+    # a batch consumes the stream exactly as successive single draws do
     counts = dict.fromkeys(exact, 0)
-    for _ in range(n):
-        rec = sampler.sample(rng)
-        counts[rec.outcomes] += 1
-        assert rec.probability == pytest.approx(exact[rec.outcomes], abs=1e-10)
+    for lo in range(0, n, sampler.chunk):
+        batch = sampler.sample_batch(rng, min(sampler.chunk, n - lo))
+        for outcomes, prob in zip(batch.outcomes.tolist(), batch.probabilities):
+            counts[tuple(outcomes)] += 1
+            assert abs(prob - exact[tuple(outcomes)]) <= 1e-10
     observed = np.array([counts[o] for o in exact])
     expected = np.array([n * exact[o] for o in exact])
     _, pvalue = stats.chisquare(observed, expected)
