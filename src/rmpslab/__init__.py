@@ -20,7 +20,6 @@ from .estimator import (
 )
 from .mps import (
     BornSampler,
-    MeasurementRecord,
     MpsState,
     RegionLayout,
     build_glued,
@@ -34,7 +33,6 @@ from .permutations import ReplicaShape
 from .replica import ChainValue, ReplicaChainSpec, contract, frame_potential_chain
 from .theory import (
     haar_frame_potential,
-    leading_order,
     leading_order_log,
     setup1_pdf,
     setup1_ratio,
@@ -50,7 +48,6 @@ __all__ = [
     "ChainValue",
     "EnsembleConfig",
     "EnsembleKind",
-    "MeasurementRecord",
     "MomentEstimate",
     "MpsState",
     "PreconditionError",
@@ -68,7 +65,6 @@ __all__ = [
     "gaussian",
     "haar_frame_potential",
     "haar_unitary",
-    "leading_order",
     "leading_order_log",
     "oracle_frame_potentials",
     "overlap_histogram",

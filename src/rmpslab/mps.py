@@ -47,21 +47,28 @@ Tensor conventions (fixed so runs are reproducible per seed):
 The Gaussian ensemble replaces every unitary with i.i.d. complex Gaussian
 entries; such states are not normalized and are never silently renormalized.
 
-The gate draws take a sequence of streams and return each gate as a stack
-over them, one circuit realization per stream; the builders pass one stream.
+The gate draws read their Ginibre blocks from a normal source (see
+``NormalSource``) and return each gate as a stack over its rows, one circuit
+realization per row.  The builders pass ``normals(rng)``, one stream drawn
+gate by gate.  The gate shapes have one home (``_staircase_bonds`` and
+``_gate_shapes``), so ``normal_budget`` is exactly the count a one-stream
+build consumes.
 
 The dense oracle rebuilds the same circuits by dense gate application (an
 independent code path sharing only the drawn gates) and enumerates the
 projected ensemble exhaustively.  ``oracle_frame_potentials`` runs it on
 stacks of up to MAX_CHUNK_DRAWS realizations, realization r drawn from
-``stream(seed, r)``: one stacked draw per gate, batched dense products, and
-every (k, n) frame potential from batched products with the overlap matrices.
+``stream(seed, r)``: its whole normal budget is row r of one
+``stream_normals`` array, filled by one Philox re-keyed per row, which draws
+the same numbers because Philox is counter-based (Salmon et al., SC'11).
+Then one stacked draw per gate, batched dense products, and every (k, n)
+frame potential from batched products with the overlap matrices.
 ``statevector_oracle`` is its one-realization view.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 from typing import NamedTuple
@@ -78,30 +85,82 @@ MAX_CHUNK_DRAWS = 64
 CHUNK_ENTRIES = 2**16
 
 
-def stream(seed: int, realization: int = 0) -> np.random.Generator:
-    """Counter-based RNG stream: Philox keyed by (master seed, realization)."""
+def _check_key(seed: int, realization: int) -> None:
     for name, value in (("seed", seed), ("realization", realization)):
         if value < 0:
             raise ValueError(f"stream {name} must be >= 0, got {value}")
+
+
+def stream(seed: int, realization: int = 0) -> np.random.Generator:
+    """Counter-based RNG stream: Philox keyed by (master seed, realization).
+
+    ``stream(seed, r)`` and row r of ``stream_normals(seed, range(n), size)``
+    draw the same normals, however a caller splits its draws."""
+    _check_key(seed, realization)
     key = np.array([seed, realization], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _gate_columns(
-    q: int, ncols: int, kind: EnsembleKind, rngs: Sequence[np.random.Generator], glue: bool = False
-) -> np.ndarray:
-    """ncols columns of one q x q random gate of the given kind per stream, as a
-    (streams, q, ncols) stack (glue selects the glued glue-gate variance, see
-    ``EnsembleKind.gate_variance``).
+def stream_normals(seed: int, realizations: range, size: int) -> np.ndarray:
+    """(len(realizations), size) array whose row i is
+    ``stream(seed, realizations[i]).standard_normal(size)``, bit for bit.
 
-    Each stream draws one (q, ncols) complex Ginibre block G as
-    ``rng.standard_normal((q, 2 ncols)).view(complex)``, written in place into
-    the stack, so a gate consumes exactly 2 q ncols normals of its stream.  A
-    Gaussian gate is G scaled to the variance.  A Haar gate is Q of the
-    reduced QR of G with R's diagonal positive and real (Mezzadri, Notices
-    AMS 54, 592, 2007): that makes the factorization unique and Q a
-    Haar-distributed isometry.  Every step factors each block on its own, so
-    a gate does not depend on the other streams of the stack.
+    One Philox bit generator, built per call so that no two threads share it,
+    is re-keyed through its state to (seed, r) with counter 0, which is the
+    state ``stream(seed, r)`` starts in; each row is then one
+    ``standard_normal`` call.
+    """
+    _check_key(seed, min(realizations, default=0))
+    out = np.empty((len(realizations), size))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    start = bitgen.state  # counter 0 and an empty buffer, as every stream starts
+    for r, row in zip(realizations, out):
+        start["state"]["key"][1] = r
+        bitgen.state = start
+        rng.standard_normal(out=row)
+    return out
+
+
+# size -> (rows, size) normals; row i of every request continues row i of the
+# previous one, so each row is one circuit realization's stream
+NormalSource = Callable[[int], np.ndarray]
+
+
+def normals(rng: np.random.Generator) -> NormalSource:
+    """The one-row normal source of a stream: each request is drawn from rng
+    straight into the array the gate reads."""
+    return lambda size: rng.standard_normal((1, size))
+
+
+def _budget_source(budget: np.ndarray) -> NormalSource:
+    """The normal source that hands out the columns of a (rows, budget) array
+    of pre-drawn normals left to right, as views."""
+    taken = 0
+
+    def source(size: int) -> np.ndarray:
+        nonlocal taken
+        taken += size
+        return budget[:, taken - size : taken]
+
+    return source
+
+
+def _gate_columns(
+    q: int, ncols: int, kind: EnsembleKind, source: NormalSource, glue: bool = False
+) -> np.ndarray:
+    """ncols columns of one q x q random gate of the given kind per row of the
+    source, as a (rows, q, ncols) stack (glue selects the glued glue-gate
+    variance, see ``EnsembleKind.gate_variance``).
+
+    Each row's 2 q ncols normals of ``source(2 q ncols)`` are its (q, ncols)
+    complex Ginibre block G, read as ``row.reshape(q, 2 ncols).view(complex)``,
+    so a gate consumes exactly 2 q ncols normals per row.  A Gaussian gate is
+    G scaled to the variance.  A Haar gate is Q of the reduced QR of G with
+    R's diagonal positive and real (Mezzadri, Notices AMS 54, 592, 2007):
+    that makes the factorization unique and Q a Haar-distributed isometry.
+    Every step factors each block on its own, so a gate does not depend on
+    the other rows of the stack.
 
     A tall block (q >= 2 ncols) is factored by Cholesky-QR: G^H G = L L^H
     with L lower triangular and its diagonal positive, so R = L^H and
@@ -115,10 +174,8 @@ def _gate_columns(
     with a heavy tail) and keeps the Householder QR with each column divided
     by the phase of its R diagonal entry.
     """
-    block = np.empty((len(rngs), q, 2 * ncols))
-    for rng, out in zip(rngs, block):
-        rng.standard_normal(out=out)
-    block = block.view(complex)
+    draws = source(2 * q * ncols)
+    block = draws.reshape(len(draws), q, 2 * ncols).view(complex)
     if not kind.is_haar:
         block *= np.sqrt(kind.gate_variance(q, glue) / 2.0)
         return block
@@ -154,58 +211,81 @@ def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed q x q unitary: the q-column case of a gate draw."""
     if q < 1:
         raise ValueError(f"dimension must be >= 1, got {q}")
-    return _gate_columns(q, q, HAAR, [rng])[0]
+    return _gate_columns(q, q, HAAR, normals(rng))[0]
+
+
+def _staircase_bonds(n_a: int, n_b: int, d: int, chi: int) -> list[int]:
+    """Ranks r_(-1), ..., r_(N-1) of the bonds around the N = N_A + N_B - 1
+    staircase gates: gate j maps rank r_(j-1) to r_j = min(d^(j+1), chi)
+    (r_(-1) = 1: the first input is |0>), and the last gate's output, the
+    measured leg, is chi."""
+    return [min(d**j, chi) for j in range(n_a + n_b - 1)] + [chi]
+
+
+def _gate_shapes(
+    setup: str, n_a: int, n_b: int | None, d: int, chi: int
+) -> list[tuple[int, int, bool]]:
+    """(q, ncols, glue) of every gate block a circuit draws, in draw order:
+    the glued draws and ``normal_budget`` read it, and its staircase shapes
+    are the ``_staircase_bonds`` the staircase draws read."""
+    if setup == "staircase":
+        return [(d * chi, rank, False) for rank in _staircase_bonds(n_a, n_b, d, chi)[:-1]]
+    chi2 = chi * chi
+    glue_cols = [chi] + [chi2] * (n_a - 1) + [chi]
+    return [(d * chi2, 1, False)] * n_a + [(chi2, ncols, True) for ncols in glue_cols]
+
+
+def normal_budget(setup: str, n_a: int, n_b: int | None, d: int, chi: int) -> int:
+    """Normals one realization of the circuit draws: 2 q ncols per gate."""
+    return sum(2 * q * ncols for q, ncols, _ in _gate_shapes(setup, n_a, n_b, d, chi))
 
 
 def draw_staircase_gates(
-    n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind, rngs: Sequence[np.random.Generator]
+    n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind, source: NormalSource
 ) -> list[np.ndarray]:
     """The N_A + N_B - 1 gates of the staircase circuit, in application order,
-    each a stack over the streams (one circuit realization per stream).
+    each a stack over the source's rows (one circuit realization per row).
 
     Gate j acts on the rank r_(j-1) = min(d^j, chi) its incoming auxiliary
-    leg can carry (r_(-1) = 1: the first input is |0>).  It is drawn as the
-    r_(j-1) columns its fresh |0> physical input selects, a (d chi) x r_(j-1)
-    block.  While d r_(j-1) < chi its chi-dimensional output auxiliary only
-    spans d r_(j-1) directions; writing the gate as M = U R with M the
-    (chi, d r_(j-1)) matrix of rows b, columns (z, a), the gate is returned as
-    R, a (d r_j) x r_(j-1) matrix with r_j = d r_(j-1).  The last gate is
-    never rotated: its output is the exposed chi leg, measured as it is.
+    leg can carry (``_staircase_bonds``).  It is drawn as the r_(j-1) columns
+    its fresh |0> physical input selects, a (d chi) x r_(j-1) block.  While
+    r_j = d r_(j-1) < chi its chi-dimensional output auxiliary only spans r_j
+    directions; writing the gate as M = U R with M the (chi, r_j) matrix of
+    rows b, columns (z, a), the gate is returned as R, a (d r_j) x r_(j-1)
+    matrix.  The last gate is never rotated: its output is the exposed chi
+    leg, measured as it is.
     """
     q = d * chi
-    n_gates = n_a + n_b - 1
-    count = len(rngs)
-    gates, rank = [], 1
-    for j in range(n_gates):
-        gate = _gate_columns(q, rank, kind, rngs)
-        if d * rank < chi and j < n_gates - 1:
+    bonds = _staircase_bonds(n_a, n_b, d, chi)
+    gates = []
+    for rank, out in zip(bonds, bonds[1:]):
+        gate = _gate_columns(q, rank, kind, source)
+        if out < chi:
+            count = len(gate)
             m = gate.reshape(count, d, chi, rank).transpose(0, 2, 1, 3)
-            r = np.linalg.qr(m.reshape(count, chi, d * rank), mode="r")
-            gate = r.reshape(count, d * rank, d, rank).transpose(0, 2, 1, 3)
-            gate = gate.reshape(count, d * d * rank, rank)
-            rank *= d
-        else:
-            rank = chi
+            r = np.linalg.qr(m.reshape(count, chi, out), mode="r")
+            gate = r.reshape(count, out, d, rank).transpose(0, 2, 1, 3)
+            gate = gate.reshape(count, d * out, rank)
         gates.append(gate)
     return gates
 
 
 def draw_glued_gates(
-    n_a: int, d: int, chi: int, kind: EnsembleKind, rngs: Sequence[np.random.Generator]
+    n_a: int, d: int, chi: int, kind: EnsembleKind, source: NormalSource
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(block gates, glue gates) for the glued circuit, in layer order, each a
-    stack over the streams (one circuit realization per stream).
+    stack over the source's rows (one circuit realization per row).
 
     Gates are returned as the columns their fresh |0> inputs select: each
     block's column 0, a (d chi^2) x 1 isometry; the left-edge glue's columns
     (0, b) and the right-edge glue's columns (a, 0), chi^2 x chi each,
     indexed by b and a; middle glues whole.
     """
-    chi2 = chi * chi
-    blocks = [_gate_columns(d * chi2, 1, kind, rngs) for _ in range(n_a)]
-    glue_cols = [chi] + [chi2] * (n_a - 1) + [chi]
-    glues = [_gate_columns(chi2, ncols, kind, rngs, glue=True) for ncols in glue_cols]
-    return blocks, glues
+    gates = [
+        _gate_columns(q, ncols, kind, source, glue)
+        for q, ncols, glue in _gate_shapes("glued", n_a, None, d, chi)
+    ]
+    return gates[:n_a], gates[n_a:]
 
 
 @dataclass
@@ -226,12 +306,6 @@ class MpsState:
     def phys_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tensors)
 
-    def norm_squared(self) -> float:
-        env = np.ones((1, 1), dtype=complex)
-        for t in self.tensors:
-            env = np.einsum("ab,apr,bps->rs", env, t.conj(), t, optimize=True)
-        return float(env.real[0, 0])
-
 
 @dataclass(frozen=True)
 class RegionLayout:
@@ -241,20 +315,6 @@ class RegionLayout:
     setup: str
     n_a: int
     n_b: int
-
-
-@dataclass
-class MeasurementRecord:
-    """One projective measurement of region B.
-
-    outcomes are listed left to right over the B sites; probability is the
-    exact Born weight of the outcome string; post_state is the normalized
-    dense post-measurement vector on region A.
-    """
-
-    outcomes: tuple[int, ...]
-    probability: float
-    post_state: np.ndarray
 
 
 def check_circuit(chi: int, d: int = 2, n_a: int = 1, n_b: int | None = 1) -> None:
@@ -272,7 +332,7 @@ def build_staircase(
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
     check_circuit(chi, d, n_a, n_b)
     rng = rng if rng is not None else stream(0)
-    gates = [g[0] for g in draw_staircase_gates(n_a, n_b, d, chi, kind, [rng])]
+    gates = [g[0] for g in draw_staircase_gates(n_a, n_b, d, chi, kind, normals(rng))]
     # gate rows (z, b): outgoing physical and auxiliary, which becomes the
     # right bond; columns: the incoming auxiliary a, which becomes the left bond
     tensors = [
@@ -289,7 +349,7 @@ def build_glued(
     """Glued shallow-circuit MPS: B A B ... A B with chi^2-dimensional B sites."""
     check_circuit(chi, d, n_a)
     rng = rng if rng is not None else stream(0)
-    blocks, glues = draw_glued_gates(n_a, d, chi, kind, [rng])
+    blocks, glues = draw_glued_gates(n_a, d, chi, kind, normals(rng))
     blocks, glues = [v[0] for v in blocks], [r[0] for r in glues]
     chi2 = chi * chi
     # block rows (physical, left aux, right aux); glue rows: the fused pair,
@@ -337,18 +397,34 @@ def project_outcomes(
 def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) -> np.ndarray:
     """``project_outcomes`` for a (count, N_B) array of in-range outcome strings.
 
-    One left-to-right sweep of batched products; returns (count, D_A).
+    One left-to-right sweep of batched products per group of rows; returns
+    (count, D_A).  The groups are ``_chunk_rows`` of the widest intermediate
+    of one row (a gathered B tensor, or the open A index times the bond), so
+    no group passes CHUNK_ENTRIES complex entries unless one row does.
     """
-    count = outcomes.shape[0]
-    acc = np.ones((count, 1, 1), dtype=complex)  # (draw, open A index, current bond)
-    j = 0
+    width, d_a = 1, 1
     for t, role in zip(state.tensors, layout.site_roles):
+        l, p, r = t.shape
         if role == "B":
-            acc = acc @ t.transpose(1, 0, 2)[outcomes[:, j]]
-            j += 1
+            width = max(width, l * r, d_a * r)
         else:
-            acc = (acc @ t.reshape(t.shape[0], -1)).reshape(count, -1, t.shape[2])
-    return acc[:, :, 0]
+            d_a *= p
+            width = max(width, d_a * r)
+    step = _chunk_rows(width)
+    out = np.empty((outcomes.shape[0], d_a), dtype=complex)
+    for lo in range(0, len(out), step):
+        rows = outcomes[lo : lo + step]
+        count = len(rows)
+        acc = np.ones((count, 1, 1), dtype=complex)  # (draw, open A index, current bond)
+        j = 0
+        for t, role in zip(state.tensors, layout.site_roles):
+            if role == "B":
+                acc = acc @ t.transpose(1, 0, 2)[rows[:, j]]
+                j += 1
+            else:
+                acc = (acc @ t.reshape(t.shape[0], -1)).reshape(count, -1, t.shape[2])
+        out[lo : lo + count] = acc[:, :, 0]
+    return out
 
 
 def chunk_draws(state: MpsState, d_a: int) -> int:
@@ -395,7 +471,7 @@ class BornSampler:
     sampling right to left keeps the staircase cost at O(N chi^2) per draw
     instead of the O(N chi^3) of a left-to-right sweep.  Memory grows with
     the chunk: about count x max(D_A, d chi) complex entries, which the
-    chunk size ``chunk`` keeps near 2^16.  ``sample`` is the one-draw batch.
+    chunk size ``chunk`` keeps near 2^16.
 
     The uniforms are drawn as ``rng.random((count, N_B))``, draw-major and
     in sweep order, so a batch consumes the stream exactly as ``count``
@@ -475,15 +551,6 @@ class BornSampler:
             for t in tensors[: self._first_b]:
                 acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
             self._region_a_map = np.ascontiguousarray(acc.T)  # (bond at the A|B cut, D_A)
-
-    def sample(self, rng: np.random.Generator) -> MeasurementRecord:
-        """One Born draw: the one-draw view of ``sample_batch``."""
-        batch = self.sample_batch(rng, 1)
-        return MeasurementRecord(
-            tuple(batch.outcomes[0].tolist()),
-            float(batch.probabilities[0]),
-            batch.post_states[0],
-        )
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
         """count independent Born draws from one right-to-left sweep."""
@@ -682,26 +749,30 @@ def _apply_gate(state: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) -> n
 
 
 def _dense_amplitudes(
-    setup: str, n_a: int, n_b: int | None, d: int, chi: int, kind: EnsembleKind, rngs
+    setup: str, n_a: int, n_b: int | None, d: int, chi: int, kind: EnsembleKind,
+    source: NormalSource,
 ) -> np.ndarray:
     """(count, D_A, D_B) dense post-measurement amplitudes of one circuit
-    realization per stream, by batched dense gate application.
+    realization per row of the normal source, by batched dense gate
+    application.
 
     Shares the gate draws (and their order) with the MPS builders, so with an
     identically seeded stream the two paths realize the same state.  Each
     drawn isometry maps the legs it acts on from the fresh |0> inputs it
     already selects.
     """
-    count = len(rngs)
     if setup == "staircase":
         # rows: the physical legs so far, first most significant; columns: the
         # auxiliary leg, which each gate grows into (its physical leg, aux)
+        gates = draw_staircase_gates(n_a, n_b, d, chi, kind, source)
+        count = len(gates[0])
         state = np.ones((count, 1, 1), dtype=complex)
-        for gate in draw_staircase_gates(n_a, n_b, d, chi, kind, rngs):
+        for gate in gates:
             state = (state @ gate.transpose(0, 2, 1)).reshape(count, -1, gate.shape[1] // d)
         return state.reshape(count, d**n_a, -1)
     # axes after the stack axis: [eL, (l_i, a_i, r_i) per block ..., eR]
-    blocks, glues = draw_glued_gates(n_a, d, chi, kind, rngs)
+    blocks, glues = draw_glued_gates(n_a, d, chi, kind, source)
+    count = len(blocks[0])
     # the blocks' outputs on their fresh inputs, as a product state on the
     # (l_i, a_i, r_i) axes
     state = np.ones((count, 1), dtype=complex)
@@ -736,7 +807,7 @@ def statevector_oracle(
     ``oracle_frame_potentials``, for the realization drawn from rng."""
     _, outcome_dims = _oracle_shape(setup, n_a, n_b, d, chi)
     rng = rng if rng is not None else stream(0)
-    amps = _dense_amplitudes(setup, n_a, n_b, d, chi, kind, [rng])[0]
+    amps = _dense_amplitudes(setup, n_a, n_b, d, chi, kind, normals(rng))[0]
     return ProjectedEnsemble(np.ascontiguousarray(amps), outcome_dims)
 
 
@@ -744,13 +815,14 @@ def _oracle_blocks(setup, n_a, n_b, d, chi, kind, seed: int, realizations: range
     """Dense amplitudes of each realization r in realizations, drawn from
     ``stream(seed, r)``, in order: (count, D_A, D_B) stacks of at most
     MAX_CHUNK_DRAWS realizations whose dense states together hold no more
-    than CHUNK_ENTRIES entries."""
+    than CHUNK_ENTRIES entries.  Each stack draws its whole normal budget,
+    one row per realization, in one ``stream_normals`` call."""
     total, _ = _oracle_shape(setup, n_a, n_b, d, chi)
     step = _chunk_rows(total)
+    budget = normal_budget(setup, n_a, n_b, d, chi)
     for lo in range(0, len(realizations), step):
-        reals = realizations[lo : lo + step]
-        # the streams are a temporary list, freed as soon as the stack is built
-        yield _dense_amplitudes(setup, n_a, n_b, d, chi, kind, [stream(seed, r) for r in reals])
+        draws = stream_normals(seed, realizations[lo : lo + step], budget)
+        yield _dense_amplitudes(setup, n_a, n_b, d, chi, kind, _budget_source(draws))
 
 
 def oracle_frame_potentials(

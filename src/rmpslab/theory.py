@@ -339,14 +339,3 @@ def leading_order_log(
         )
     raise ValueError(f"unknown setup {setup!r}")
 
-
-def leading_order(
-    shape: ReplicaShape,
-    d: int,
-    chi: float,
-    n_a: int,
-    n_b: int | None,
-    setup: str,
-    kind: EnsembleKind = HAAR,
-) -> float:
-    return math.exp(leading_order_log(shape, d, chi, n_a, n_b, setup, kind))

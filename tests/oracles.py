@@ -10,18 +10,21 @@ pseudo-inverse of the dense Gram matrix rather than from the class algebra.
 Enumeration follows ``permutations.MAX_ENUM_M``; dense tables stop at
 m = ``MAX_DENSE_M``.
 
-The helpers at the end (one Born draw, one outcome's Born probability, a
-vector overlap) are thin wrappers over the library's sampler and projection
-that only the tests use.
+The helpers at the end (one Born draw with its record, one outcome's Born
+probability, a state's norm, a vector overlap, the leading order of a frame
+potential) are thin wrappers over the library that only the tests use.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from rmpslab import mps
 from rmpslab import permutations as pg
+from rmpslab import theory as th
 from rmpslab.errors import ShapeMismatchError, SizeLimitError
 from rmpslab.weingarten import HAAR, EnsembleKind
 
@@ -173,15 +176,47 @@ def densify_class_kernel(m: int, kernel_by_class: np.ndarray) -> np.ndarray:
     return np.asarray(kernel_by_class, dtype=np.float64)[class_of[relative_index_matrix(m)]]
 
 
-def born_sample(state: mps.MpsState, layout: mps.RegionLayout, rng) -> mps.MeasurementRecord:
+@dataclass
+class MeasurementRecord:
+    """One projective measurement of region B.
+
+    outcomes are listed left to right over the B sites; probability is the
+    exact Born weight of the outcome string; post_state is the normalized
+    dense post-measurement vector on region A.
+    """
+
+    outcomes: tuple[int, ...]
+    probability: float
+    post_state: np.ndarray
+
+
+def sample(sampler: mps.BornSampler, rng) -> MeasurementRecord:
+    """One Born draw: the one-draw view of ``sampler.sample_batch``."""
+    batch = sampler.sample_batch(rng, 1)
+    return MeasurementRecord(
+        tuple(batch.outcomes[0].tolist()),
+        float(batch.probabilities[0]),
+        batch.post_states[0],
+    )
+
+
+def born_sample(state: mps.MpsState, layout: mps.RegionLayout, rng) -> MeasurementRecord:
     """Draw one outcome string with its exact Born probability and post-state."""
-    return mps.BornSampler(state, layout).sample(rng)
+    return sample(mps.BornSampler(state, layout), rng)
 
 
 def born_probability(state: mps.MpsState, layout: mps.RegionLayout, outcomes) -> float:
     """Exact Born probability of a given outcome string (normalized states)."""
     amp = mps.project_outcomes(state, layout, outcomes)
     return float(np.vdot(amp, amp).real)
+
+
+def norm_squared(state: mps.MpsState) -> float:
+    """<psi|psi> of an MPS by a left-to-right environment sweep."""
+    env = np.ones((1, 1), dtype=complex)
+    for t in state.tensors:
+        env = np.einsum("ab,apr,bps->rs", env, t.conj(), t, optimize=True)
+    return float(env.real[0, 0])
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:
@@ -191,3 +226,8 @@ def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"overlap: lengths {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
+
+
+def leading_order(shape, d, chi, n_a, n_b, setup, kind=HAAR) -> float:
+    """exp of ``theory.leading_order_log``: the chi -> infinity frame potential."""
+    return math.exp(th.leading_order_log(shape, d, chi, n_a, n_b, setup, kind))

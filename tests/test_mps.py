@@ -6,6 +6,7 @@ checks exact rather than statistical.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,13 +28,20 @@ def test_haar_unitary_unitarity():
     assert abs(abs(scalar[0, 0]) - 1) < 1e-12
 
 
+def successive(rng, n):
+    """Normal source of n rows holding n successive draws of one stream."""
+    return lambda size: rng.standard_normal((n, size))
+
+
 def test_haar_unitary_first_moment():
     # Haar moments of one entry at q = 4: E |U_00|^2 = 1/q, E |U_00|^4 =
     # 2/(q(q+1)), and E Re U_00 = 0, which fails without the R-diagonal
-    # phase fix (LAPACK's real R diagonal gives U_00 a real part of one sign)
+    # phase fix (LAPACK's real R diagonal gives U_00 a real part of one sign);
+    # the n unitaries are n successive haar_unitary draws of the stream, as one
+    # stack (a square block keeps the per-matrix Householder QR)
     q, n = 4, 100_000
     rng = mps.stream(2)
-    u00 = np.array([mps.haar_unitary(q, rng)[0, 0] for _ in range(n)])
+    u00 = mps._gate_columns(q, q, HAAR, successive(rng, n))[:, 0, 0]
     abs2 = np.abs(u00) ** 2
     for vals, expected in ((abs2, 1 / q), (abs2**2, 2 / (q * (q + 1))), (u00.real, 0.0)):
         se = vals.std(ddof=1) / np.sqrt(n)
@@ -42,10 +50,10 @@ def test_haar_unitary_first_moment():
 
 def test_tall_haar_gate_entry_moments():
     # the same moments for the (0, 0) entry of a 4 x 2 Haar isometry, which
-    # comes from the Cholesky-QR path: one stack over a single repeated stream
+    # comes from the Cholesky-QR path: one stack of n successive draws of a stream
     q, n = 4, 100_000
     rng = mps.stream(3)
-    q00 = mps._gate_columns(q, 2, HAAR, [rng] * n)[:, 0, 0]
+    q00 = mps._gate_columns(q, 2, HAAR, successive(rng, n))[:, 0, 0]
     abs2 = np.abs(q00) ** 2
     for vals, expected in ((abs2, 1 / q), (abs2**2, 2 / (q * (q + 1))), (q00.real, 0.0)):
         se = vals.std(ddof=1) / np.sqrt(n)
@@ -57,7 +65,7 @@ def test_tall_haar_gate_is_the_householder_gate(q, ncols):
     # a tall block (q >= 2 ncols) is factored by Cholesky-QR; its gate is the
     # phase-fixed Householder Q of the same block, to rounding
     rng, rng_ref = mps.stream(25, q), mps.stream(25, q)
-    gates = mps._gate_columns(q, ncols, HAAR, [rng] * 4)
+    gates = mps._gate_columns(q, ncols, HAAR, successive(rng, 4))
     for gate in gates:
         block = ginibre_block(q, ncols, rng_ref)
         assert_gate_of_block(gate, block, None)
@@ -103,7 +111,7 @@ def test_staircase_draws_are_the_used_columns(case, kind):
     q = d * chi
     var = None if kind.is_haar else (kind.variance or 1.0 / q)
     rng, rng_ref = mps.stream(21, 4), mps.stream(21, 4)
-    gates = [g[0] for g in mps.draw_staircase_gates(n_a, n_b, d, chi, kind, [rng])]
+    gates = [g[0] for g in mps.draw_staircase_gates(n_a, n_b, d, chi, kind, mps.normals(rng))]
     assert len(gates) == n_a + n_b - 1
     rank, used = 1, 0
     for j, gate in enumerate(gates):
@@ -142,7 +150,7 @@ def test_glued_draws_are_the_used_columns(case, kind):
         var_a = kind.variance or 1.0 / (d * chi * chi)
         var_b = kind.variance_b or 1.0 / (chi * chi)
     rng, rng_ref = mps.stream(22, 5), mps.stream(22, 5)
-    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, [rng])
+    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, mps.normals(rng))
     assert len(blocks) == n_a and len(glues) == n_a + 1
     for v in blocks:
         assert_gate_of_block(v[0], ginibre_block(d * chi * chi, 1, rng_ref), var_a)
@@ -152,38 +160,72 @@ def test_glued_draws_are_the_used_columns(case, kind):
     assert rng.random() == rng_ref.random()
 
 
-@pytest.mark.parametrize("kind", DRAW_KINDS[:2], ids=["haar", "gaussian"])
-@pytest.mark.parametrize("setup", ["staircase", "glued", "staircase-wide"])
-def test_stacked_draws_are_the_one_stream_draws(setup, kind):
-    # a stack of streams draws, bit for bit, the gates each stream draws alone,
-    # and leaves every stream where a one-stream draw leaves it
-    # staircase-wide: gates of 64 and 128 columns, wider than the base block
-    # of the triangular inverse behind tall Haar gates
-    def draw(rngs):
-        if setup == "staircase":
-            return mps.draw_staircase_gates(2, 3, 2, 8, kind, rngs)
-        if setup == "staircase-wide":
-            return mps.draw_staircase_gates(1, 9, 2, 128, kind, rngs)
-        blocks, glues = mps.draw_glued_gates(3, 2, 2, kind, rngs)
-        return blocks + glues
+# (setup, N_A, N_B, d, chi) of the whole-circuit draw tests; staircase-wide has
+# gates of 64 and 128 columns, wider than the base block of the triangular
+# inverse behind tall Haar gates
+CIRCUITS = {
+    "staircase": ("staircase", 2, 3, 2, 8),
+    "staircase-wide": ("staircase", 1, 9, 2, 128),
+    "glued": ("glued", 3, None, 2, 2),
+}
 
-    rngs = [mps.stream(24, r) for r in range(5)]
-    stacked = draw(rngs)
-    for r, rng in enumerate(rngs):
-        alone = mps.stream(24, r)
-        gates = draw([alone])
+
+def draw_circuit(setup, n_a, n_b, d, chi, kind, source):
+    """Every gate stack of the circuit, in draw order."""
+    if setup == "staircase":
+        return mps.draw_staircase_gates(n_a, n_b, d, chi, kind, source)
+    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, source)
+    return blocks + glues
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS[:2], ids=["haar", "gaussian"])
+@pytest.mark.parametrize("setup", list(CIRCUITS))
+def test_normal_budget_is_what_a_build_draws(setup, kind):
+    # a one-stream build consumes exactly normal_budget normals of its stream
+    circuit = CIRCUITS[setup]
+    rng, rng_ref = mps.stream(26, 1), mps.stream(26, 1)
+    draw_circuit(*circuit, kind, mps.normals(rng))
+    rng_ref.standard_normal(mps.normal_budget(*circuit))
+    assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS[:2], ids=["haar", "gaussian"])
+@pytest.mark.parametrize("setup", list(CIRCUITS))
+def test_stacked_draws_are_the_one_stream_draws(setup, kind):
+    # a stack drawn from one budget row per realization draws, bit for bit,
+    # the gates each realization's stream draws alone
+    circuit = CIRCUITS[setup]
+    reals = range(3, 8)
+    budget = mps.stream_normals(24, reals, mps.normal_budget(*circuit))
+    stacked = draw_circuit(*circuit, kind, mps._budget_source(budget))
+    for i, r in enumerate(reals):
+        gates = draw_circuit(*circuit, kind, mps.normals(mps.stream(24, r)))
         assert len(gates) == len(stacked)
         for gate, stack in zip(gates, stacked):
-            assert np.array_equal(gate[0], stack[r])
-        assert rng.random() == alone.random()
+            assert np.array_equal(gate[0], stack[i])
+
+
+def test_stream_normals_rows_are_the_streams():
+    # row i is the first normals of stream(seed, realizations[i]), bit for bit,
+    # and a stream yields the same normals however its draws are split
+    reals = range(2, 40, 3)
+    budget = mps.stream_normals(31, reals, 101)
+    assert budget.shape == (len(reals), 101)
+    for row, r in zip(budget, reals):
+        assert np.array_equal(row, mps.stream(31, r).standard_normal(101))
+        rng = mps.stream(31, r)
+        parts = [rng.standard_normal(size) for size in (1, 40, 7, 53)]
+        assert np.array_equal(row, np.concatenate(parts))
+    assert mps.stream_normals(31, range(0), 5).shape == (0, 5)
 
 
 def test_staircase_state_draws_only_the_used_normals():
     # one chi = 256 state of the criterion-3 circuit (N_A = 6, N_B = 14, d = 2):
     # gates on bonds of rank 1, 2, ..., 128, then 11 on 256, so
     # 2 x 512 x (255 + 11 x 256) = 3,144,704 normals, not 2 x 512 x (1 + 18 x 256)
+    assert mps.normal_budget("staircase", 6, 14, 2, 256) == 3_144_704
     rng, rng_ref = mps.stream(23), mps.stream(23)
-    mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), [rng])
+    mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), mps.normals(rng))
     rng_ref.standard_normal(3_144_704)
     assert rng.random() == rng_ref.random()
 
@@ -200,6 +242,9 @@ def test_stream_reproducible_and_split():
 def test_stream_rejects_negative_key(name):
     with pytest.raises(ValueError, match=name):
         mps.stream(**{"seed": 0, "realization": 0, name: -1})
+    seed, reals = (-1, range(2)) if name == "seed" else (0, range(-1, 2))
+    with pytest.raises(ValueError, match=name):
+        mps.stream_normals(seed, reals, 4)
 
 
 def test_build_staircase_structure():
@@ -211,7 +256,7 @@ def test_build_staircase_structure():
     assert [t.shape for t in state.tensors] == list(
         zip([1] + bonds, state.phys_dims, bonds + [1])
     )
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert oracles.norm_squared(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_build_glued_structure():
@@ -219,7 +264,7 @@ def test_build_glued_structure():
     assert state.phys_dims == (4, 2, 4, 2, 4, 2, 4)
     assert layout.site_roles == ("B", "A", "B", "A", "B", "A", "B")
     assert layout.n_b == 4
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert oracles.norm_squared(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_build_validation():
@@ -279,7 +324,7 @@ def test_mps_matches_oracle_per_outcome(setup, kwargs):
             setup, kwargs["n_a"], None, kwargs["d"], kwargs["chi"], kind, mps.stream(seed)
         )
     p = ens.probabilities
-    norm = 1.0 if kind.is_haar else state.norm_squared()
+    norm = 1.0 if kind.is_haar else oracles.norm_squared(state)
     assert p.sum() == pytest.approx(norm, abs=1e-12)
     for z in range(ens.amplitudes.shape[1]):
         zt = ens.outcome_tuple(z)
@@ -338,6 +383,26 @@ def test_batched_oracle_matches_mps_projection(case):
             assert got == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("chi", [256, 32])
+def test_project_batch_keeps_its_memory_bound(chi):
+    # one forced-mode chunk of the criterion-3 circuit: at chi = 256 one row's
+    # gathered 256 x 256 B tensor alone is CHUNK_ENTRIES entries, so rows go one
+    # by one; at chi = 32 the 64 rows go in two groups.  Either way the peak
+    # stays near one CHUNK_ENTRIES block and the rows are the one-draw ones
+    state, layout = mps.build_staircase(6, 14, 2, chi, HAAR, mps.stream(5))
+    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
+    outcomes = mps.stream(6).integers(0, dims, size=(64, len(dims)))
+    tracemalloc.start()
+    try:
+        amps = mps._project_batch(state, layout, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * mps.CHUNK_ENTRIES * 16
+    for i in (0, 1, 31, 32, 63):
+        assert np.array_equal(amps[i], mps.project_outcomes(state, layout, outcomes[i]))
+
+
 def test_born_product_state_deterministic():
     # |00...0> measured in its own basis: all-zero outcomes with probability 1
     e0 = np.zeros((1, 2, 1), dtype=complex)
@@ -377,7 +442,7 @@ def test_born_post_state_matches_oracle_column():
     sampler = mps.BornSampler(state, layout)
     rng = mps.stream(77, 1)
     for _ in range(25):
-        rec = sampler.sample(rng)
+        rec = oracles.sample(sampler, rng)
         col = ens.amplitudes[:, cols[rec.outcomes]]
         col = col / np.linalg.norm(col)
         assert np.abs(rec.post_state - col).max() < 1e-10
@@ -411,7 +476,7 @@ def test_sample_batch_matches_successive_draws(case):
     assert batch.probabilities.shape == (n,)
     assert batch.post_states.shape == (n, sampler.d_a)
     for i in range(n):
-        rec = sampler.sample(rng_single)
+        rec = oracles.sample(sampler, rng_single)
         assert tuple(batch.outcomes[i]) == rec.outcomes
         assert abs(batch.probabilities[i] - rec.probability) < 1e-12
         assert np.abs(batch.post_states[i] - rec.post_state).max() < 1e-12
@@ -443,7 +508,7 @@ def test_sample_batch_kept_sites_at_both_ends():
         + 1j * rng.standard_normal((bonds[i], 2, bonds[i + 1]))
         for i in range(len(roles))
     ]
-    tensors[0] /= np.sqrt(mps.MpsState(tensors).norm_squared())
+    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors)))
     state = mps.MpsState(tensors)
     layout = mps.RegionLayout(roles, "custom", 3, 2)
     batch = mps.BornSampler(state, layout).sample_batch(mps.stream(4), 30)
@@ -461,7 +526,7 @@ def test_born_rejects_unnormalized():
 
 def test_gaussian_states_not_renormalized():
     state, layout = mps.build_staircase(2, 2, 2, 2, gaussian(), mps.stream(3))
-    nsq = state.norm_squared()
+    nsq = oracles.norm_squared(state)
     assert abs(nsq - 1.0) > 1e-8  # generically unnormalized
     total = sum(
         oracles.born_probability(state, layout, mps.statevector_oracle(
