@@ -15,6 +15,7 @@ import math
 import time
 
 from rmpslab import replica as rp
+from rmpslab.mps import Circuit
 from rmpslab import theory as th
 from rmpslab.permutations import ReplicaShape
 
@@ -22,7 +23,7 @@ d = 2
 
 print("staircase: engine vs exact chi -> infinity limit, (k=1, n=1), N_A=2, N_B=4")
 for chi in (32, 128, 512, 2048):
-    eng = rp.frame_potential_chain("staircase", 1, 1, 2, 4, d, chi)
+    eng = rp.frame_potential_chain(Circuit("staircase", 2, d, chi, n_b=4), 1, 1)
     lead = th.leading_order_log(ReplicaShape(1, 1), d, float(chi), 2, 4, "staircase")
     print(f"  chi={chi:5d}: F = {eng.value:.6e}   engine/leading - 1 = {math.exp(eng.log - lead) - 1:+.2e}")
 
@@ -36,8 +37,9 @@ print(f"  prediction: exp({pred_factor:g} x) = {math.exp(pred_factor * x):.4f} a
 print(f"  {'N_A':>5} {'chi':>4} {'ratio':>8} {'delta':>8} {'delta*sqrt(N_A)':>16}")
 for chi in (20, 40, 80, 160):
     n_a = int(round(x * chi * chi))
-    f2 = rp.frame_potential_chain("glued", 2, 0, n_a, None, d, chi)
-    f1 = rp.frame_potential_chain("glued", 1, 0, n_a, None, d, chi)
+    circuit = Circuit("glued", n_a, d, chi)
+    f2 = rp.frame_potential_chain(circuit, 2, 0)
+    f1 = rp.frame_potential_chain(circuit, 1, 0)
     lead2 = th.leading_order_log(ReplicaShape(0, 2), d, float(chi), n_a, None, "glued")
     lead1 = th.leading_order_log(ReplicaShape(0, 1), d, float(chi), n_a, None, "glued")
     rho = math.exp(f2.log - 2 * f1.log - (lead2 - 2 * lead1))
@@ -47,8 +49,9 @@ for chi in (20, 40, 80, 160):
 print()
 print("the log-scaled contraction survives deep underflow: at N_A = 100 the")
 print("raw potentials are ~1e-700 yet the normalized ratio stays regular:")
-f2 = rp.frame_potential_chain("glued", 2, 0, 100, None, d, 44)
-f1 = rp.frame_potential_chain("glued", 1, 0, 100, None, d, 44)
+circuit = Circuit("glued", 100, d, 44)
+f2 = rp.frame_potential_chain(circuit, 2, 0)
+f1 = rp.frame_potential_chain(circuit, 1, 0)
 lead2 = th.leading_order_log(ReplicaShape(0, 2), d, 44.0, 100, None, "glued")
 lead1 = th.leading_order_log(ReplicaShape(0, 1), d, 44.0, 100, None, "glued")
 rho = math.exp(f2.log - 2 * f1.log - (lead2 - 2 * lead1))
@@ -60,7 +63,7 @@ print("(the first call builds the orbit-space kernel tables)")
 shape = ReplicaShape(0, 4)
 for chi in (64, 1024, 16384):
     t0 = time.perf_counter()
-    f4 = rp.frame_potential_chain("staircase", 4, 0, 6, 14, d, chi)
+    f4 = rp.frame_potential_chain(Circuit("staircase", 6, d, chi, n_b=14), 4, 0)
     seconds = time.perf_counter() - t0
     lead = th.leading_order_log(shape, d, float(chi), 6, 14, "staircase")
     print(f"  chi={chi:6d}: log F = {f4.log:+.6f}   engine/leading - 1 = "

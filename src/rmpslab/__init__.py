@@ -13,13 +13,13 @@ from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .estimator import (
     EnsembleConfig,
     MomentEstimate,
-    forced_moments,
     forced_ratio,
     overlap_histogram,
     sample_moments,
 )
 from .mps import (
     BornSampler,
+    Circuit,
     MpsState,
     RegionLayout,
     build_glued,
@@ -46,6 +46,7 @@ __all__ = [
     "HAAR",
     "BornSampler",
     "ChainValue",
+    "Circuit",
     "EnsembleConfig",
     "EnsembleKind",
     "MomentEstimate",
@@ -59,7 +60,6 @@ __all__ = [
     "build_glued",
     "build_staircase",
     "contract",
-    "forced_moments",
     "forced_ratio",
     "frame_potential_chain",
     "gaussian",

@@ -15,7 +15,10 @@ hash the parsed flags.  Data files are byte-identical for fixed flags and
 seed.  Each file is written to ``.tmp`` and renamed into place, and a failed
 write removes whatever the run already wrote.
 
-Flags override an optional plain-text key=value config file (--config).
+Every subcommand but ``predict`` builds one ``mps.Circuit`` from its flags
+(``_circuit_fields``); sample and histogram extend it to an
+``EnsembleConfig``.  Flags override an optional plain-text key=value config
+file (--config).
 Integer flags below their floor (``FLOORS``) and circuit flags the run would
 ignore (``_check_applicable``) are errors, reported before any work starts.
 Bad input and failed writes exit 1 with an ``error:`` line.
@@ -39,7 +42,7 @@ import numpy as np
 from . import __version__, estimator, mps, replica, theory
 from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .permutations import ReplicaShape
-from .weingarten import HAAR, EnsembleKind, gaussian
+from .weingarten import HAAR, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: the batched Born
 # sweep, then the isometry gate draws moved the last bits of sample and
@@ -49,8 +52,9 @@ from .weingarten import HAAR, EnsembleKind, gaussian
 # only on the rank their input bond carries change them again (5 and 4); the
 # oracle evaluated on stacks of realizations sums in a new order (oracle 5);
 # tall Haar gates by Cholesky-QR move in their last bits, and the sample and
-# histogram config hash loses EnsembleConfig.n (all three 6)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 6, "histogram": 6}
+# histogram config hash loses EnsembleConfig.n (all three 6); the config they
+# hash records the resolved glued N_B and, for histograms, a fixed k_max (7)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 7, "histogram": 7}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -92,18 +96,14 @@ def _check_applicable(args) -> None:
         raise ValueError("--variance-b applies to --setup glued only (the glue gates)")
 
 
-def _kind_from_args(args) -> EnsembleKind:
-    if args.kind == "haar":
-        return HAAR
-    return gaussian(getattr(args, "variance", None), getattr(args, "variance_b", None))
-
-
-def _default_nb(args) -> int | None:
-    if args.setup == "glued":
-        return None
-    if args.nb is not None:
-        return args.nb
-    return int(math.floor(args.na**1.5))
+def _circuit_fields(args) -> dict:
+    """The ``mps.Circuit`` keywords of a run's flags; staircase N_B defaults
+    to floor(N_A^1.5)."""
+    n_b = args.nb
+    if n_b is None and args.setup == "staircase":
+        n_b = int(math.floor(args.na**1.5))
+    kind = HAAR if args.kind == "haar" else gaussian(args.variance, args.variance_b)
+    return dict(setup=args.setup, n_a=args.na, d=args.d, chi=args.chi, n_b=n_b, kind=kind)
 
 
 def config_dict(config: estimator.EnsembleConfig) -> dict:
@@ -205,14 +205,11 @@ def cmd_predict(args) -> int:
 
 def cmd_contract(args) -> int:
     t0 = time.time()
-    nb = _default_nb(args)
-    kind = _kind_from_args(args)
-    value = replica.frame_potential_chain(
-        args.setup, args.k, args.n, args.na, nb, args.d, args.chi, kind
-    )
+    circuit = mps.Circuit(**_circuit_fields(args))
+    value = replica.frame_potential_chain(circuit, args.k, args.n)
     shape = ReplicaShape(args.n, args.k)
     lead_log = theory.leading_order_log(
-        shape, args.d, float(args.chi), args.na, nb, args.setup, kind
+        shape, args.d, float(args.chi), args.na, circuit.n_b, args.setup, circuit.kind
     )
     ratio_to_leading = value.sign * math.exp(value.log - lead_log)
     print(f"F({args.k},{args.n}) mantissa={value.mantissa!r} log_scale={value.log_scale!r}")
@@ -223,15 +220,10 @@ def cmd_contract(args) -> int:
     return 0
 
 
-def _estimator_config(args, mode: str) -> estimator.EnsembleConfig:
+def _estimator_config(args, k_max: int, mode: str) -> estimator.EnsembleConfig:
     return estimator.EnsembleConfig(
-        setup=args.setup,
-        n_a=args.na,
-        n_b=_default_nb(args),
-        d=args.d,
-        chi=args.chi,
-        kind=_kind_from_args(args),
-        k_max=args.k,
+        **_circuit_fields(args),
+        k_max=k_max,
         pairs_per_state=args.pairs,
         realizations=args.realizations,
         seed=args.seed,
@@ -242,10 +234,8 @@ def _estimator_config(args, mode: str) -> estimator.EnsembleConfig:
 
 def cmd_sample(args) -> int:
     t0 = time.time()
-    mode = "forced" if args.forced else "born"
-    config = _estimator_config(args, mode)
-    fn = estimator.forced_moments if args.forced else estimator.sample_moments
-    estimates = fn(config, threads=args.threads)
+    config = _estimator_config(args, args.k, "forced" if args.forced else "born")
+    estimates = estimator.sample_moments(config, threads=args.threads)
     for est in estimates:
         print(
             f"k={est.k} mean={est.mean!r} stderr={est.stderr!r} "
@@ -270,7 +260,8 @@ def cmd_sample(args) -> int:
 
 def cmd_histogram(args) -> int:
     t0 = time.time()
-    config = _estimator_config(args, "born")
+    # a histogram has no moment order; k_max is only part of its config
+    config = _estimator_config(args, 1, "born")
     table = estimator.overlap_histogram(config, args.bins, args.umax, threads=args.threads)
     print(f"bins={args.bins} in_range={table.n_in_range} total={table.n_total}")
     rows = zip(table.bin_centers, table.density, table.error)
@@ -286,13 +277,13 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _oracle_chunk(circuit: tuple, c: int) -> np.ndarray:
+def _oracle_chunk(job: tuple, c: int) -> np.ndarray:
     """Frame potentials of chunk c: realizations c MAX_CHUNK_DRAWS onwards, up
     to MAX_CHUNK_DRAWS of them, so the chunks do not depend on --threads."""
-    *shape, seed, realizations, pairs = circuit
+    circuit, seed, realizations, pairs = job
     lo = c * mps.MAX_CHUNK_DRAWS
     reals = range(lo, min(realizations, lo + mps.MAX_CHUNK_DRAWS))
-    return mps.oracle_frame_potentials(*shape, HAAR, seed, reals, pairs)
+    return mps.oracle_frame_potentials(circuit, seed, reals, pairs)
 
 
 def cmd_oracle(args) -> int:
@@ -302,11 +293,10 @@ def cmd_oracle(args) -> int:
         pairs.append((k, 1 - k))
         if k > 1:  # at k = 1 the physical and n = 0 potentials coincide
             pairs.append((k, 0))
-    circuit = (args.setup, args.na, _default_nb(args), args.d, args.chi, args.seed,
-               args.realizations, pairs)
+    job = (mps.Circuit(**_circuit_fields(args)), args.seed, args.realizations, pairs)
     chunks = math.ceil(args.realizations / mps.MAX_CHUNK_DRAWS)
     per_real = np.concatenate(
-        estimator.per_realization(_oracle_chunk, circuit, chunks, args.threads)
+        estimator.per_realization(_oracle_chunk, job, chunks, args.threads)
     )
     mean, err = estimator.jackknife_mean(per_real)
     rows = [(k, n, float(mu), float(se)) for (k, n), mu, se in zip(pairs, mean, err)]
@@ -391,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("histogram", help="overlap distribution from Born sampling")
     _add_common(p)
-    p.add_argument("--k", type=int, default=1)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--umax", type=float, required=True)
     p.add_argument("--pairs", type=int, default=200)

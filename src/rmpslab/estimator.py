@@ -13,8 +13,10 @@ among a pool of draws per state ("pooled", the measurements-per-state
 convention).  Error bars come from a leave-one-realization-out jackknife:
 overlaps within one state are correlated, realizations are independent.
 
-Realizations use the counter-based streams (seed, r), so results are
-bit-identical for a fixed config regardless of worker count.
+An ``EnsembleConfig`` is an ``mps.Circuit`` plus its sampling fields, and
+``sample_moments`` serves whichever sampling mode it holds.  Realizations
+use the counter-based streams (seed, r), so results are bit-identical for a
+fixed config regardless of worker count.
 """
 
 from __future__ import annotations
@@ -28,19 +30,13 @@ import numpy as np
 
 from . import mps, theory
 from .errors import PreconditionError, SizeLimitError
-from .weingarten import HAAR, EnsembleKind
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    """Full description of one sampling experiment."""
+class EnsembleConfig(mps.Circuit):
+    """One sampling experiment: the circuit (``mps.Circuit``, validated by
+    its own rule) plus how it is sampled."""
 
-    setup: str
-    n_a: int
-    d: int
-    chi: int
-    n_b: int | None = None
-    kind: EnsembleKind = HAAR
     k_max: int = 3
     pairs_per_state: int = 100
     realizations: int = 100
@@ -49,12 +45,7 @@ class EnsembleConfig:
     pair_mode: str = "independent"
 
     def __post_init__(self):
-        if self.setup not in ("staircase", "glued"):
-            raise ValueError(f"unknown setup {self.setup!r}")
-        if self.setup == "glued":
-            if self.n_b is not None and self.n_b != self.n_a + 1:
-                raise ValueError("glued layout fixes N_B = N_A + 1")
-        mps.check_circuit(self.chi, self.d, self.n_a, self.n_b_effective)
+        super().__post_init__()
         if self.sampling_mode not in ("born", "forced"):
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         if self.sampling_mode == "born" and not self.kind.is_haar:
@@ -65,27 +56,8 @@ class EnsembleConfig:
             raise ValueError("need k_max >= 1, pairs_per_state >= 1, realizations >= 2")
 
     @property
-    def d_a(self) -> int:
-        return self.d**self.n_a
-
-    @property
-    def n_b_effective(self) -> int:
-        return self.n_a + 1 if self.setup == "glued" else self.n_b
-
-    @property
-    def outcome_cardinality(self) -> int:
-        if self.setup == "glued":
-            return (self.chi**2) ** (self.n_a + 1)
-        return self.d ** (self.n_b - 1) * self.chi
-
-    @property
     def x(self) -> float:
         return theory.scaling_variable(self.setup, self.kind, self.d, self.chi, self.n_a)
-
-    def build(self, rng):
-        if self.setup == "glued":
-            return mps.build_glued(self.n_a, self.d, self.chi, self.kind, rng)
-        return mps.build_staircase(self.n_a, self.n_b, self.d, self.chi, self.kind, rng)
 
 
 @dataclass(frozen=True)
@@ -112,7 +84,7 @@ def _born_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
     pairs_per_state draws, which needs every post-state at once.
     """
     rng = mps.stream(config.seed, r)
-    state, layout = config.build(rng)
+    state, layout = mps.build(config, rng)
     sampler = mps.BornSampler(state, layout)
     n = config.pairs_per_state
     if config.pair_mode == "pooled":
@@ -147,9 +119,8 @@ def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
     in whole pairs of the Born sampler's chunk size ``mps.chunk_draws``.
     """
     rng = mps.stream(config.seed, r)
-    state, layout = config.build(rng)
-    roles = layout.site_roles
-    dims = np.array([t.shape[1] for t, role in zip(state.tensors, roles) if role == "B"])
+    state, layout = mps.build(config, rng)
+    dims = np.array(config.outcome_dims)
     per_chunk = max(1, mps.chunk_draws(state, config.d_a) // 2)
     card = float(config.outcome_cardinality)
     ks = np.arange(1, config.k_max + 1)
@@ -230,27 +201,17 @@ def _to_estimates(config: EnsembleConfig, per_real: np.ndarray) -> list[MomentEs
 
 
 def sample_moments(config: EnsembleConfig, threads: int = 1) -> list[MomentEstimate]:
-    """Born-mode moment estimates of u = D_A |<psi(z)|psi(z')>|^2, k = 1..k_max.
+    """Moment estimates for k = 1..k_max in the config's sampling mode.
 
-    ratio_to_haar is mean(u^k)/k!, the frame-potential ratio against the
-    asymptotic Haar value; ratio_to_first is the alternative normalization
-    mean(u^k)/mean(u)^k.
+    born: moments of u = D_A |<psi(z)|psi(z')>|^2; ratio_to_haar is
+    mean(u^k)/k!, the frame-potential ratio against the asymptotic Haar
+    value.  forced: the empirical mean of |<psi~(z)|psi~(z')>|^(2k) over
+    uniform pairs, rescaled by the squared outcome-space cardinality, which
+    reproduces the unrestricted double sum of the n = 0 generalized frame
+    potential and is directly comparable to the replica contraction; here
+    ratio_to_haar divides by k! D_A^(-k).  Both modes report ratio_to_first,
+    the alternative normalization mean_k/mean_1^k.
     """
-    if config.sampling_mode != "born":
-        raise PreconditionError("sample_moments needs a born-mode config")
-    return _to_estimates(config, _collect(config, threads))
-
-
-def forced_moments(config: EnsembleConfig, threads: int = 1) -> list[MomentEstimate]:
-    """Uniform-outcome estimates of the n = 0 generalized frame potential.
-
-    The empirical mean of |<psi~(z)|psi~(z')>|^(2k) over uniform pairs is
-    rescaled by the squared outcome-space cardinality, reproducing the
-    unrestricted double sum; directly comparable to the replica contraction
-    at n = 0.  Here ratio_to_haar divides by k! D_A^(-k).
-    """
-    if config.sampling_mode != "forced":
-        raise PreconditionError("forced_moments needs a forced-mode config")
     return _to_estimates(config, _collect(config, threads))
 
 

@@ -1,6 +1,11 @@
 """Exact MPS simulation of the two measured random-circuit architectures.
 
-Two builders produce (state, layout) pairs:
+A ``Circuit`` (setup, N_A, N_B, d, chi, gate kind) describes one of them,
+validated once at construction, and owns what follows: D_A, the measured-site
+dimensions, the gate shapes and their normal budget.  The builders, gate
+draws and dense oracle take a ``Circuit``.
+
+Two builders produce (state, layout) pairs (``build`` picks by setup):
 
 * ``build_staircase``: sequential gates from U(d chi) acting on (physical,
   auxiliary) pairs; sites 1..N_A are kept (region A), the remaining
@@ -50,9 +55,8 @@ entries; such states are not normalized and are never silently renormalized.
 The gate draws read their Ginibre blocks from a normal source (see
 ``NormalSource``) and return each gate as a stack over its rows, one circuit
 realization per row.  The builders pass ``normals(rng)``, one stream drawn
-gate by gate.  The gate shapes have one home (``_staircase_bonds`` and
-``_gate_shapes``), so ``normal_budget`` is exactly the count a one-stream
-build consumes.
+gate by gate.  The gate shapes have one home (``Circuit.gate_shapes``), so
+``Circuit.normal_budget`` is exactly the count a one-stream build consumes.
 
 The dense oracle rebuilds the same circuits by dense gate application (an
 independent code path sharing only the drawn gates) and enumerates the
@@ -68,6 +72,7 @@ frame potential from batched products with the overlap matrices.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
@@ -214,52 +219,109 @@ def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
     return _gate_columns(q, q, HAAR, normals(rng))[0]
 
 
-def _staircase_bonds(n_a: int, n_b: int, d: int, chi: int) -> list[int]:
-    """Ranks r_(-1), ..., r_(N-1) of the bonds around the N = N_A + N_B - 1
-    staircase gates: gate j maps rank r_(j-1) to r_j = min(d^(j+1), chi)
-    (r_(-1) = 1: the first input is |0>), and the last gate's output, the
-    measured leg, is chi."""
-    return [min(d**j, chi) for j in range(n_a + n_b - 1)] + [chi]
+def check_setup(setup: str) -> None:
+    if setup not in ("staircase", "glued"):
+        raise ValueError(f"unknown setup {setup!r}")
 
 
-def _gate_shapes(
-    setup: str, n_a: int, n_b: int | None, d: int, chi: int
-) -> list[tuple[int, int, bool]]:
-    """(q, ncols, glue) of every gate block a circuit draws, in draw order:
-    the glued draws and ``normal_budget`` read it, and its staircase shapes
-    are the ``_staircase_bonds`` the staircase draws read."""
-    if setup == "staircase":
-        return [(d * chi, rank, False) for rank in _staircase_bonds(n_a, n_b, d, chi)[:-1]]
-    chi2 = chi * chi
-    glue_cols = [chi] + [chi2] * (n_a - 1) + [chi]
-    return [(d * chi2, 1, False)] * n_a + [(chi2, ncols, True) for ncols in glue_cols]
+def check_circuit(chi: int, d: int = 2, n_a: int = 1, n_b: int = 1) -> None:
+    """The one range rule of every circuit and chain weight: chi >= 1,
+    d >= 2, N_A >= 1 and N_B >= 1.  ``Circuit`` applies it at construction;
+    chain weights, which have no N_A or N_B, leave them at 1."""
+    if chi < 1 or d < 2 or n_a < 1 or n_b < 1:
+        got = f"chi={chi}, d={d}, N_A={n_a}, N_B={n_b}"
+        raise ShapeMismatchError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
 
 
-def normal_budget(setup: str, n_a: int, n_b: int | None, d: int, chi: int) -> int:
-    """Normals one realization of the circuit draws: 2 q ncols per gate."""
-    return sum(2 * q * ncols for q, ncols, _ in _gate_shapes(setup, n_a, n_b, d, chi))
+@dataclass(frozen=True)
+class Circuit:
+    """One measured random circuit, validated at construction.
+
+    setup is "staircase" or "glued", n_a the kept sites N_A, d their
+    dimension, chi the bond dimension and kind the gate ensemble.  n_b, the
+    measured sites N_B, is required for the staircase; the glued layout fixes
+    N_B = N_A + 1, which a None n_b resolves to.  The sizes are integers
+    (numpy integers too) within ``check_circuit``.
+    """
+
+    setup: str
+    n_a: int
+    d: int
+    chi: int
+    n_b: int | None = None
+    kind: EnsembleKind = HAAR
+
+    def __post_init__(self):
+        check_setup(self.setup)
+        if self.setup == "glued":
+            if self.n_b is None:
+                object.__setattr__(self, "n_b", self.n_a + 1)
+            elif self.n_b != self.n_a + 1:
+                raise ValueError(f"glued layout fixes N_B = N_A + 1, got N_B={self.n_b!r}")
+        sizes = {"N_A": self.n_a, "N_B": self.n_b, "d": self.d, "chi": self.chi}
+        for name, value in sizes.items():
+            if not isinstance(value, numbers.Integral):
+                raise ShapeMismatchError(f"{name} must be an integer, got {value!r}")
+        check_circuit(self.chi, self.d, self.n_a, self.n_b)
+
+    @property
+    def d_a(self) -> int:
+        """Dimension D_A = d^N_A of the kept region."""
+        return self.d**self.n_a
+
+    @property
+    def outcome_dims(self) -> tuple[int, ...]:
+        """Dimensions of the N_B measured sites, left to right."""
+        if self.setup == "staircase":
+            return (self.d,) * (self.n_b - 1) + (self.chi,)
+        return (self.chi * self.chi,) * self.n_b
+
+    @property
+    def outcome_cardinality(self) -> int:
+        """Number of outcome strings D_B."""
+        return prod(self.outcome_dims)
+
+    @property
+    def gate_shapes(self) -> list[tuple[int, int, bool]]:
+        """(q, ncols, glue) of every gate block the circuit draws, in draw order.
+
+        Staircase gate j is a (d chi) x r_(j-1) block: it acts on the rank
+        r_(j-1) = min(d^j, chi) its incoming auxiliary leg can carry
+        (r_(-1) = 1: the first input is |0>).  Glued: the N_A one-column
+        blocks, then the glue gates, chi columns at each edge and chi^2 in
+        the middle.
+        """
+        d, chi = self.d, self.chi
+        if self.setup == "staircase":
+            return [(d * chi, min(d**j, chi), False) for j in range(self.n_a + self.n_b - 1)]
+        chi2 = chi * chi
+        glue_cols = [chi] + [chi2] * (self.n_a - 1) + [chi]
+        return [(d * chi2, 1, False)] * self.n_a + [(chi2, ncols, True) for ncols in glue_cols]
+
+    @property
+    def normal_budget(self) -> int:
+        """Normals one realization of the circuit draws: 2 q ncols per gate."""
+        return sum(2 * q * ncols for q, ncols, _ in self.gate_shapes)
 
 
-def draw_staircase_gates(
-    n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind, source: NormalSource
-) -> list[np.ndarray]:
+def draw_staircase_gates(circuit: Circuit, source: NormalSource) -> list[np.ndarray]:
     """The N_A + N_B - 1 gates of the staircase circuit, in application order,
     each a stack over the source's rows (one circuit realization per row).
 
-    Gate j acts on the rank r_(j-1) = min(d^j, chi) its incoming auxiliary
-    leg can carry (``_staircase_bonds``).  It is drawn as the r_(j-1) columns
-    its fresh |0> physical input selects, a (d chi) x r_(j-1) block.  While
-    r_j = d r_(j-1) < chi its chi-dimensional output auxiliary only spans r_j
-    directions; writing the gate as M = U R with M the (chi, r_j) matrix of
-    rows b, columns (z, a), the gate is returned as R, a (d r_j) x r_(j-1)
-    matrix.  The last gate is never rotated: its output is the exposed chi
-    leg, measured as it is.
+    Gate j is drawn as the r_(j-1) columns its fresh |0> physical input
+    selects on the rank its incoming auxiliary leg can carry
+    (``Circuit.gate_shapes``).  While r_j = d r_(j-1) < chi its
+    chi-dimensional output auxiliary only spans r_j directions; writing the
+    gate as M = U R with M the (chi, r_j) matrix of rows b, columns (z, a),
+    the gate is returned as R, a (d r_j) x r_(j-1) matrix.  The last gate is
+    never rotated: its output is the exposed chi leg, measured as it is.
     """
-    q = d * chi
-    bonds = _staircase_bonds(n_a, n_b, d, chi)
+    d, chi = circuit.d, circuit.chi
+    shapes = circuit.gate_shapes
+    outs = [ncols for _, ncols, _ in shapes[1:]] + [chi]
     gates = []
-    for rank, out in zip(bonds, bonds[1:]):
-        gate = _gate_columns(q, rank, kind, source)
+    for (q, rank, _), out in zip(shapes, outs):
+        gate = _gate_columns(q, rank, circuit.kind, source)
         if out < chi:
             count = len(gate)
             m = gate.reshape(count, d, chi, rank).transpose(0, 2, 1, 3)
@@ -271,7 +333,7 @@ def draw_staircase_gates(
 
 
 def draw_glued_gates(
-    n_a: int, d: int, chi: int, kind: EnsembleKind, source: NormalSource
+    circuit: Circuit, source: NormalSource
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(block gates, glue gates) for the glued circuit, in layer order, each a
     stack over the source's rows (one circuit realization per row).
@@ -282,10 +344,10 @@ def draw_glued_gates(
     indexed by b and a; middle glues whole.
     """
     gates = [
-        _gate_columns(q, ncols, kind, source, glue)
-        for q, ncols, glue in _gate_shapes("glued", n_a, None, d, chi)
+        _gate_columns(q, ncols, circuit.kind, source, glue)
+        for q, ncols, glue in circuit.gate_shapes
     ]
-    return gates[:n_a], gates[n_a:]
+    return gates[: circuit.n_a], gates[circuit.n_a :]
 
 
 @dataclass
@@ -309,47 +371,38 @@ class MpsState:
 
 @dataclass(frozen=True)
 class RegionLayout:
-    """Per-site role tags ('A' kept / 'B' measured) and the circuit family."""
+    """Per-site role tags: 'A' kept, 'B' measured."""
 
     site_roles: tuple[str, ...]
-    setup: str
-    n_a: int
-    n_b: int
 
 
-def check_circuit(chi: int, d: int = 2, n_a: int = 1, n_b: int | None = 1) -> None:
-    """The one input rule of every circuit, chain and chain weight: chi >= 1,
-    d >= 2, N_A >= 1 and N_B >= 1.  Callers without an N_B of their own
-    (glued circuits, chain weights) leave it at 1; None is a missing N_B."""
-    if n_b is None or chi < 1 or d < 2 or n_a < 1 or n_b < 1:
-        got = f"chi={chi}, d={d}, N_A={n_a}, N_B={n_b}"
-        raise ShapeMismatchError(f"need chi >= 1, d >= 2, N_A >= 1 and N_B >= 1; got {got}")
+def build(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
+    """The MPS of one realization of the circuit, drawn from rng."""
+    if circuit.setup == "staircase":
+        return build_staircase(circuit, rng)
+    return build_glued(circuit, rng)
 
 
-def build_staircase(
-    n_a: int, n_b: int, d: int, chi: int, kind: EnsembleKind = HAAR, rng=None
-) -> tuple[MpsState, RegionLayout]:
+def build_staircase(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
-    check_circuit(chi, d, n_a, n_b)
     rng = rng if rng is not None else stream(0)
-    gates = [g[0] for g in draw_staircase_gates(n_a, n_b, d, chi, kind, normals(rng))]
+    d, chi = circuit.d, circuit.chi
+    gates = [g[0] for g in draw_staircase_gates(circuit, normals(rng))]
     # gate rows (z, b): outgoing physical and auxiliary, which becomes the
     # right bond; columns: the incoming auxiliary a, which becomes the left bond
     tensors = [
         np.ascontiguousarray(g.reshape(d, -1, g.shape[1]).transpose(2, 0, 1)) for g in gates
     ]
     tensors.append(np.eye(chi, dtype=complex).reshape(chi, chi, 1))
-    roles = ("A",) * n_a + ("B",) * n_b
-    return MpsState(tensors), RegionLayout(roles, "staircase", n_a, n_b)
+    roles = ("A",) * circuit.n_a + ("B",) * circuit.n_b
+    return MpsState(tensors), RegionLayout(roles)
 
 
-def build_glued(
-    n_a: int, d: int, chi: int, kind: EnsembleKind = HAAR, rng=None
-) -> tuple[MpsState, RegionLayout]:
+def build_glued(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
     """Glued shallow-circuit MPS: B A B ... A B with chi^2-dimensional B sites."""
-    check_circuit(chi, d, n_a)
     rng = rng if rng is not None else stream(0)
-    blocks, glues = draw_glued_gates(n_a, d, chi, kind, normals(rng))
+    d, chi = circuit.d, circuit.chi
+    blocks, glues = draw_glued_gates(circuit, normals(rng))
     blocks, glues = [v[0] for v in blocks], [r[0] for r in glues]
     chi2 = chi * chi
     # block rows (physical, left aux, right aux); glue rows: the fused pair,
@@ -362,8 +415,8 @@ def build_glued(
     tensors = [glues[0].reshape(1, chi2, chi)]
     for v, glue in zip(blocks, middle + [right]):
         tensors += [np.ascontiguousarray(v.reshape(d, chi, chi).transpose(1, 0, 2)), glue]
-    roles = ("B",) + ("A", "B") * n_a
-    return MpsState(tensors), RegionLayout(roles, "glued", n_a, n_a + 1)
+    roles = ("B",) + ("A", "B") * circuit.n_a
+    return MpsState(tensors), RegionLayout(roles)
 
 
 def region_a_dim(state: MpsState, layout: RegionLayout) -> int:
@@ -655,6 +708,7 @@ class ProjectedEnsemble:
         return self.generalized_frame_potential(k, 1 - k)
 
     def generalized_frame_potential(self, k: int, n: float) -> float:
+        _check_orders([(k, n)])
         return float(_frame_potentials(self.amplitudes[None], [(k, n)])[0, 0])
 
     def outcome_tuple(self, z: int) -> tuple[int, ...]:
@@ -681,11 +735,9 @@ def _frame_potentials(amps: np.ndarray, pairs) -> np.ndarray:
 
     p^n is taken only where p > 0: zero-probability outcomes weigh 0 even at
     n < 0 (and 1 at n = 0).  The D_B x D_B overlap blocks are formed for
-    sub-blocks of the stack holding at most CHUNK_ENTRIES / 4 entries.
+    sub-blocks of the stack holding at most CHUNK_ENTRIES / 4 entries.  The
+    callers have passed pairs through ``_check_orders``.
     """
-    for k, _ in pairs:
-        if k < 1:
-            raise ValueError(f"moment order k must be >= 1, got {k}")
     count, _, d_b = amps.shape
     ns = list(dict.fromkeys(n for _, n in pairs))
     ks = np.array([k for k, _ in pairs], dtype=int)
@@ -715,25 +767,22 @@ def _frame_potentials(amps: np.ndarray, pairs) -> np.ndarray:
     return out
 
 
-def _oracle_shape(setup: str, n_a: int, n_b: int | None, d: int, chi: int):
-    """(dense state size, outcome dims) of one oracle realization, after the
-    input rule and the size caps."""
-    if setup not in ("staircase", "glued"):
-        raise ValueError(f"unknown setup {setup!r}")
-    check_circuit(chi, d, n_a, n_b if setup == "staircase" else n_a + 1)
-    if setup == "staircase":
-        total = d ** (n_a + n_b - 1) * chi
-        outcome_dims = (d,) * (n_b - 1) + (chi,)
-    else:
-        total = d**n_a * chi ** (2 * n_a + 2)
-        outcome_dims = (chi * chi,) * (n_a + 1)
+def _check_orders(pairs) -> None:
+    for k, _ in pairs:
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"moment order k must be an integer >= 1, got {k!r}")
+
+
+def _oracle_size(circuit: Circuit) -> int:
+    """Dense state size D_A D_B of one oracle realization, after the size caps."""
+    total = circuit.d_a * circuit.outcome_cardinality
     if total > MAX_ORACLE_DIM:
         raise SizeLimitError(f"oracle dimension {total} exceeds cap {MAX_ORACLE_DIM}")
-    if prod(outcome_dims) > _ORACLE_MAX_OUTCOMES:
+    if circuit.outcome_cardinality > _ORACLE_MAX_OUTCOMES:
         raise SizeLimitError(
-            f"outcome space {prod(outcome_dims)} too large for exhaustive enumeration"
+            f"outcome space {circuit.outcome_cardinality} too large for exhaustive enumeration"
         )
-    return total, outcome_dims
+    return total
 
 
 def _apply_gate(state: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -748,10 +797,7 @@ def _apply_gate(state: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) -> n
     return np.transpose(flat.reshape(moved.shape), np.argsort(perm))
 
 
-def _dense_amplitudes(
-    setup: str, n_a: int, n_b: int | None, d: int, chi: int, kind: EnsembleKind,
-    source: NormalSource,
-) -> np.ndarray:
+def _dense_amplitudes(circuit: Circuit, source: NormalSource) -> np.ndarray:
     """(count, D_A, D_B) dense post-measurement amplitudes of one circuit
     realization per row of the normal source, by batched dense gate
     application.
@@ -761,17 +807,18 @@ def _dense_amplitudes(
     drawn isometry maps the legs it acts on from the fresh |0> inputs it
     already selects.
     """
-    if setup == "staircase":
+    n_a, d, chi = circuit.n_a, circuit.d, circuit.chi
+    if circuit.setup == "staircase":
         # rows: the physical legs so far, first most significant; columns: the
         # auxiliary leg, which each gate grows into (its physical leg, aux)
-        gates = draw_staircase_gates(n_a, n_b, d, chi, kind, source)
+        gates = draw_staircase_gates(circuit, source)
         count = len(gates[0])
         state = np.ones((count, 1, 1), dtype=complex)
         for gate in gates:
             state = (state @ gate.transpose(0, 2, 1)).reshape(count, -1, gate.shape[1] // d)
-        return state.reshape(count, d**n_a, -1)
+        return state.reshape(count, circuit.d_a, -1)
     # axes after the stack axis: [eL, (l_i, a_i, r_i) per block ..., eR]
-    blocks, glues = draw_glued_gates(n_a, d, chi, kind, source)
+    blocks, glues = draw_glued_gates(circuit, source)
     count = len(blocks[0])
     # the blocks' outputs on their fresh inputs, as a product state on the
     # (l_i, a_i, r_i) axes
@@ -790,44 +837,33 @@ def _dense_amplitudes(
     a_axes = [3 * i - 1 for i in range(1, n_a + 1)]
     b_axes = [ax for j in range(n_a + 1) for ax in (3 * j, 3 * j + 1)]
     state = np.transpose(state, [0] + [1 + ax for ax in a_axes + b_axes])
-    return state.reshape(count, d**n_a, -1)
+    return state.reshape(count, circuit.d_a, -1)
 
 
-def statevector_oracle(
-    setup: str,
-    n_a: int,
-    n_b: int | None,
-    d: int,
-    chi: int,
-    kind: EnsembleKind = HAAR,
-    rng=None,
-) -> ProjectedEnsemble:
+def statevector_oracle(circuit: Circuit, rng=None) -> ProjectedEnsemble:
     """Dense end-to-end simulation of either circuit plus exhaustive projection:
     the one-realization view of the dense build behind
     ``oracle_frame_potentials``, for the realization drawn from rng."""
-    _, outcome_dims = _oracle_shape(setup, n_a, n_b, d, chi)
+    _oracle_size(circuit)
     rng = rng if rng is not None else stream(0)
-    amps = _dense_amplitudes(setup, n_a, n_b, d, chi, kind, normals(rng))[0]
-    return ProjectedEnsemble(np.ascontiguousarray(amps), outcome_dims)
+    amps = _dense_amplitudes(circuit, normals(rng))[0]
+    return ProjectedEnsemble(np.ascontiguousarray(amps), circuit.outcome_dims)
 
 
-def _oracle_blocks(setup, n_a, n_b, d, chi, kind, seed: int, realizations: range):
+def _oracle_blocks(circuit: Circuit, seed: int, realizations: range):
     """Dense amplitudes of each realization r in realizations, drawn from
     ``stream(seed, r)``, in order: (count, D_A, D_B) stacks of at most
     MAX_CHUNK_DRAWS realizations whose dense states together hold no more
     than CHUNK_ENTRIES entries.  Each stack draws its whole normal budget,
     one row per realization, in one ``stream_normals`` call."""
-    total, _ = _oracle_shape(setup, n_a, n_b, d, chi)
-    step = _chunk_rows(total)
-    budget = normal_budget(setup, n_a, n_b, d, chi)
+    step = _chunk_rows(_oracle_size(circuit))
     for lo in range(0, len(realizations), step):
-        draws = stream_normals(seed, realizations[lo : lo + step], budget)
-        yield _dense_amplitudes(setup, n_a, n_b, d, chi, kind, _budget_source(draws))
+        draws = stream_normals(seed, realizations[lo : lo + step], circuit.normal_budget)
+        yield _dense_amplitudes(circuit, _budget_source(draws))
 
 
 def oracle_frame_potentials(
-    setup: str, n_a: int, n_b: int | None, d: int, chi: int, kind: EnsembleKind, seed: int,
-    realizations: int | range, pairs,
+    circuit: Circuit, seed: int, realizations: int | range, pairs
 ) -> np.ndarray:
     """Exact generalized frame potentials F^(k,n) of many circuit realizations.
 
@@ -836,12 +872,14 @@ def oracle_frame_potentials(
     realization r = realizations[i] (r = i when realizations is a count),
     drawn from ``stream(seed, r)`` exactly as ``statevector_oracle`` draws it.
     The realizations are built and evaluated in stacks of up to
-    MAX_CHUNK_DRAWS, starting at the first one.
+    MAX_CHUNK_DRAWS, starting at the first one.  Each k must be an integer
+    >= 1; that is checked before any state is built.
     """
+    _check_orders(pairs)
     reals = range(realizations) if isinstance(realizations, int) else realizations
     out = np.empty((len(reals), len(pairs)))
     lo = 0
-    for amps in _oracle_blocks(setup, n_a, n_b, d, chi, kind, seed, reals):
+    for amps in _oracle_blocks(circuit, seed, reals):
         out[lo : lo + len(amps)] = _frame_potentials(amps, pairs)
         lo += len(amps)
     return out

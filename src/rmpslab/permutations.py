@@ -20,6 +20,7 @@ kernel acting on invariant vectors reduces to an (orbits x orbits) matrix
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,6 +66,9 @@ class ReplicaShape:
     k: int
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("k", self.k)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"replica count {name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"moment order k must be >= 1, got {self.k}")
         if self.n < 0:

@@ -26,8 +26,10 @@ statevector oracle at small sizes):
   where beta is the Weingarten-dressed measured-site weight (one per glue
   gate, the two edge copies acting as boundary vectors).
 
-Values are returned as (mantissa, log scale) pairs: chains underflow binary64
-long before they stop being meaningful.
+The chain builders and ``frame_potential_chain`` take the circuit as one
+``mps.Circuit``, which has already validated it, and the replica counts as a
+``ReplicaShape``.  Values are returned as (mantissa, log scale) pairs: chains
+underflow binary64 long before they stop being meaningful.
 
 Every chain operator is invariant under the symmetry described in
 ``permutations.chain_orbits``, so ``contract`` works on its orbit space:
@@ -50,7 +52,7 @@ import numpy as np
 from . import permutations as pg
 from . import weingarten as wg
 from .errors import ShapeMismatchError, SizeLimitError
-from .mps import check_circuit
+from .mps import Circuit, check_circuit, check_setup
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind
 
@@ -157,12 +159,11 @@ def boundary_vectors(
     vector instead, which also covers N_B = 1.  Glued boundaries are the
     measured-site weight ``site_weight_B_glued`` absorbed at each chain end.
     """
+    check_setup(setup)
     check_circuit(chi, d)
     left = np.ones(math.factorial(shape.m))
     if setup == "glued":
         return left, site_weight_B_glued(shape, chi, kind)
-    if setup != "staircase":
-        raise ValueError(f"unknown setup {setup!r}")
     q = float(d * chi)
     inner = np.where(pg.factorized_mask(shape.m), q * q, q)
     return left, _gate_dressed(shape, q, kind, inner)
@@ -276,19 +277,16 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
     return ChainValue(mantissa, log_scale)
 
 
-def staircase_chain(
-    shape: ReplicaShape, d: int, chi: int, n_a: int, n_b: int, kind: EnsembleKind = HAAR
-) -> ReplicaChainSpec:
+def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """Chain for the sequential circuit: N_A + N_B - 1 gates.
 
     Explicit weights for every gate site (N_A of type A, N_B - 1 measured
     d-sites), dressed bonds on every gap, the chi-leg vector on the right,
     and the first gate's average constant as a scalar prefactor.
     """
-    check_circuit(chi, d, n_a, n_b)
-    m = shape.m
+    m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
-    sites = ("A",) * n_a + ("B_staircase",) * (n_b - 1)
+    sites = ("A",) * circuit.n_a + ("B_staircase",) * (circuit.n_b - 1)
     return ReplicaChainSpec(
         shape=shape,
         kind=kind,
@@ -301,9 +299,7 @@ def staircase_chain(
     )
 
 
-def glued_chain(
-    shape: ReplicaShape, d: int, chi: int, n_a: int, kind: EnsembleKind = HAAR
-) -> ReplicaChainSpec:
+def glued_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """Chain for the glued shallow circuit: alternating A blocks and glue sites.
 
     All 2 N_A gaps carry the bare Gram bond G(chi); the N_A + 1 measured-site
@@ -311,8 +307,7 @@ def glued_chain(
     block gate contributes the scalar c_W(d chi^2) (haar) or
     varsigma_A^(2m) (gaussian), accumulated in the prefactor.
     """
-    check_circuit(chi, d, n_a)
-    m = shape.m
+    m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
     if kind.is_haar:
         log_block = math.log(wg.weingarten_sum_constant(m, float(d * chi * chi), HAAR))
     else:
@@ -326,38 +321,23 @@ def glued_chain(
         chi=chi,
         d=d,
         # G A G B G A G ... B G A G
-        ops=(("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * n_a)[1:],
+        ops=(("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * circuit.n_a)[1:],
         left_boundary=beta.copy(),
         right_boundary=beta.copy(),
-        log_prefactor=n_a * log_block,
+        log_prefactor=circuit.n_a * log_block,
     )
 
 
-def frame_potential_chain(
-    setup: str,
-    k: int,
-    n: int,
-    n_a: int,
-    n_b: int | None,
-    d: int,
-    chi: int,
-    kind: EnsembleKind = HAAR,
-) -> ChainValue:
+def frame_potential_chain(circuit: Circuit, k: int, n: int) -> ChainValue:
     """Circuit-averaged generalized frame potential E_psi[F^(k, n)].
 
-    n must be a non-negative integer (the replica limit n = 1 - k is an
-    analytic continuation handled only by the closed forms in ``theory``).
+    k and n are replica counts (``ReplicaShape``): n must be a non-negative
+    integer (the replica limit n = 1 - k is an analytic continuation handled
+    only by the closed forms in ``theory``).
     """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"the chain contraction needs integer n >= 0, got n={n}")
-    shape = ReplicaShape(int(n), int(k))
+    shape = ReplicaShape(n, k)
     # before any m!-vector is allocated: at m = 12 one is 3.8 GB
     if shape.m > pg.MAX_ENUM_M:
         raise SizeLimitError(f"m = 2(n+k) = {shape.m} exceeds cap {pg.MAX_ENUM_M}")
-    if setup == "staircase":
-        spec = staircase_chain(shape, d, chi, n_a, n_b, kind)
-    elif setup == "glued":
-        spec = glued_chain(shape, d, chi, n_a, kind)
-    else:
-        raise ValueError(f"unknown setup {setup!r}")
-    return contract(spec)
+    chain = staircase_chain if circuit.setup == "staircase" else glued_chain
+    return contract(chain(circuit, shape))

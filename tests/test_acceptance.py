@@ -56,10 +56,11 @@ def test_criterion_2_oracle_equivalence():
     lines = []
     ok = True
     for setup, n_b, seed in (("staircase", 2, 20260809), ("glued", None, 20260810)):
-        per = mps.oracle_frame_potentials(setup, 2, n_b, 2, 2, HAAR, seed, reals, pairs)
+        circuit = mps.Circuit(setup, 2, 2, 2, n_b)
+        per = mps.oracle_frame_potentials(circuit, seed, reals, pairs)
         mean, err = es.jackknife_mean(per)
         for (k, n), mu, se in zip(pairs, mean, err):
-            eng = rp.frame_potential_chain(setup, k, n, 2, n_b, 2, 2).value
+            eng = rp.frame_potential_chain(circuit, k, n).value
             dev = abs(eng - mu) / se
             ok &= dev < 3.0
             lines.append(f"{setup}(k={k},n={n}): {dev:.2f} sigma")
@@ -127,8 +128,9 @@ def test_criterion_5_scaled_fig2c():
     for n_a in nas:
         chi = int(math.isqrt(int(n_a / x_nom)))
         x_act = n_a / chi**2
-        f2 = rp.frame_potential_chain("glued", 2, 0, int(n_a), None, d, chi)
-        f1 = rp.frame_potential_chain("glued", 1, 0, int(n_a), None, d, chi)
+        circuit = mps.Circuit("glued", int(n_a), d, chi)
+        f2 = rp.frame_potential_chain(circuit, 2, 0)
+        f1 = rp.frame_potential_chain(circuit, 1, 0)
         lead2 = th.leading_order_log(ReplicaShape(0, 2), d, float(chi), int(n_a), None, "glued")
         lead1 = th.leading_order_log(ReplicaShape(0, 1), d, float(chi), int(n_a), None, "glued")
         rho = math.exp(f2.log - 2 * f1.log - (lead2 - 2 * lead1))
@@ -144,8 +146,9 @@ def test_criterion_5_scaled_fig2c():
     tail = []
     for chi in (60, 200):
         n_a = int(round(x_nom * chi * chi))
-        f2 = rp.frame_potential_chain("glued", 2, 0, n_a, None, d, chi)
-        f1 = rp.frame_potential_chain("glued", 1, 0, n_a, None, d, chi)
+        circuit = mps.Circuit("glued", n_a, d, chi)
+        f2 = rp.frame_potential_chain(circuit, 2, 0)
+        f1 = rp.frame_potential_chain(circuit, 1, 0)
         lead2 = th.leading_order_log(ReplicaShape(0, 2), d, float(chi), n_a, None, "glued")
         lead1 = th.leading_order_log(ReplicaShape(0, 1), d, float(chi), n_a, None, "glued")
         rho = math.exp(f2.log - 2 * f1.log - (lead2 - 2 * lead1))

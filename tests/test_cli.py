@@ -66,10 +66,10 @@ SCHEMA_CASES = {
                         "--k", "2", "--n", "1"]),
     "oracle": (6, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (6, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (7, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                       "--seed", "5", "--threads", "1"]),
-    "histogram": (6, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (7, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -106,11 +106,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=6 seed=11 config=")
+    assert lines[0].startswith("# schema=7 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 6
+    assert doc["schema"] == 7
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -206,6 +206,18 @@ def test_histogram_default_nb(capsys):
         "--realizations", "4", "--seed", "2", "--threads", "1",
     )
     assert code == 0
+
+
+def test_histogram_has_no_moment_order(tmp_path, capsys):
+    # a histogram has no k; the flag is refused instead of being hashed
+    out = tmp_path / "hist.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["histogram", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+                  "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
+                  "--realizations", "4", "--seed", "2", "--threads", "1", "--k", "3",
+                  "--out", str(out)])
+    assert exc.value.code != 0
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_error_exit_code(capsys):

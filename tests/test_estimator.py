@@ -9,7 +9,7 @@ from rmpslab import estimator as es
 from rmpslab import mps
 from rmpslab import replica as rp
 from rmpslab.errors import PreconditionError
-from rmpslab.weingarten import HAAR, gaussian
+from rmpslab.weingarten import gaussian
 
 import oracles
 
@@ -40,7 +40,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="need chi >= 1"):
         es.EnsembleConfig(setup="staircase", n_a=0, n_b=2, d=1, chi=0)
     cfg = es.EnsembleConfig(setup="glued", n_a=3, d=2, chi=2)
-    assert cfg.n_b_effective == 4
+    assert cfg.n_b == 4
     assert cfg.outcome_cardinality == 4**4
     assert tiny_born_config().outcome_cardinality == 2 * 2
 
@@ -56,7 +56,7 @@ def test_born_mean_matches_engine_m2():
     # E[u] = D_A * E[Tr rho_A^2] on the tiny instance
     cfg = tiny_born_config(realizations=300)
     ests = es.sample_moments(cfg)
-    target = cfg.d_a * rp.frame_potential_chain("staircase", 1, 0, 2, 2, 2, 2).value
+    target = cfg.d_a * rp.frame_potential_chain(cfg, 1, 0).value
     assert abs(ests[0].mean - target) < 3.5 * ests[0].stderr
     assert ests[0].ratio_to_haar == pytest.approx(ests[0].mean)
     assert ests[0].ratio_to_first == pytest.approx(1.0)
@@ -121,15 +121,15 @@ def test_pooled_pairs():
     cfg = tiny_born_config(pair_mode="pooled", pairs_per_state=8, realizations=150)
     ests = es.sample_moments(cfg)
     assert ests[0].n_samples == 150 * 8 * 7
-    target = cfg.d_a * rp.frame_potential_chain("staircase", 1, 0, 2, 2, 2, 2).value
+    target = cfg.d_a * rp.frame_potential_chain(cfg, 1, 0).value
     assert abs(ests[0].mean - target) < 4 * ests[0].stderr
 
 
 def test_forced_matches_engine():
     cfg = tiny_born_config(sampling_mode="forced", pairs_per_state=60, realizations=300)
-    ests = es.forced_moments(cfg)
+    ests = es.sample_moments(cfg)
     for k in (1, 2):
-        eng = rp.frame_potential_chain("staircase", k, 0, 2, 2, 2, 2).value
+        eng = rp.frame_potential_chain(cfg, k, 0).value
         assert abs(ests[k - 1].mean - eng) < 3.5 * ests[k - 1].stderr
 
 
@@ -138,8 +138,8 @@ def test_forced_gaussian_matches_engine():
         setup="staircase", n_a=1, n_b=2, d=2, chi=2, kind=gaussian(), k_max=1,
         pairs_per_state=50, realizations=400, seed=9, sampling_mode="forced",
     )
-    ests = es.forced_moments(cfg)
-    eng = rp.frame_potential_chain("staircase", 1, 0, 1, 2, 2, 2, gaussian()).value
+    ests = es.sample_moments(cfg)
+    eng = rp.frame_potential_chain(cfg, 1, 0).value
     assert abs(ests[0].mean - eng) < 3.5 * ests[0].stderr
 
 
@@ -149,8 +149,8 @@ def test_forced_ratio_glued():
         pairs_per_state=60, realizations=400, seed=6, sampling_mode="forced",
     )
     val, err = es.forced_ratio(cfg, 2)
-    f2 = rp.frame_potential_chain("glued", 2, 0, 3, None, 2, 2)
-    f1 = rp.frame_potential_chain("glued", 1, 0, 3, None, 2, 2)
+    f2 = rp.frame_potential_chain(cfg, 2, 0)
+    f1 = rp.frame_potential_chain(cfg, 1, 0)
     target = math.exp(f2.log - 2 * f1.log)
     assert abs(val - target) < 3.5 * err
 
@@ -164,7 +164,7 @@ def test_forced_all_zero_outcomes_product_state():
     e0 = np.zeros((1, 2, 1), dtype=complex)
     e0[0, 0, 0] = 1.0
     state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
-    layout = mps.RegionLayout(("A", "B", "B"), "staircase", 1, 2)
+    layout = mps.RegionLayout(("A", "B", "B"))
     amp = mps.project_outcomes(state, layout, (0, 0))
     assert abs(oracles.overlap(amp, amp)) == pytest.approx(1.0)
     assert np.linalg.norm(mps.project_outcomes(state, layout, (1, 0))) == 0.0
@@ -184,9 +184,7 @@ def test_jackknife_scaling():
 def oracle_ensembles(cfg, realizations):
     """Exhaustive projected ensembles of cfg's circuit from the dense oracle."""
     for r in range(realizations):
-        yield mps.statevector_oracle(
-            cfg.setup, cfg.n_a, cfg.n_b, cfg.d, cfg.chi, HAAR, mps.stream(ORACLE_SEED, r)
-        )
+        yield mps.statevector_oracle(cfg, mps.stream(ORACLE_SEED, r))
 
 
 def test_haar_recovery_large_chi():
@@ -201,8 +199,7 @@ def test_haar_recovery_large_chi():
     ests = es.sample_moments(cfg)
     ks = range(1, cfg.k_max + 1)
     exact = mps.oracle_frame_potentials(
-        cfg.setup, cfg.n_a, cfg.n_b, cfg.d, cfg.chi, HAAR, ORACLE_SEED, 400,
-        [(k, 1 - k) for k in ks],
+        cfg, ORACLE_SEED, 400, [(k, 1 - k) for k in ks]
     ) * np.array([cfg.d_a**k / math.factorial(k) for k in ks])
     ref = exact.mean(axis=0)
     ref_err = exact.std(axis=0, ddof=1) / math.sqrt(exact.shape[0])

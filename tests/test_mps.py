@@ -6,6 +6,7 @@ checks exact rather than statistical.
 """
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -111,7 +112,8 @@ def test_staircase_draws_are_the_used_columns(case, kind):
     q = d * chi
     var = None if kind.is_haar else (kind.variance or 1.0 / q)
     rng, rng_ref = mps.stream(21, 4), mps.stream(21, 4)
-    gates = [g[0] for g in mps.draw_staircase_gates(n_a, n_b, d, chi, kind, mps.normals(rng))]
+    circuit = mps.Circuit("staircase", n_a, d, chi, n_b, kind)
+    gates = [g[0] for g in mps.draw_staircase_gates(circuit, mps.normals(rng))]
     assert len(gates) == n_a + n_b - 1
     rank, used = 1, 0
     for j, gate in enumerate(gates):
@@ -150,7 +152,8 @@ def test_glued_draws_are_the_used_columns(case, kind):
         var_a = kind.variance or 1.0 / (d * chi * chi)
         var_b = kind.variance_b or 1.0 / (chi * chi)
     rng, rng_ref = mps.stream(22, 5), mps.stream(22, 5)
-    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, mps.normals(rng))
+    blocks, glues = mps.draw_glued_gates(mps.Circuit("glued", n_a, d, chi, kind=kind),
+                                         mps.normals(rng))
     assert len(blocks) == n_a and len(glues) == n_a + 1
     for v in blocks:
         assert_gate_of_block(v[0], ginibre_block(d * chi * chi, 1, rng_ref), var_a)
@@ -160,21 +163,21 @@ def test_glued_draws_are_the_used_columns(case, kind):
     assert rng.random() == rng_ref.random()
 
 
-# (setup, N_A, N_B, d, chi) of the whole-circuit draw tests; staircase-wide has
+# (setup, N_A, d, chi, N_B) of the whole-circuit draw tests; staircase-wide has
 # gates of 64 and 128 columns, wider than the base block of the triangular
 # inverse behind tall Haar gates
 CIRCUITS = {
-    "staircase": ("staircase", 2, 3, 2, 8),
-    "staircase-wide": ("staircase", 1, 9, 2, 128),
-    "glued": ("glued", 3, None, 2, 2),
+    "staircase": ("staircase", 2, 2, 8, 3),
+    "staircase-wide": ("staircase", 1, 2, 128, 9),
+    "glued": ("glued", 3, 2, 2),
 }
 
 
-def draw_circuit(setup, n_a, n_b, d, chi, kind, source):
+def draw_circuit(circuit, source):
     """Every gate stack of the circuit, in draw order."""
-    if setup == "staircase":
-        return mps.draw_staircase_gates(n_a, n_b, d, chi, kind, source)
-    blocks, glues = mps.draw_glued_gates(n_a, d, chi, kind, source)
+    if circuit.setup == "staircase":
+        return mps.draw_staircase_gates(circuit, source)
+    blocks, glues = mps.draw_glued_gates(circuit, source)
     return blocks + glues
 
 
@@ -182,10 +185,10 @@ def draw_circuit(setup, n_a, n_b, d, chi, kind, source):
 @pytest.mark.parametrize("setup", list(CIRCUITS))
 def test_normal_budget_is_what_a_build_draws(setup, kind):
     # a one-stream build consumes exactly normal_budget normals of its stream
-    circuit = CIRCUITS[setup]
+    circuit = mps.Circuit(*CIRCUITS[setup], kind=kind)
     rng, rng_ref = mps.stream(26, 1), mps.stream(26, 1)
-    draw_circuit(*circuit, kind, mps.normals(rng))
-    rng_ref.standard_normal(mps.normal_budget(*circuit))
+    draw_circuit(circuit, mps.normals(rng))
+    rng_ref.standard_normal(circuit.normal_budget)
     assert rng.random() == rng_ref.random()
 
 
@@ -194,12 +197,12 @@ def test_normal_budget_is_what_a_build_draws(setup, kind):
 def test_stacked_draws_are_the_one_stream_draws(setup, kind):
     # a stack drawn from one budget row per realization draws, bit for bit,
     # the gates each realization's stream draws alone
-    circuit = CIRCUITS[setup]
+    circuit = mps.Circuit(*CIRCUITS[setup], kind=kind)
     reals = range(3, 8)
-    budget = mps.stream_normals(24, reals, mps.normal_budget(*circuit))
-    stacked = draw_circuit(*circuit, kind, mps._budget_source(budget))
+    budget = mps.stream_normals(24, reals, circuit.normal_budget)
+    stacked = draw_circuit(circuit, mps._budget_source(budget))
     for i, r in enumerate(reals):
-        gates = draw_circuit(*circuit, kind, mps.normals(mps.stream(24, r)))
+        gates = draw_circuit(circuit, mps.normals(mps.stream(24, r)))
         assert len(gates) == len(stacked)
         for gate, stack in zip(gates, stacked):
             assert np.array_equal(gate[0], stack[i])
@@ -223,9 +226,10 @@ def test_staircase_state_draws_only_the_used_normals():
     # one chi = 256 state of the criterion-3 circuit (N_A = 6, N_B = 14, d = 2):
     # gates on bonds of rank 1, 2, ..., 128, then 11 on 256, so
     # 2 x 512 x (255 + 11 x 256) = 3,144,704 normals, not 2 x 512 x (1 + 18 x 256)
-    assert mps.normal_budget("staircase", 6, 14, 2, 256) == 3_144_704
+    circuit = mps.Circuit("staircase", 6, 2, 256, 14, gaussian())
+    assert circuit.normal_budget == 3_144_704
     rng, rng_ref = mps.stream(23), mps.stream(23)
-    mps.draw_staircase_gates(6, 14, 2, 256, gaussian(), mps.normals(rng))
+    mps.draw_staircase_gates(circuit, mps.normals(rng))
     rng_ref.standard_normal(3_144_704)
     assert rng.random() == rng_ref.random()
 
@@ -248,7 +252,7 @@ def test_stream_rejects_negative_key(name):
 
 
 def test_build_staircase_structure():
-    state, layout = mps.build_staircase(3, 4, 2, 4, HAAR, mps.stream(1))
+    state, layout = mps.build_staircase(mps.Circuit("staircase", 3, 2, 4, 4), mps.stream(1))
     assert state.phys_dims == (2, 2, 2, 2, 2, 2, 4)
     assert layout.site_roles == ("A",) * 3 + ("B",) * 4
     # the bond right of site j carries rank min(d^(j+1), chi)
@@ -260,20 +264,45 @@ def test_build_staircase_structure():
 
 
 def test_build_glued_structure():
-    state, layout = mps.build_glued(3, 2, 2, HAAR, mps.stream(2))
+    circuit = mps.Circuit("glued", 3, 2, 2)
+    state, layout = mps.build_glued(circuit, mps.stream(2))
     assert state.phys_dims == (4, 2, 4, 2, 4, 2, 4)
     assert layout.site_roles == ("B", "A", "B", "A", "B", "A", "B")
-    assert layout.n_b == 4
+    assert circuit.n_b == 4
     assert oracles.norm_squared(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_build_validation():
     with pytest.raises(ShapeMismatchError):
-        mps.build_staircase(0, 2, 2, 2)
+        mps.Circuit("staircase", 0, 2, 2, 2)
     with pytest.raises(ShapeMismatchError):
-        mps.build_staircase(2, 2, 1, 2)
+        mps.Circuit("staircase", 2, 1, 2, 2)
     with pytest.raises(ShapeMismatchError):
-        mps.build_glued(1, 2, 0)
+        mps.Circuit("glued", 1, 2, 0)
+
+
+def test_circuit_spec():
+    # glued N_B resolves to N_A + 1 and no other value is accepted; the
+    # derived shapes are those of the built state
+    glued = mps.Circuit("glued", 2, 3, 2)
+    assert glued == mps.Circuit("glued", 2, 3, 2, n_b=3)
+    with pytest.raises(ValueError, match="N_B = N_A \\+ 1"):
+        mps.Circuit("glued", 2, 3, 2, n_b=2)
+    with pytest.raises(ValueError, match="unknown setup"):
+        mps.Circuit("sequential", 2, 2, 2, 2)
+    staircase = mps.Circuit("staircase", np.int64(2), np.int64(2), np.int64(4), np.int64(3))
+    for circuit in (glued, staircase):
+        state, layout = mps.build(circuit)
+        dims = tuple(p for p, role in zip(state.phys_dims, layout.site_roles) if role == "B")
+        assert dims == circuit.outcome_dims
+        assert circuit.outcome_cardinality == math.prod(dims)
+        assert circuit.d_a == mps.region_a_dim(state, layout)
+    # a fractional size is refused at construction, not truncated or left to
+    # fail inside a draw
+    for bad in (dict(n_b=2.5), dict(n_a=1.5), dict(d=2.0), dict(chi=4.5)):
+        sizes = dict(n_a=2, d=2, chi=4, n_b=3) | bad
+        with pytest.raises(ShapeMismatchError, match="must be an integer"):
+            mps.Circuit("staircase", **sizes)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +319,7 @@ def test_build_validation():
 )
 def test_oracle_validation(setup, n_a, n_b, d, chi):
     with pytest.raises(ShapeMismatchError):
-        mps.statevector_oracle(setup, n_a, n_b, d, chi, HAAR, mps.stream(0))
+        mps.statevector_oracle(mps.Circuit(setup, n_a, d, chi, n_b), mps.stream(0))
 
 
 @pytest.mark.parametrize(
@@ -311,18 +340,10 @@ def test_oracle_validation(setup, n_a, n_b, d, chi):
 )
 def test_mps_matches_oracle_per_outcome(setup, kwargs):
     seed = 11
-    kwargs = dict(kwargs)
-    kind = kwargs.pop("kind", HAAR)
-    if setup == "staircase":
-        state, layout = mps.build_staircase(kind=kind, rng=mps.stream(seed), **kwargs)
-        ens = mps.statevector_oracle(
-            setup, kwargs["n_a"], kwargs["n_b"], kwargs["d"], kwargs["chi"], kind, mps.stream(seed)
-        )
-    else:
-        state, layout = mps.build_glued(kind=kind, rng=mps.stream(seed), **kwargs)
-        ens = mps.statevector_oracle(
-            setup, kwargs["n_a"], None, kwargs["d"], kwargs["chi"], kind, mps.stream(seed)
-        )
+    circuit = mps.Circuit(setup, **kwargs)
+    kind = circuit.kind
+    state, layout = mps.build(circuit, mps.stream(seed))
+    ens = mps.statevector_oracle(circuit, mps.stream(seed))
     p = ens.probabilities
     norm = 1.0 if kind.is_haar else oracles.norm_squared(state)
     assert p.sum() == pytest.approx(norm, abs=1e-12)
@@ -333,22 +354,18 @@ def test_mps_matches_oracle_per_outcome(setup, kwargs):
         assert oracles.born_probability(state, layout, zt) == pytest.approx(float(p[z]), abs=1e-12)
 
 
-# (setup, N_A, N_B, d, chi, kind) of the batched-oracle tests: a staircase
-# whose gates are rotated onto their output span (chi > d), its Gaussian
-# twin, and a glued circuit
+# the batched-oracle tests: a staircase whose gates are rotated onto their
+# output span (chi > d), its Gaussian twin, and a glued circuit
 ORACLE_BATCH_CASES = [
-    ("staircase", 2, 3, 2, 4, HAAR),
-    ("staircase", 2, 3, 2, 4, gaussian()),
-    ("glued", 2, None, 2, 2, HAAR),
+    mps.Circuit("staircase", 2, 2, 4, 3, HAAR),
+    mps.Circuit("staircase", 2, 2, 4, 3, gaussian()),
+    mps.Circuit("glued", 2, 2, 2),
 ]
 
 
-def mps_amplitudes(setup, n_a, n_b, d, chi, kind, rng):
+def mps_amplitudes(circuit, rng):
     """(D_A, D_B) projections of every outcome string onto the MPS of the circuit."""
-    if setup == "staircase":
-        state, layout = mps.build_staircase(n_a, n_b, d, chi, kind, rng)
-    else:
-        state, layout = mps.build_glued(n_a, d, chi, kind, rng)
+    state, layout = mps.build(circuit, rng)
     dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
     outcomes = itertools.product(*map(range, dims))
     return np.array([mps.project_outcomes(state, layout, z) for z in outcomes]).T
@@ -362,14 +379,14 @@ def test_batched_oracle_matches_mps_projection(case):
     # amplitudes are the MPS projections of the same stream's circuit, and its
     # frame potentials the direct double sum over pairs of outcomes
     seed, reals = 9, 70
-    blocks = list(mps._oracle_blocks(*case, seed, range(reals)))
+    blocks = list(mps._oracle_blocks(case, seed, range(reals)))
     assert [len(b) for b in blocks] == [mps.MAX_CHUNK_DRAWS, reals - mps.MAX_CHUNK_DRAWS]
     amps = np.concatenate(blocks)
-    refs = [mps_amplitudes(*case, mps.stream(seed, r)) for r in range(reals)]
+    refs = [mps_amplitudes(case, mps.stream(seed, r)) for r in range(reals)]
     for amp, ref in zip(amps, refs):
         assert np.abs(amp - ref).max() < 1e-12
     pairs = [(1, 0), (2, 0), (3, 0), (1, 1), (2, -1), (3, -2)]
-    fp = mps.oracle_frame_potentials(*case, seed, reals, pairs)
+    fp = mps.oracle_frame_potentials(case, seed, reals, pairs)
     assert fp.shape == (reals, len(pairs))
     for r in (0, 1, 63, 64, 69):
         cols = list(refs[r].T)
@@ -383,13 +400,27 @@ def test_batched_oracle_matches_mps_projection(case):
             assert got == pytest.approx(direct, rel=1e-12)
 
 
+def test_oracle_refuses_fractional_order_before_building(monkeypatch):
+    # k = 1.5 was read as k = 1; it is refused before any dense state is built
+    def no_build(*args):
+        raise AssertionError("dense state built")
+
+    monkeypatch.setattr(mps, "_dense_amplitudes", no_build)
+    circuit = mps.Circuit("staircase", 2, 2, 2, 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        mps.oracle_frame_potentials(circuit, 0, 4, [(2, 0), (1.5, 0)])
+    ens = mps.ProjectedEnsemble(np.eye(2, dtype=complex), (2,))
+    with pytest.raises(ValueError, match="must be an integer"):
+        ens.generalized_frame_potential(1.5, 0)
+
+
 @pytest.mark.parametrize("chi", [256, 32])
 def test_project_batch_keeps_its_memory_bound(chi):
     # one forced-mode chunk of the criterion-3 circuit: at chi = 256 one row's
     # gathered 256 x 256 B tensor alone is CHUNK_ENTRIES entries, so rows go one
     # by one; at chi = 32 the 64 rows go in two groups.  Either way the peak
     # stays near one CHUNK_ENTRIES block and the rows are the one-draw ones
-    state, layout = mps.build_staircase(6, 14, 2, chi, HAAR, mps.stream(5))
+    state, layout = mps.build_staircase(mps.Circuit("staircase", 6, 2, chi, 14), mps.stream(5))
     dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
     outcomes = mps.stream(6).integers(0, dims, size=(64, len(dims)))
     tracemalloc.start()
@@ -408,7 +439,7 @@ def test_born_product_state_deterministic():
     e0 = np.zeros((1, 2, 1), dtype=complex)
     e0[0, 0, 0] = 1.0
     state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
-    layout = mps.RegionLayout(("A", "B", "B"), "staircase", 1, 2)
+    layout = mps.RegionLayout(("A", "B", "B"))
     rec = oracles.born_sample(state, layout, mps.stream(0))
     assert rec.outcomes == (0, 0)
     assert rec.probability == pytest.approx(1.0)
@@ -416,8 +447,9 @@ def test_born_product_state_deterministic():
 
 
 def test_born_probabilities_and_frequencies():
-    state, layout = mps.build_staircase(2, 2, 2, 2, HAAR, mps.stream(11))
-    ens = mps.statevector_oracle("staircase", 2, 2, 2, 2, HAAR, mps.stream(11))
+    circuit = mps.Circuit("staircase", 2, 2, 2, 2)
+    state, layout = mps.build_staircase(circuit, mps.stream(11))
+    ens = mps.statevector_oracle(circuit, mps.stream(11))
     exact = {ens.outcome_tuple(z): float(p) for z, p in enumerate(ens.probabilities)}
     sampler = mps.BornSampler(state, layout)
     rng = mps.stream(123, 5)
@@ -436,8 +468,9 @@ def test_born_probabilities_and_frequencies():
 
 
 def test_born_post_state_matches_oracle_column():
-    state, layout = mps.build_glued(2, 2, 2, HAAR, mps.stream(13))
-    ens = mps.statevector_oracle("glued", 2, None, 2, 2, HAAR, mps.stream(13))
+    circuit = mps.Circuit("glued", 2, 2, 2)
+    state, layout = mps.build_glued(circuit, mps.stream(13))
+    ens = mps.statevector_oracle(circuit, mps.stream(13))
     cols = {ens.outcome_tuple(z): z for z in range(ens.amplitudes.shape[1])}
     sampler = mps.BornSampler(state, layout)
     rng = mps.stream(77, 1)
@@ -449,22 +482,19 @@ def test_born_post_state_matches_oracle_column():
         assert np.linalg.norm(rec.post_state) == pytest.approx(1.0, abs=1e-10)
 
 
-# (setup, N_A, N_B, d, chi, seed) of the states the batched-sweep tests draw from
-BATCH_CASES = [("staircase", 3, 4, 2, 4, 17), ("glued", 3, None, 2, 2, 18)]
+# (circuit, seed) of the states the batched-sweep tests draw from
+BATCH_CASES = [(mps.Circuit("staircase", 3, 2, 4, 4), 17), (mps.Circuit("glued", 3, 2, 2), 18)]
 
 
-def batch_case(setup, n_a, n_b, d, chi, seed):
+def batch_case(circuit, seed):
     """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
-    if setup == "staircase":
-        state, layout = mps.build_staircase(n_a, n_b, d, chi, HAAR, mps.stream(seed))
-    else:
-        state, layout = mps.build_glued(n_a, d, chi, HAAR, mps.stream(seed))
-    ens = mps.statevector_oracle(setup, n_a, n_b, d, chi, HAAR, mps.stream(seed))
+    state, layout = mps.build(circuit, mps.stream(seed))
+    ens = mps.statevector_oracle(circuit, mps.stream(seed))
     exact = {outcome: (p, post) for outcome, p, post in ens.triples()}
     return mps.BornSampler(state, layout), exact
 
 
-@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0].setup for c in BATCH_CASES])
 def test_sample_batch_matches_successive_draws(case):
     # one batched sweep consumes the stream as n single draws do and returns
     # the same draws, each equal to the oracle's outcome weight and post-state
@@ -472,7 +502,7 @@ def test_sample_batch_matches_successive_draws(case):
     n = 40
     rng_batch, rng_single = mps.stream(5, 2), mps.stream(5, 2)
     batch = sampler.sample_batch(rng_batch, n)
-    assert batch.outcomes.shape == (n, sampler.layout.n_b)
+    assert batch.outcomes.shape == (n, sampler.layout.site_roles.count("B"))
     assert batch.probabilities.shape == (n,)
     assert batch.post_states.shape == (n, sampler.d_a)
     for i in range(n):
@@ -486,7 +516,7 @@ def test_sample_batch_matches_successive_draws(case):
     assert rng_batch.random() == rng_single.random()
 
 
-@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0].setup for c in BATCH_CASES])
 def test_sample_batch_split_matches_whole(case):
     sampler, _ = batch_case(*case)
     rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
@@ -510,7 +540,7 @@ def test_sample_batch_kept_sites_at_both_ends():
     ]
     tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors)))
     state = mps.MpsState(tensors)
-    layout = mps.RegionLayout(roles, "custom", 3, 2)
+    layout = mps.RegionLayout(roles)
     batch = mps.BornSampler(state, layout).sample_batch(mps.stream(4), 30)
     for outcome, p, post in zip(batch.outcomes, batch.probabilities, batch.post_states):
         amp = mps.project_outcomes(state, layout, outcome)
@@ -519,20 +549,19 @@ def test_sample_batch_kept_sites_at_both_ends():
 
 
 def test_born_rejects_unnormalized():
-    state, layout = mps.build_staircase(2, 2, 2, 2, gaussian(), mps.stream(3))
+    state, layout = mps.build_staircase(mps.Circuit("staircase", 2, 2, 2, 2, gaussian()),
+                                        mps.stream(3))
     with pytest.raises(PreconditionError):
         oracles.born_sample(state, layout, mps.stream(0))
 
 
 def test_gaussian_states_not_renormalized():
-    state, layout = mps.build_staircase(2, 2, 2, 2, gaussian(), mps.stream(3))
+    circuit = mps.Circuit("staircase", 2, 2, 2, 2, gaussian())
+    state, layout = mps.build_staircase(circuit, mps.stream(3))
     nsq = oracles.norm_squared(state)
     assert abs(nsq - 1.0) > 1e-8  # generically unnormalized
-    total = sum(
-        oracles.born_probability(state, layout, mps.statevector_oracle(
-            "staircase", 2, 2, 2, 2, gaussian(), mps.stream(3)).outcome_tuple(z))
-        for z in range(4)
-    )
+    ens = mps.statevector_oracle(circuit, mps.stream(3))
+    total = sum(oracles.born_probability(state, layout, ens.outcome_tuple(z)) for z in range(4))
     assert total == pytest.approx(nsq, abs=1e-10)
 
 
@@ -548,7 +577,7 @@ def test_overlap():
 
 def test_oracle_purity_identity():
     for seed in (9, 10):
-        ens = mps.statevector_oracle("staircase", 2, 2, 2, 2, HAAR, mps.stream(seed))
+        ens = mps.statevector_oracle(mps.Circuit("staircase", 2, 2, 2, 2), mps.stream(seed))
         rho = ens.amplitudes @ ens.amplitudes.conj().T
         assert ens.frame_potential(1) == pytest.approx(float(np.trace(rho @ rho).real), abs=1e-10)
 
@@ -566,7 +595,7 @@ def test_generalized_frame_potential_zero_probability_outcome():
 
 
 def test_oracle_triples_and_posts():
-    ens = mps.statevector_oracle("staircase", 2, 2, 2, 2, HAAR, mps.stream(4))
+    ens = mps.statevector_oracle(mps.Circuit("staircase", 2, 2, 2, 2), mps.stream(4))
     total = 0.0
     for outcome, p, post in ens.triples():
         assert len(outcome) == 2
@@ -577,8 +606,8 @@ def test_oracle_triples_and_posts():
 
 def test_oracle_size_caps():
     with pytest.raises(SizeLimitError):
-        mps.statevector_oracle("staircase", 20, 10, 2, 4, HAAR, mps.stream(0))
+        mps.statevector_oracle(mps.Circuit("staircase", 20, 2, 4, 10), mps.stream(0))
     with pytest.raises(SizeLimitError):
         # the full state fits, but the outcome space is too large to enumerate
-        mps.statevector_oracle("staircase", 2, 13, 2, 2, HAAR, mps.stream(0))
+        mps.statevector_oracle(mps.Circuit("staircase", 2, 2, 2, 13), mps.stream(0))
 

@@ -98,6 +98,15 @@ def test_left_invariance_exhaustive_s4():
                 assert lhs == dm[idx[a], idx[b]]
 
 
+def test_replica_shape_counts_are_integers():
+    # a fractional count was once taken as is (m = 3.0 at k = 1.5); numpy
+    # integers stay accepted
+    for n, k in ((0, 1.5), (0.5, 1), (0, 2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            pg.ReplicaShape(n, k)
+    assert pg.ReplicaShape(np.int64(1), np.int32(2)).m == 6
+
+
 def test_overlap_permutation_structure():
     assert pg.overlap_permutation(pg.ReplicaShape(0, 1)) == (1, 0)
     assert pg.overlap_permutation(pg.ReplicaShape(1, 1)) == (0, 2, 1, 3)

@@ -23,10 +23,11 @@ import oracles
 
 
 def chain_spec(setup, k, n, n_a, n_b, d, chi, kind=HAAR):
+    """The chain of the circuit; a glued circuit resolves its own N_B."""
     shape = ReplicaShape(n, k)
     if setup == "staircase":
-        return rp.staircase_chain(shape, d, chi, n_a, n_b, kind)
-    return rp.glued_chain(shape, d, chi, n_a, kind)
+        return rp.staircase_chain(mps.Circuit(setup, n_a, d, chi, n_b, kind), shape)
+    return rp.glued_chain(mps.Circuit(setup, n_a, d, chi, kind=kind), shape)
 
 
 def dense_contract(spec):
@@ -172,7 +173,7 @@ def test_boundary_vector_chain_equivalence(kind, k, n):
     # reproduces the standard grouping exactly
     shape = ReplicaShape(n, k)
     d, chi, na, nb = 2, 3, 2, 3
-    clean = rp.frame_potential_chain("staircase", k, n, na, nb, d, chi, kind)
+    clean = rp.frame_potential_chain(mps.Circuit("staircase", na, d, chi, nb, kind), k, n)
     vl, vr = rp.boundary_vectors("staircase", shape, chi, d, kind)
     sites = ("A",) * na + ("B_staircase",) * (nb - 2)
     bonds = ("staircase_bulk",) * (len(sites) - 1) + ("glued_A_to_B",)
@@ -205,7 +206,7 @@ def test_contract_all_ones_counts_group():
 
 
 def test_contract_linearity():
-    spec = rp.staircase_chain(ReplicaShape(1, 1), 2, 2, 2, 2)
+    spec = rp.staircase_chain(mps.Circuit("staircase", 2, 2, 2, 2), ReplicaShape(1, 1))
     base = rp.contract(spec).value
     doubled = rp.ReplicaChainSpec(
         shape=spec.shape,
@@ -225,24 +226,27 @@ def test_purity_formula_single_block():
     for d, chi in [(2, 2), (2, 4), (3, 5)]:
         target = (chi + d) / (d * chi + 1)
         for nb in (1, 2, 3):
-            val = rp.frame_potential_chain("staircase", 1, 0, 1, nb, d, chi).value
+            val = rp.frame_potential_chain(mps.Circuit("staircase", 1, d, chi, nb), 1, 0).value
             assert val == pytest.approx(target, rel=1e-12)
 
 
 def test_purity_monotone_decrease_in_na():
-    vals = [rp.frame_potential_chain("staircase", 1, 0, na, 3, 2, 4).value for na in range(2, 7)]
+    vals = [
+        rp.frame_potential_chain(mps.Circuit("staircase", na, 2, 4, 3), 1, 0).value
+        for na in range(2, 7)
+    ]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > th.haar_frame_potential(1, 2**6)
 
 
 def test_seed_free_determinism():
-    a = rp.frame_potential_chain("staircase", 2, 0, 2, 3, 2, 3)
-    b = rp.frame_potential_chain("staircase", 2, 0, 2, 3, 2, 3)
+    a = rp.frame_potential_chain(mps.Circuit("staircase", 2, 2, 3, 3), 2, 0)
+    b = rp.frame_potential_chain(mps.Circuit("staircase", 2, 2, 3, 3), 2, 0)
     assert a.mantissa == b.mantissa and a.log_scale == b.log_scale
 
 
-def oracle_mc(setup, n_a, n_b, d, chi, pairs_kn, reals, seed, kind=HAAR):
-    per = mps.oracle_frame_potentials(setup, n_a, n_b, d, chi, kind, seed, reals, pairs_kn)
+def oracle_mc(circuit, pairs_kn, reals, seed):
+    per = mps.oracle_frame_potentials(circuit, seed, reals, pairs_kn)
     mean = per.mean(axis=0)
     err = per.std(axis=0, ddof=1) / np.sqrt(reals)
     return mean, err
@@ -250,14 +254,12 @@ def oracle_mc(setup, n_a, n_b, d, chi, pairs_kn, reals, seed, kind=HAAR):
 
 def test_engine_matches_oracle_small():
     pairs = [(1, 0), (2, 0), (1, 1)]
-    mean, err = oracle_mc("staircase", 2, 2, 2, 2, pairs, 3000, 101)
-    for (k, n), mu, se in zip(pairs, mean, err):
-        eng = rp.frame_potential_chain("staircase", k, n, 2, 2, 2, 2).value
-        assert abs(eng - mu) < 4 * se
-    mean, err = oracle_mc("glued", 2, None, 2, 2, pairs, 3000, 404)
-    for (k, n), mu, se in zip(pairs, mean, err):
-        eng = rp.frame_potential_chain("glued", k, n, 2, None, 2, 2).value
-        assert abs(eng - mu) < 4 * se
+    for circuit, seed in ((mps.Circuit("staircase", 2, 2, 2, 2), 101),
+                          (mps.Circuit("glued", 2, 2, 2), 404)):
+        mean, err = oracle_mc(circuit, pairs, 3000, seed)
+        for (k, n), mu, se in zip(pairs, mean, err):
+            eng = rp.frame_potential_chain(circuit, k, n).value
+            assert abs(eng - mu) < 4 * se
 
 
 @pytest.mark.parametrize("kind", [HAAR, gaussian()], ids=["haar", "gaussian"])
@@ -267,9 +269,10 @@ def test_staircase_rank_limited_gates_in_law(kind):
     # the exact chain (criterion 2 runs at chi = d and never compresses)
     pairs = [(1, 0), (2, 0), (1, 1)]
     for n_a, n_b, chi in ((2, 3, 4), (3, 2, 8)):
-        mean, err = oracle_mc("staircase", n_a, n_b, 2, chi, pairs, 10_000, 7, kind)
+        circuit = mps.Circuit("staircase", n_a, 2, chi, n_b, kind)
+        mean, err = oracle_mc(circuit, pairs, 10_000, 7)
         for (k, n), mu, se in zip(pairs, mean, err):
-            eng = rp.frame_potential_chain("staircase", k, n, n_a, n_b, 2, chi, kind).value
+            eng = rp.frame_potential_chain(circuit, k, n).value
             assert abs(eng - mu) < 4 * se
 
 
@@ -283,7 +286,8 @@ def test_staircase_born_ratio_approaches_setup1_ratio():
     for n_a in (4, 6, 8):
         chi = 2 ** (n_a - 1)
         ratios = {
-            n_b: 2**n_a * rp.frame_potential_chain("staircase", 1, 0, n_a, n_b, 2, chi).value
+            n_b: 2**n_a
+            * rp.frame_potential_chain(mps.Circuit("staircase", n_a, 2, chi, n_b), 1, 0).value
             for n_b in (14, 30)
         }
         assert ratios[30] == pytest.approx(ratios[14], rel=1e-12)
@@ -299,7 +303,7 @@ def test_staircase_leading_order_convergence():
     # 12.5 (gaussian, 1|3) and 9.4 (haar, 2|4), so a fixed bound at one chi
     # would test the size of the 1/chi term, not the leading order.
     def rel_dev(kind, n_a, n_b, chi):
-        eng = rp.frame_potential_chain("staircase", 1, 1, n_a, n_b, 2, chi, kind)
+        eng = rp.frame_potential_chain(mps.Circuit("staircase", n_a, 2, chi, n_b, kind), 1, 1)
         lead = th.leading_order_log(ReplicaShape(1, 1), 2, float(chi), n_a, n_b, "staircase", kind)
         return math.expm1(eng.log - lead)
 
@@ -312,14 +316,14 @@ def test_staircase_leading_order_convergence():
 def test_glued_leading_order_convergence():
     # single-wall edge corrections decay as 1/chi
     for kind in (HAAR, gaussian()):
-        eng = rp.frame_potential_chain("glued", 1, 1, 2, None, 2, 2048, kind)
+        eng = rp.frame_potential_chain(mps.Circuit("glued", 2, 2, 2048, kind=kind), 1, 1)
         lead = th.leading_order_log(ReplicaShape(1, 1), 2, 2048.0, 2, None, "glued", kind)
         assert abs(math.exp(eng.log - lead) - 1) < 0.01
 
 
 def test_engine_vs_dense_m4():
     for setup, nb in (("staircase", 3), ("glued", None)):
-        engine = rp.frame_potential_chain(setup, 1, 1, 2, nb, 2, 3, HAAR)
+        engine = rp.frame_potential_chain(mps.Circuit(setup, 2, 2, 3, nb, HAAR), 1, 1)
         dense = dense_contract(chain_spec(setup, 1, 1, 2, nb, 2, 3, HAAR))
         assert engine.value == pytest.approx(dense.value, rel=1e-10)
 
@@ -327,7 +331,7 @@ def test_engine_vs_dense_m4():
 def test_engine_vs_dense_m6():
     # chi = 2 < m: the Gram matrices are singular, so both sides pseudo-invert
     for setup, nb in (("staircase", 3), ("glued", None)):
-        engine = rp.frame_potential_chain(setup, 3, 0, 2, nb, 2, 2, HAAR)
+        engine = rp.frame_potential_chain(mps.Circuit(setup, 2, 2, 2, nb, HAAR), 3, 0)
         dense = dense_contract(chain_spec(setup, 3, 0, 2, nb, 2, 2, HAAR))
         assert engine.value == pytest.approx(dense.value, rel=1e-10)
 
@@ -339,23 +343,28 @@ def test_m8_bondless_chain_matches_direct_sum():
     weights = rp.site_weight_A(shape, d)
     r = float(chi) * np.where(pg.factorized_mask(8), float(chi), 1.0)
     direct = wg.weingarten_sum_constant(8, float(d * chi)) * float(np.dot(weights, r))
-    val = rp.frame_potential_chain("staircase", 4, 0, 1, 1, d, chi)
+    val = rp.frame_potential_chain(mps.Circuit("staircase", 1, d, chi, 1), 4, 0)
     assert val.value == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.slow
 def test_m8_engine_matches_oracle():
-    eng = rp.frame_potential_chain("staircase", 4, 0, 1, 2, 2, 2, HAAR)
+    circuit = mps.Circuit("staircase", 1, 2, 2, 2, HAAR)
+    eng = rp.frame_potential_chain(circuit, 4, 0)
     pairs = [(4, 0)]
-    mean, err = oracle_mc("staircase", 1, 2, 2, 2, pairs, 20000, 17)
+    mean, err = oracle_mc(circuit, pairs, 20000, 17)
     assert abs(eng.value - mean[0]) < 4 * err[0]
 
 
 def test_frame_potential_chain_validation():
     with pytest.raises(ValueError):
-        rp.frame_potential_chain("staircase", 2, -1, 2, 2, 2, 2)
+        rp.frame_potential_chain(mps.Circuit("staircase", 2, 2, 2, 2), 2, -1)
     with pytest.raises(SizeLimitError):
-        rp.frame_potential_chain("staircase", 4, 1, 2, 2, 2, 2)
+        rp.frame_potential_chain(mps.Circuit("staircase", 2, 2, 2, 2), 4, 1)
+    # a fractional k or n is refused, not truncated (k = 1.5 read as F^(1,0))
+    for k, n in ((1.5, 0), (1, 0.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            rp.frame_potential_chain(mps.Circuit("staircase", 2, 2, 2, 2), k, n)
 
     def spec(*ops):
         return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops, np.ones(2), np.ones(2))
@@ -405,7 +414,7 @@ M_LE_6 = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]
 def test_reduced_matches_dense(n, k, kind):
     # the orbit-space engine against the dense whole-group reference
     for setup, n_a, n_b in (("staircase", 3, 4), ("staircase", 1, 1), ("glued", 3, None)):
-        reduced = rp.frame_potential_chain(setup, k, n, n_a, n_b, 2, 3, kind)
+        reduced = rp.frame_potential_chain(mps.Circuit(setup, n_a, 2, 3, n_b, kind), k, n)
         dense = dense_contract(chain_spec(setup, k, n, n_a, n_b, 2, 3, kind))
         assert abs(reduced.log - dense.log) <= 1e-12 * abs(dense.log)
 
@@ -417,7 +426,7 @@ def test_selector_vectors_invariant(n, k):
         rp.site_weight_A(shape, 2),
         rp.site_weight_B_staircase(shape, 2),
         rp.site_weight_B_glued(shape, 3, gaussian()),
-        rp.staircase_chain(shape, 2, 3, 1, 1).right_boundary,
+        rp.staircase_chain(mps.Circuit("staircase", 1, 2, 3, 1), shape).right_boundary,
         *rp.boundary_vectors("staircase", shape, 3, 2, gaussian()),
     ]
     if shape.m <= 6:
@@ -441,7 +450,7 @@ def test_weingarten_dressing_matches_dense(n, k):
 
 
 def test_non_invariant_operands_raise():
-    spec = rp.staircase_chain(ReplicaShape(1, 1), 2, 2, 2, 2)
+    spec = rp.staircase_chain(mps.Circuit("staircase", 2, 2, 2, 2), ReplicaShape(1, 1))
     orbits = pg.chain_orbits(spec.shape)
     # an element that shares its orbit with its representative
     i = int(np.flatnonzero(orbits.reps[orbits.label] != np.arange(24))[0])
@@ -479,6 +488,6 @@ def test_bondless_chain_builds_no_kernel_table():
     # an m = 8 chain without bonds (N_B = 1) needs the orbits, never the
     # orbit-space count table, which is the costly part of a first bond
     before = pg.orbit_class_counts.cache_info().misses
-    val = rp.frame_potential_chain("staircase", 1, 3, 1, 1, 2, 2)
+    val = rp.frame_potential_chain(mps.Circuit("staircase", 1, 2, 2, 1), 1, 3)
     assert math.isfinite(val.log)
     assert pg.orbit_class_counts.cache_info().misses == before
