@@ -53,8 +53,11 @@ from .weingarten import HAAR, gaussian
 # oracle evaluated on stacks of realizations sums in a new order (oracle 5);
 # tall Haar gates by Cholesky-QR move in their last bits, and the sample and
 # histogram config hash loses EnsembleConfig.n (all three 6); the config they
-# hash records the resolved glued N_B and, for histograms, a fixed k_max (7)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 7, "histogram": 7}
+# hash records the resolved glued N_B and, for histograms, a fixed k_max (7);
+# the draw-major Born sweep in chunks of up to 256 draws moves the last bits of
+# Born probabilities, post-states and forced-mode chunk sums (sample and
+# histogram 8)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 8, "histogram": 8}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {

@@ -22,6 +22,7 @@ fixed config regardless of worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ from .errors import PreconditionError, SizeLimitError
 @dataclass(frozen=True)
 class EnsembleConfig(mps.Circuit):
     """One sampling experiment: the circuit (``mps.Circuit``, validated by
-    its own rule) plus how it is sampled."""
+    its own rule) plus how it is sampled.  The counts and the seed are
+    integers, stored as Python ints like the circuit sizes."""
 
     k_max: int = 3
     pairs_per_state: int = 100
@@ -52,6 +54,11 @@ class EnsembleConfig(mps.Circuit):
             raise PreconditionError("born mode needs normalized states (haar kind)")
         if self.pair_mode not in ("independent", "pooled"):
             raise ValueError(f"unknown pair mode {self.pair_mode!r}")
+        for field in ("k_max", "pairs_per_state", "realizations", "seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.k_max < 1 or self.pairs_per_state < 1 or self.realizations < 2:
             raise ValueError("need k_max >= 1, pairs_per_state >= 1, realizations >= 2")
 
@@ -116,7 +123,10 @@ def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
 
     Pair i is outcome rows (2i, 2i + 1).  Each chunk's strings come from one
     ``rng.integers(0, dims, (2 pairs, N_B))`` and one batched projection,
-    in whole pairs of the Born sampler's chunk size ``mps.chunk_draws``.
+    in whole pairs of the Born sampler's chunk ``mps.chunk_draws`` (up to
+    ``mps.MAX_SAMPLER_DRAWS`` strings), which ``mps._project_batch`` runs in
+    groups of at most ``mps.MAX_CHUNK_DRAWS`` rows.  The pair moments are
+    summed chunk by chunk, so the chunk size sets their summation order.
     """
     rng = mps.stream(config.seed, r)
     state, layout = mps.build(config, rng)

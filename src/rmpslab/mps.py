@@ -87,6 +87,7 @@ MAX_POST_DIM = 2**20
 MAX_ORACLE_DIM = 2**24
 _ORACLE_MAX_OUTCOMES = 4096
 MAX_CHUNK_DRAWS = 64
+MAX_SAMPLER_DRAWS = 256
 CHUNK_ENTRIES = 2**16
 
 
@@ -241,7 +242,7 @@ class Circuit:
     dimension, chi the bond dimension and kind the gate ensemble.  n_b, the
     measured sites N_B, is required for the staircase; the glued layout fixes
     N_B = N_A + 1, which a None n_b resolves to.  The sizes are integers
-    (numpy integers too) within ``check_circuit``.
+    (numpy integers too, stored as Python ints) within ``check_circuit``.
     """
 
     setup: str
@@ -258,10 +259,12 @@ class Circuit:
                 object.__setattr__(self, "n_b", self.n_a + 1)
             elif self.n_b != self.n_a + 1:
                 raise ValueError(f"glued layout fixes N_B = N_A + 1, got N_B={self.n_b!r}")
-        sizes = {"N_A": self.n_a, "N_B": self.n_b, "d": self.d, "chi": self.chi}
-        for name, value in sizes.items():
+        for name, field in (("N_A", "n_a"), ("N_B", "n_b"), ("d", "d"), ("chi", "chi")):
+            value = getattr(self, field)
             if not isinstance(value, numbers.Integral):
                 raise ShapeMismatchError(f"{name} must be an integer, got {value!r}")
+            # stored as a Python int, so hashes and JSON see one type whatever was given
+            object.__setattr__(self, field, int(value))
         check_circuit(self.chi, self.d, self.n_a, self.n_b)
 
     @property
@@ -452,8 +455,9 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
 
     One left-to-right sweep of batched products per group of rows; returns
     (count, D_A).  The groups are ``_chunk_rows`` of the widest intermediate
-    of one row (a gathered B tensor, or the open A index times the bond), so
-    no group passes CHUNK_ENTRIES complex entries unless one row does.
+    of one row (a gathered B tensor, or the open A index times the bond):
+    at most MAX_CHUNK_DRAWS rows, and no group passes CHUNK_ENTRIES complex
+    entries unless one row does.
     """
     width, d_a = 1, 1
     for t, role in zip(state.tensors, layout.site_roles):
@@ -481,18 +485,20 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
 
 
 def chunk_draws(state: MpsState, d_a: int) -> int:
-    """Draws per batched sweep or projection: at most MAX_CHUNK_DRAWS, fewer
-    where one draw's widest row (the region-A vector or a site's bond x
-    physical slice) times the draw count would pass CHUNK_ENTRIES complex
-    entries.
+    """Draws per Born-sampler sweep or forced-mode chunk: at most
+    MAX_SAMPLER_DRAWS, fewer where one draw's widest row (the region-A vector
+    or a site's bond x physical slice) times the draw count would pass
+    CHUNK_ENTRIES complex entries.
     """
-    return _chunk_rows(max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]]))
+    width = max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]])
+    return _chunk_rows(width, MAX_SAMPLER_DRAWS)
 
 
-def _chunk_rows(width: int) -> int:
-    """Rows of width complex entries per chunk: at most MAX_CHUNK_DRAWS, and
-    no more than CHUNK_ENTRIES entries together."""
-    return max(1, min(MAX_CHUNK_DRAWS, CHUNK_ENTRIES // width))
+def _chunk_rows(width: int, cap: int = MAX_CHUNK_DRAWS) -> int:
+    """Rows of width complex entries per chunk: at most cap (the oracle stack
+    size MAX_CHUNK_DRAWS by default), and no more than CHUNK_ENTRIES entries
+    together."""
+    return max(1, min(cap, CHUNK_ENTRIES // width))
 
 
 class MeasurementBatch(NamedTuple):
@@ -522,9 +528,16 @@ class BornSampler:
     kept site lies to the right (staircase), a density otherwise (glued).
     Every step is a batched matrix product over the chunk (BLAS-3), and
     sampling right to left keeps the staircase cost at O(N chi^2) per draw
-    instead of the O(N chi^3) of a left-to-right sweep.  Memory grows with
-    the chunk: about count x max(D_A, d chi) complex entries, which the
-    chunk size ``chunk`` keeps near 2^16.
+    instead of the O(N chi^3) of a left-to-right sweep.  Both modes run
+    draw-major: the vectors are a (draw, bond) matrix, so each B site takes
+    two plain products (the candidates, then their quadratic form with the
+    traced left density, over the contiguous bond axis after one regrouping
+    copy) and row-wise cumulative sums; the densities are a (draw, bond,
+    bond) stack.  Memory grows with the chunk: a vector-mode site holds three
+    arrays of count x d chi complex entries (the candidates, their
+    draw-major copy and the half product), and the post-states take
+    count x D_A.  ``chunk`` (``chunk_draws``, at most MAX_SAMPLER_DRAWS =
+    256 draws) keeps each near 2^16 entries.
 
     The uniforms are drawn as ``rng.random((count, N_B))``, draw-major and
     in sweep order, so a batch consumes the stream exactly as ``count``
@@ -597,7 +610,8 @@ class BornSampler:
             cand = (self._flat[-1] @ np.ones(1, dtype=complex)).reshape(t.shape[0], t.shape[1])
             q = np.einsum("bp,bp->p", cand.conj(), self._left[-1] @ cand).real
             q = np.clip(q, 0.0, None)
-            self._last = (cand, q, np.cumsum(q), q.sum())
+            # by outcome, so a draw's next vector is one contiguous row
+            self._last = (np.ascontiguousarray(cand.T), q, np.cumsum(q), q.sum())
         self._region_a_map = None
         if last_a < self._first_b:
             acc = np.ones((1, 1), dtype=complex)
@@ -618,7 +632,7 @@ class BornSampler:
         outcomes = np.empty((count, self._n_b), dtype=np.intp)
         draws = np.arange(count)
         prob = 1.0
-        vec = np.ones((1, count), dtype=complex)  # vector mode: (right bond, draw)
+        vec = np.ones((count, 1), dtype=complex)  # vector mode: (draw, right bond)
         rho = None  # density mode: (draw, ket right bond, bra right bond)
         mass_prev = None
         s = 0
@@ -633,18 +647,21 @@ class BornSampler:
                         raise PreconditionError("vanishing marginal mass during Born sweep")
                     z = np.minimum(cum.searchsorted(u * total, side="right"), p - 1)
                     mass_prev = q[z]
-                    vec = cand[:, z]
+                    vec = cand[z]
                 else:
                     if rho is None:
-                        # cand[l, p, c] = sum_r t[l, p, r] v[r, c], then the
-                        # quadratic form with the traced left density
-                        cand = self._flat[i] @ vec
-                        lc = self._left[i] @ cand.reshape(l, p * count)
-                        q = np.vecdot(cand.reshape(l, -1), lc, axis=0).real.reshape(p, count)
+                        # cand[c, p, l] = sum_r t[l, p, r] v[c, r], regrouped
+                        # draw-major by one copy, then the quadratic form with
+                        # the traced left density over the contiguous bond axis
+                        cand = (vec @ self._flat[i].T).reshape(count, l, p).transpose(0, 2, 1)
+                        cand = cand.reshape(count * p, l)
+                        q = np.vecdot(cand, cand @ self._left[i].T).real.reshape(count, p)
                     else:
-                        q = (rho.reshape(count, -1) @ self._kernel[i]).real.T
+                        q = (rho.reshape(count, -1) @ self._kernel[i]).real
                     q = np.maximum(q, 0.0)
-                    total = q.sum(axis=0)
+                    # the row-wise cumsum's last entry is the sequential sum
+                    cum = q.cumsum(axis=1)
+                    total = cum[:, -1]
                     if (total <= 0.0).any():
                         raise PreconditionError("vanishing marginal mass during Born sweep")
                     if mass_prev is not None:
@@ -655,11 +672,13 @@ class BornSampler:
                                 f"Born sweep inconsistency at site {i}: "
                                 f"{total[c]} vs {mass_prev[c]}"
                             )
-                    # per column: the searchsorted(cumsum(q), u total, "right") index
-                    z = np.minimum((q.cumsum(axis=0) <= u * total).sum(axis=0), p - 1)
-                    mass_prev = q[z, draws]
+                    # per row: the searchsorted(cumsum(q), u total, "right")
+                    # index capped at p - 1, which is the count of the first
+                    # p - 1 cumulative masses at or below u total
+                    z = (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1)
+                    mass_prev = q[draws, z]
                     if rho is None:
-                        vec = cand.reshape(l, p, count)[:, z, draws]
+                        vec = cand[draws * p + z]
                     else:
                         tz = self._by_z[i][z]
                         rho = tz @ rho @ tz.conj().transpose(0, 2, 1)
@@ -667,12 +686,12 @@ class BornSampler:
                 outcomes[:, -1 - s] = z
                 s += 1
             elif rho is None:
-                w = (self._flat[i] @ vec).reshape(l, p, count).transpose(2, 0, 1)
+                w = (vec @ self._flat[i].T).reshape(count, l, p)
                 rho = w @ w.conj().transpose(0, 2, 1)
             else:
                 rho = (self._flat[i] @ rho).reshape(count, l, -1) @ self._conj_pr[i]
         if rho is None:
-            amp = vec.T @ self._region_a_map
+            amp = vec @ self._region_a_map
         else:
             amp = _project_batch(self.state, self.layout, outcomes)
         amp /= np.sqrt(np.vecdot(amp, amp).real)[:, None]
@@ -869,14 +888,15 @@ def oracle_frame_potentials(
 
     Returns a (realizations, len(pairs)) array: row i holds, for each (k, n)
     of pairs, the frame potential of the exhaustive projected ensemble of the
-    realization r = realizations[i] (r = i when realizations is a count),
-    drawn from ``stream(seed, r)`` exactly as ``statevector_oracle`` draws it.
+    realization r = realizations[i] (r = i when realizations is a count: a
+    Python or numpy integer), drawn from ``stream(seed, r)`` exactly as
+    ``statevector_oracle`` draws it.
     The realizations are built and evaluated in stacks of up to
     MAX_CHUNK_DRAWS, starting at the first one.  Each k must be an integer
     >= 1; that is checked before any state is built.
     """
     _check_orders(pairs)
-    reals = range(realizations) if isinstance(realizations, int) else realizations
+    reals = range(realizations) if isinstance(realizations, numbers.Integral) else realizations
     out = np.empty((len(reals), len(pairs)))
     lo = 0
     for amps in _oracle_blocks(circuit, seed, reals):

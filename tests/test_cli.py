@@ -6,11 +6,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmpslab import cli
+from rmpslab import cli, estimator
 
 
 def run_cli(capsys, *argv):
@@ -66,10 +67,10 @@ SCHEMA_CASES = {
                         "--k", "2", "--n", "1"]),
     "oracle": (6, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (7, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (8, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                       "--seed", "5", "--threads", "1"]),
-    "histogram": (7, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (8, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -106,14 +107,30 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=7 seed=11 config=")
+    assert lines[0].startswith("# schema=8 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 7
+    assert doc["schema"] == 8
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
+
+
+def test_numpy_sized_config_hashes_as_int():
+    # numpy integer sizes, counts and seed are stored as Python ints, so the
+    # config serializes and hashes exactly as the int-sized one does
+    sizes = dict(n_a=2, n_b=2, d=2, chi=2, k_max=2, pairs_per_state=4, realizations=4, seed=5)
+    for setup in ("staircase", "glued"):
+        fields = sizes if setup == "staircase" else {**sizes, "n_b": None}
+        plain = estimator.EnsembleConfig(setup=setup, **fields)
+        numpy_sized = estimator.EnsembleConfig(
+            setup=setup, **{k: v if v is None else np.int64(v) for k, v in fields.items()}
+        )
+        assert cli.config_dict(numpy_sized) == cli.config_dict(plain)
+        assert cli._hash(cli.config_dict(numpy_sized)) == cli._hash(cli.config_dict(plain))
+    with pytest.raises(ValueError, match="must be an integer"):
+        estimator.EnsembleConfig(setup="staircase", **{**sizes, "pairs_per_state": 2.5})
 
 
 def test_sample_emits_rows_and_mirror(tmp_path, capsys):

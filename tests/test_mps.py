@@ -291,6 +291,10 @@ def test_circuit_spec():
     with pytest.raises(ValueError, match="unknown setup"):
         mps.Circuit("sequential", 2, 2, 2, 2)
     staircase = mps.Circuit("staircase", np.int64(2), np.int64(2), np.int64(4), np.int64(3))
+    # numpy sizes are kept as Python ints, the resolved glued N_B too
+    assert staircase == mps.Circuit("staircase", 2, 2, 4, 3)
+    assert {type(v) for v in (staircase.n_a, staircase.d, staircase.chi, staircase.n_b)} == {int}
+    assert type(mps.Circuit("glued", np.int64(2), 3, 2).n_b) is int
     for circuit in (glued, staircase):
         state, layout = mps.build(circuit)
         dims = tuple(p for p, role in zip(state.phys_dims, layout.site_roles) if role == "B")
@@ -400,6 +404,15 @@ def test_batched_oracle_matches_mps_projection(case):
             assert got == pytest.approx(direct, rel=1e-12)
 
 
+def test_oracle_takes_numpy_integer_counts():
+    # a numpy count is a count, not a range of realizations
+    circuit = mps.Circuit("staircase", 2, 2, 2, 2)
+    pairs = [(1, 0), (2, -1)]
+    want = mps.oracle_frame_potentials(circuit, 4, 3, pairs)
+    assert want.shape == (3, len(pairs))
+    assert np.array_equal(mps.oracle_frame_potentials(circuit, 4, np.int64(3), pairs), want)
+
+
 def test_oracle_refuses_fractional_order_before_building(monkeypatch):
     # k = 1.5 was read as k = 1; it is refused before any dense state is built
     def no_build(*args):
@@ -482,8 +495,15 @@ def test_born_post_state_matches_oracle_column():
         assert np.linalg.norm(rec.post_state) == pytest.approx(1.0, abs=1e-10)
 
 
-# (circuit, seed) of the states the batched-sweep tests draw from
-BATCH_CASES = [(mps.Circuit("staircase", 3, 2, 4, 4), 17), (mps.Circuit("glued", 3, 2, 2), 18)]
+# (circuit, seed, draws) of the states the batched-sweep tests draw from: a
+# vector-mode (staircase) and a density-mode (glued) sweep, and a chi = 16
+# staircase sampled past one MAX_SAMPLER_DRAWS chunk
+BATCH_CASES = [
+    (mps.Circuit("staircase", 3, 2, 4, 4), 17, 40),
+    (mps.Circuit("glued", 3, 2, 2), 18, 40),
+    (mps.Circuit("staircase", 2, 2, 16, 4), 19, 300),
+]
+BATCH_IDS = ["staircase", "glued", "staircase-chi16"]
 
 
 def batch_case(circuit, seed):
@@ -494,12 +514,12 @@ def batch_case(circuit, seed):
     return mps.BornSampler(state, layout), exact
 
 
-@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0].setup for c in BATCH_CASES])
+@pytest.mark.parametrize("case", BATCH_CASES, ids=BATCH_IDS)
 def test_sample_batch_matches_successive_draws(case):
     # one batched sweep consumes the stream as n single draws do and returns
     # the same draws, each equal to the oracle's outcome weight and post-state
-    sampler, exact = batch_case(*case)
-    n = 40
+    circuit, seed, n = case
+    sampler, exact = batch_case(circuit, seed)
     rng_batch, rng_single = mps.stream(5, 2), mps.stream(5, 2)
     batch = sampler.sample_batch(rng_batch, n)
     assert batch.outcomes.shape == (n, sampler.layout.site_roles.count("B"))
@@ -516,15 +536,59 @@ def test_sample_batch_matches_successive_draws(case):
     assert rng_batch.random() == rng_single.random()
 
 
-@pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0].setup for c in BATCH_CASES])
+@pytest.mark.parametrize("case", BATCH_CASES, ids=BATCH_IDS)
 def test_sample_batch_split_matches_whole(case):
-    sampler, _ = batch_case(*case)
+    # batches of 13, then one whole chunk, then the rest draw what one batch
+    # of all n does; at n = 300 the split crosses the 256-draw chunk boundary
+    circuit, seed, n = case
+    sampler, _ = batch_case(circuit, seed)
+    bounds = sorted({0, 13, min(n, 13 + sampler.chunk), n})
     rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
-    first = sampler.sample_batch(rng_split, 13)
-    second = sampler.sample_batch(rng_split, 27)
-    whole = sampler.sample_batch(rng_whole, 40)
-    assert np.array_equal(np.concatenate([first.outcomes, second.outcomes]), whole.outcomes)
+    parts = [sampler.sample_batch(rng_split, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    whole = sampler.sample_batch(rng_whole, n)
+    split = mps.MeasurementBatch(*(np.concatenate(f) for f in zip(*parts)))
+    assert np.array_equal(split.outcomes, whole.outcomes)
+    assert np.abs(split.probabilities - whole.probabilities).max() < 1e-12
+    assert np.abs(split.post_states - whole.post_states).max() < 1e-12
     assert rng_split.random() == rng_whole.random()
+
+
+@pytest.mark.parametrize("case", BATCH_CASES[:2], ids=BATCH_IDS[:2])
+@pytest.mark.parametrize(
+    "scale,error,match",
+    [
+        (2.0, RuntimeError, "Born sweep inconsistency"),
+        (0.0, PreconditionError, "vanishing marginal mass"),
+    ],
+)
+def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match):
+    # the second B site of the sweep is the first whose marginal is checked
+    # against the mass drawn at its right neighbour: scaling the environment
+    # it reads (vector mode: the traced left density; density mode: the
+    # traced kernel) breaks that agreement, zeroing it leaves no mass
+    circuit, seed, _ = case
+    sampler, _ = batch_case(circuit, seed)
+    site = [i for i, role in enumerate(sampler.layout.site_roles) if role == "B"][-2]
+    env = sampler._left if circuit.setup == "staircase" else sampler._kernel
+    env[site] = env[site] * scale
+    with pytest.raises(error, match=match):
+        sampler.sample_batch(mps.stream(0), 8)
+
+
+def test_chunk_draws_bounds():
+    # the sampler takes up to MAX_SAMPLER_DRAWS draws per chunk, fewer once a
+    # draw's widest row (d chi = 512 at chi = 256) times the draws passes
+    # CHUNK_ENTRIES; oracle stacks keep MAX_CHUNK_DRAWS realizations
+    assert (mps.MAX_SAMPLER_DRAWS, mps.MAX_CHUNK_DRAWS) == (256, 64)
+    for chi, want in ((32, 256), (256, 128)):
+        circuit = mps.Circuit("staircase", 6, 2, chi, 14)
+        state, layout = mps.build(circuit, mps.stream(5))
+        assert mps.chunk_draws(state, circuit.d_a) == want
+        assert mps.BornSampler(state, layout).chunk == want
+    glued = mps.Circuit("glued", 6, 2, 3)
+    assert mps.chunk_draws(mps.build(glued)[0], glued.d_a) == 256
+    stacks = mps._oracle_blocks(mps.Circuit("staircase", 2, 2, 2, 2), 0, range(100))
+    assert [len(amps) for amps in stacks] == [64, 36]
 
 
 def test_sample_batch_kept_sites_at_both_ends():
