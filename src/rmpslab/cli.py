@@ -56,8 +56,9 @@ from .weingarten import HAAR, gaussian
 # hash records the resolved glued N_B and, for histograms, a fixed k_max (7);
 # the draw-major Born sweep in chunks of up to 256 draws moves the last bits of
 # Born probabilities, post-states and forced-mode chunk sums (sample and
-# histogram 8)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 8, "histogram": 8}
+# histogram 8); forced mode sums its pair moments in one mean, not per chunk,
+# and its --pair-mode pooled really pools (sample 9)
+SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 9, "histogram": 8}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {

@@ -7,11 +7,14 @@ Forced mode draws outcome strings uniformly instead (no Born weighting, no
 normalization), which estimates the n = 0 generalized frame potential and is
 directly comparable to the exact replica contraction.
 
-Pairs are formed either from two fresh draws each ("independent", the
-unrestricted double sum, coincidences included) or from all ordered pairs
-among a pool of draws per state ("pooled", the measurements-per-state
-convention).  Error bars come from a leave-one-realization-out jackknife:
-overlaps within one state are correlated, realizations are independent.
+Both modes run one per-realization core, ``_pair_overlaps``: build the
+state, take draws in chunks of ``mps.chunk_draws``, and form pairs either
+from two fresh draws each ("independent", the unrestricted double sum,
+coincidences included) or from all pairs among a pool of draws per state
+("pooled", the measurements-per-state convention, which needs at least two
+draws).  Moments, forced mode and histograms all read its pair overlaps.
+Error bars come from a leave-one-realization-out jackknife: overlaps within
+one state are correlated, realizations are independent.
 
 An ``EnsembleConfig`` is an ``mps.Circuit`` plus its sampling fields, and
 ``sample_moments`` serves whichever sampling mode it holds.  Realizations
@@ -37,7 +40,8 @@ from .errors import PreconditionError, SizeLimitError
 class EnsembleConfig(mps.Circuit):
     """One sampling experiment: the circuit (``mps.Circuit``, validated by
     its own rule) plus how it is sampled.  The counts and the seed are
-    integers, stored as Python ints like the circuit sizes."""
+    integers, stored as Python ints like the circuit sizes.  A pooled run
+    needs two draws per state, and D_A may not pass ``mps.MAX_POST_DIM``."""
 
     k_max: int = 3
     pairs_per_state: int = 100
@@ -61,6 +65,12 @@ class EnsembleConfig(mps.Circuit):
             object.__setattr__(self, field, int(value))
         if self.k_max < 1 or self.pairs_per_state < 1 or self.realizations < 2:
             raise ValueError("need k_max >= 1, pairs_per_state >= 1, realizations >= 2")
+        if self.pair_mode == "pooled" and self.pairs_per_state < 2:
+            raise ValueError(
+                f"pooled pairs need pairs_per_state (--pairs) >= 2, got {self.pairs_per_state}"
+            )
+        if self.d_a > mps.MAX_POST_DIM:
+            raise SizeLimitError(f"D_A = {self.d_a} exceeds cap {mps.MAX_POST_DIM}")
 
     @property
     def x(self) -> float:
@@ -82,67 +92,53 @@ class MomentEstimate:
             raise ValueError("stderr must be >= 0 and n_samples > 0")
 
 
-def _born_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
-    """u = D_A |<psi(z)|psi(z')>|^2 for every pair of realization r, in draw order.
+def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
+    """Pair overlaps of realization r in draw order: u = D_A |<psi(z)|psi(z')>|^2
+    between normalized Born post-states (born), or |<psi~(z)|psi~(z')>|^2
+    between unnormalized projections of uniform strings (forced).
 
-    independent: pair i is draws (2i, 2i + 1); draws arrive in chunks of
-    whole pairs from one batched sweep each, so at most one chunk of
-    post-states is held.  pooled: all unordered pairs i < j among
-    pairs_per_state draws, which needs every post-state at once.
+    Both modes draw in chunks of ``mps.chunk_draws``.  independent: pair i is
+    draws (2i, 2i + 1), in chunks of whole pairs, so at most one chunk is
+    held.  pooled: all pairs i < j among pairs_per_state draws, held at once.
     """
     rng = mps.stream(config.seed, r)
     state, layout = mps.build(config, rng)
-    sampler = mps.BornSampler(state, layout)
+    chunk = mps.chunk_draws(state, config.d_a)
+    if config.sampling_mode == "born":
+        sampler, scale = mps.BornSampler(state, layout), config.d_a
+
+        def draw(count: int) -> np.ndarray:
+            return sampler.sample_batch(rng, count).post_states
+
+    else:
+        dims, scale = np.array(config.outcome_dims), 1
+
+        def draw(count: int) -> np.ndarray:
+            z = rng.integers(0, dims, size=(count, dims.size))
+            return mps._project_batch(state, layout, z)
+
     n = config.pairs_per_state
     if config.pair_mode == "pooled":
-        posts = np.concatenate(
-            [
-                sampler.sample_batch(rng, min(sampler.chunk, n - lo)).post_states
-                for lo in range(0, n, sampler.chunk)
-            ]
-        )
-        u = config.d_a * np.abs(posts.conj() @ posts.T) ** 2
+        posts = np.concatenate([draw(min(chunk, n - lo)) for lo in range(0, n, chunk)])
+        u = scale * np.abs(posts.conj() @ posts.T) ** 2
         return u[np.triu_indices(n, k=1)]
-    per_chunk = max(1, sampler.chunk // 2)
+    per_chunk = max(1, chunk // 2)
     out = np.empty(n)
     for lo in range(0, n, per_chunk):
         hi = min(n, lo + per_chunk)
-        posts = sampler.sample_batch(rng, 2 * (hi - lo)).post_states
-        out[lo:hi] = config.d_a * np.abs(np.vecdot(posts[0::2], posts[1::2])) ** 2
+        posts = draw(2 * (hi - lo))
+        out[lo:hi] = scale * np.abs(np.vecdot(posts[0::2], posts[1::2])) ** 2
     return out
 
 
-def _born_realization(config: EnsembleConfig, r: int) -> np.ndarray:
-    """Pair means of u^k for one realization, k = 1..k_max."""
-    u = _born_overlaps(config, r)
-    return np.mean(u[:, None] ** np.arange(1, config.k_max + 1), axis=0)
-
-
-def _forced_realization(config: EnsembleConfig, r: int) -> np.ndarray:
-    """Per-pair means of D_B^2 |<psi~(z)|psi~(z')>|^(2k) with uniform z, z'.
-
-    Pair i is outcome rows (2i, 2i + 1).  Each chunk's strings come from one
-    ``rng.integers(0, dims, (2 pairs, N_B))`` and one batched projection,
-    in whole pairs of the Born sampler's chunk ``mps.chunk_draws`` (up to
-    ``mps.MAX_SAMPLER_DRAWS`` strings), which ``mps._project_batch`` runs in
-    groups of at most ``mps.MAX_CHUNK_DRAWS`` rows.  The pair moments are
-    summed chunk by chunk, so the chunk size sets their summation order.
-    """
-    rng = mps.stream(config.seed, r)
-    state, layout = mps.build(config, rng)
-    dims = np.array(config.outcome_dims)
-    per_chunk = max(1, mps.chunk_draws(state, config.d_a) // 2)
-    card = float(config.outcome_cardinality)
-    ks = np.arange(1, config.k_max + 1)
-    n = config.pairs_per_state
-    sums = np.zeros(config.k_max)
-    for lo in range(0, n, per_chunk):
-        count = min(per_chunk, n - lo)
-        z = rng.integers(0, dims, size=(2 * count, dims.size))
-        amps = mps._project_batch(state, layout, z)
-        v = np.abs(np.vecdot(amps[0::2], amps[1::2])) ** 2
-        sums += (card**2 * v[:, None] ** ks).sum(axis=0)
-    return sums / n
+def _pair_moments(config: EnsembleConfig, r: int) -> np.ndarray:
+    """Pair means of u^k for realization r, k = 1..k_max; forced mode
+    rescales them by D_B^2, the unrestricted double sum over outcome pairs."""
+    u = _pair_overlaps(config, r)
+    moments = np.mean(u[:, None] ** np.arange(1, config.k_max + 1), axis=0)
+    if config.sampling_mode == "forced":
+        moments *= float(config.outcome_cardinality) ** 2
+    return moments
 
 
 def per_realization(worker, config, realizations: int, threads: int) -> list:
@@ -166,10 +162,7 @@ def per_realization(worker, config, realizations: int, threads: int) -> list:
 
 def _collect(config: EnsembleConfig, threads: int = 1) -> np.ndarray:
     """(realizations, k_max) per-realization means, in realization order."""
-    if config.d_a > mps.MAX_POST_DIM:
-        raise SizeLimitError(f"D_A = {config.d_a} exceeds cap {mps.MAX_POST_DIM}")
-    worker = _born_realization if config.sampling_mode == "born" else _forced_realization
-    return np.array(per_realization(worker, config, config.realizations, threads))
+    return np.array(per_realization(_pair_moments, config, config.realizations, threads))
 
 
 def jackknife_mean(per_real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +178,8 @@ def jackknife_mean(per_real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _to_estimates(config: EnsembleConfig, per_real: np.ndarray) -> list[MomentEstimate]:
     mean, err = jackknife_mean(per_real)
     n_pairs = config.realizations * config.pairs_per_state
-    if config.pair_mode == "pooled" and config.sampling_mode == "born":
-        n_pairs = config.realizations * config.pairs_per_state * (config.pairs_per_state - 1)
+    if config.pair_mode == "pooled":
+        n_pairs *= config.pairs_per_state - 1
     out = []
     for i, k in enumerate(range(1, config.k_max + 1)):
         fac = math.factorial(k)
@@ -259,13 +252,18 @@ def overlap_histogram(
 ) -> HistogramTable:
     """Density-normalized histogram of u from born-mode sampling.
 
-    Uniform bins on [0, u_max]; densities are normalized over the in-range
-    samples (total mass exactly 1), with per-bin Poisson errors.
+    bins >= 1 uniform bins on [0, u_max], u_max finite and > 0, both checked
+    before any sampling; densities are normalized over the in-range samples
+    (total mass exactly 1), with per-bin Poisson errors.
     """
+    if bins < 1:
+        raise ValueError(f"need bins (--bins) >= 1, got {bins}")
+    if not 0 < u_max < math.inf:
+        raise ValueError(f"need a finite u_max (--umax) > 0, got {u_max}")
     if config.sampling_mode != "born":
         raise PreconditionError("overlap_histogram needs a born-mode config")
     samples = np.concatenate(
-        per_realization(_born_overlaps, config, config.realizations, threads)
+        per_realization(_pair_overlaps, config, config.realizations, threads)
     )
     counts, edges = np.histogram(samples, bins=bins, range=(0.0, u_max))
     width = edges[1] - edges[0]

@@ -485,10 +485,10 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
 
 
 def chunk_draws(state: MpsState, d_a: int) -> int:
-    """Draws per Born-sampler sweep or forced-mode chunk: at most
-    MAX_SAMPLER_DRAWS, fewer where one draw's widest row (the region-A vector
-    or a site's bond x physical slice) times the draw count would pass
-    CHUNK_ENTRIES complex entries.
+    """Draws per chunk of the estimator's sampling core, Born sweeps and
+    forced projections alike: at most MAX_SAMPLER_DRAWS, fewer where one
+    draw's widest row (the region-A vector or a site's bond x physical slice)
+    times the draw count would pass CHUNK_ENTRIES complex entries.
     """
     width = max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]])
     return _chunk_rows(width, MAX_SAMPLER_DRAWS)
@@ -536,8 +536,8 @@ class BornSampler:
     bond) stack.  Memory grows with the chunk: a vector-mode site holds three
     arrays of count x d chi complex entries (the candidates, their
     draw-major copy and the half product), and the post-states take
-    count x D_A.  ``chunk`` (``chunk_draws``, at most MAX_SAMPLER_DRAWS =
-    256 draws) keeps each near 2^16 entries.
+    count x D_A.  Callers take ``chunk_draws`` draws per batch (at most
+    MAX_SAMPLER_DRAWS = 256), which keeps each near 2^16 entries.
 
     The uniforms are drawn as ``rng.random((count, N_B))``, draw-major and
     in sweep order, so a batch consumes the stream exactly as ``count``
@@ -579,7 +579,6 @@ class BornSampler:
         self.layout = layout
         self.d_a = d_a
         roles = layout.site_roles
-        self.chunk = chunk_draws(state, d_a)
         b_sites = [i for i, r in enumerate(roles) if r == "B"]
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]

@@ -67,7 +67,7 @@ SCHEMA_CASES = {
                         "--k", "2", "--n", "1"]),
     "oracle": (6, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (8, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (9, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                       "--seed", "5", "--threads", "1"]),
     "histogram": (8, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
@@ -107,11 +107,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=8 seed=11 config=")
+    assert lines[0].startswith("# schema=9 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 8
+    assert doc["schema"] == 9
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -360,6 +360,58 @@ def test_config_without_path_is_an_error_not_a_traceback(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(missing), "predict", "--setup", "staircase")
     assert code == 1
     assert "error:" in err and "missing.cfg" in err
+
+
+SAMPLE = ["sample", *STAIRCASE, "--pairs", "4", "--realizations", "2", "--seed", "0",
+          "--threads", "1"]
+HISTOGRAM = ["histogram", *STAIRCASE, "--bins", "4", "--umax", "4", "--pairs", "4",
+             "--realizations", "2", "--seed", "0", "--threads", "1"]
+
+
+def with_flag(argv, flag, value):
+    out = list(argv)
+    out[out.index(flag) + 1] = value
+    return out
+
+
+def assert_refused_before_building(argv, word, tmp_path, capsys, monkeypatch):
+    """The run exits 1 with one error: line naming word, writes no file and
+    builds no state: the refusal comes before any sampling."""
+
+    def never(*args):
+        raise AssertionError("a state was built before the refusal")
+
+    monkeypatch.setattr(estimator.mps, "build", never)
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [SAMPLE, HISTOGRAM], ids=["sample", "histogram"])
+def test_pooled_pairs_need_two_draws(argv, tmp_path, capsys, monkeypatch):
+    argv = [*with_flag(argv, "--pairs", "1"), "--pair-mode", "pooled"]
+    assert_refused_before_building(argv, "--pairs", tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--bins", "0"), ("--bins", "-1"), ("--umax", "0"), ("--umax", "-1"), ("--umax", "nan"),
+     ("--umax", "inf")],
+)
+def test_histogram_bad_range_is_refused_before_sampling(
+    flag, value, tmp_path, capsys, monkeypatch
+):
+    # numpy would widen a zero-width range to [-0.5, 0.5] and bin it; the
+    # other values would fail only after every realization was sampled
+    argv = with_flag(HISTOGRAM, flag, value)
+    assert_refused_before_building(argv, flag, tmp_path, capsys, monkeypatch)
+
+
+def test_histogram_region_cap_is_refused_before_building(tmp_path, capsys, monkeypatch):
+    argv = with_flag(HISTOGRAM, "--na", "21")
+    assert_refused_before_building(argv, "exceeds cap", tmp_path, capsys, monkeypatch)
 
 
 # smallest valid value of each integer flag of oracle, sample and predict

@@ -1,5 +1,6 @@
 """Monte-Carlo estimator tests: consistency with the exact engine, errors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from rmpslab import estimator as es
 from rmpslab import mps
 from rmpslab import replica as rp
-from rmpslab.errors import PreconditionError
+from rmpslab.errors import PreconditionError, SizeLimitError
 from rmpslab.weingarten import gaussian
 
 import oracles
@@ -43,6 +44,18 @@ def test_config_validation():
     assert cfg.n_b == 4
     assert cfg.outcome_cardinality == 4**4
     assert tiny_born_config().outcome_cardinality == 2 * 2
+
+
+@pytest.mark.parametrize("mode", ["born", "forced"])
+def test_config_refuses_runs_that_cannot_sample(mode):
+    # a pool of one draw has no pair, and a kept region past the sampler's
+    # cap cannot be sampled: both are refused before any state is built
+    with pytest.raises(ValueError, match="pairs_per_state"):
+        tiny_born_config(sampling_mode=mode, pair_mode="pooled", pairs_per_state=1)
+    tiny_born_config(sampling_mode=mode, pair_mode="pooled", pairs_per_state=2)
+    with pytest.raises(SizeLimitError, match="exceeds cap"):
+        tiny_born_config(sampling_mode=mode, n_a=21)
+    tiny_born_config(sampling_mode=mode, n_a=20)
 
 
 def test_scaling_variable_property():
@@ -105,13 +118,13 @@ def test_pool_never_outgrows_the_work(monkeypatch):
 
     monkeypatch.setattr(es, "ProcessPoolExecutor", RecordingPool)
     cfg = tiny_born_config(realizations=3, pairs_per_state=4)
-    serial = es.per_realization(es._born_realization, cfg, 3, threads=1)
+    serial = es.per_realization(es._pair_moments, cfg, 3, threads=1)
     assert sizes == []
     monkeypatch.setattr(es.os, "cpu_count", lambda: 64)
-    pooled = es.per_realization(es._born_realization, cfg, 3, threads=10**6)
+    pooled = es.per_realization(es._pair_moments, cfg, 3, threads=10**6)
     assert sizes == [3]
     monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
-    capped = es.per_realization(es._born_realization, cfg, 3, threads=10**6)
+    capped = es.per_realization(es._pair_moments, cfg, 3, threads=10**6)
     assert sizes == [3, 2]
     for got in (pooled, capped):
         assert all(np.array_equal(a, b) for a, b in zip(got, serial, strict=True))
@@ -123,6 +136,49 @@ def test_pooled_pairs():
     assert ests[0].n_samples == 150 * 8 * 7
     target = cfg.d_a * rp.frame_potential_chain(cfg, 1, 0).value
     assert abs(ests[0].mean - target) < 4 * ests[0].stderr
+
+
+def test_forced_pooled_pairs():
+    # forced mode pools its draws too: every pair i < j of the pool is a
+    # pair of independent uniform strings, so the mean stays unbiased
+    cfg = tiny_born_config(
+        sampling_mode="forced", pair_mode="pooled", pairs_per_state=8, realizations=150
+    )
+    ests = es.sample_moments(cfg)
+    assert ests[0].n_samples == 150 * 8 * 7
+    eng = rp.frame_potential_chain(cfg, 1, 0).value
+    assert abs(ests[0].mean - eng) < 4 * ests[0].stderr
+    independent = es.sample_moments(dataclasses.replace(cfg, pair_mode="independent"))
+    assert independent[0].n_samples == 150 * 8
+    assert all(a.mean != b.mean for a, b in zip(ests, independent, strict=True))
+
+
+@pytest.mark.parametrize("pair_mode", ["independent", "pooled"])
+@pytest.mark.parametrize("sampling_mode", ["born", "forced"])
+def test_pair_overlaps_stream_contract(sampling_mode, pair_mode):
+    # both modes draw in chunks of mps.chunk_draws and consume the stream as
+    # one batch of all their draws does, here across a chunk boundary:
+    # independent pair i is draws (2i, 2i + 1), pooled pairs are all i < j
+    n, r = 300, 3
+    cfg = tiny_born_config(pairs_per_state=n, sampling_mode=sampling_mode, pair_mode=pair_mode)
+    count = 2 * n if pair_mode == "independent" else n
+    rng = mps.stream(cfg.seed, r)
+    state, layout = mps.build(cfg, rng)
+    assert mps.chunk_draws(state, cfg.d_a) < count
+    if sampling_mode == "born":
+        draws = mps.BornSampler(state, layout).sample_batch(rng, count).post_states
+        scale = cfg.d_a
+    else:
+        z = rng.integers(0, cfg.outcome_dims, size=(count, cfg.n_b))
+        draws = np.array([mps.project_outcomes(state, layout, row) for row in z])
+        scale = 1
+    if pair_mode == "independent":
+        want = np.abs(np.vecdot(draws[0::2], draws[1::2])) ** 2
+    else:
+        want = (np.abs(draws.conj() @ draws.T) ** 2)[np.triu_indices(n, k=1)]
+    got = es._pair_overlaps(cfg, r)
+    assert got.shape == want.shape
+    assert np.allclose(got, scale * want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_forced_matches_engine():

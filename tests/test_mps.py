@@ -465,12 +465,13 @@ def test_born_probabilities_and_frequencies():
     ens = mps.statevector_oracle(circuit, mps.stream(11))
     exact = {ens.outcome_tuple(z): float(p) for z, p in enumerate(ens.probabilities)}
     sampler = mps.BornSampler(state, layout)
+    chunk = mps.chunk_draws(state, circuit.d_a)
     rng = mps.stream(123, 5)
     n = 100_000
     # a batch consumes the stream exactly as successive single draws do
     counts = dict.fromkeys(exact, 0)
-    for lo in range(0, n, sampler.chunk):
-        batch = sampler.sample_batch(rng, min(sampler.chunk, n - lo))
+    for lo in range(0, n, chunk):
+        batch = sampler.sample_batch(rng, min(chunk, n - lo))
         for outcomes, prob in zip(batch.outcomes.tolist(), batch.probabilities):
             counts[tuple(outcomes)] += 1
             assert abs(prob - exact[tuple(outcomes)]) <= 1e-10
@@ -542,7 +543,8 @@ def test_sample_batch_split_matches_whole(case):
     # of all n does; at n = 300 the split crosses the 256-draw chunk boundary
     circuit, seed, n = case
     sampler, _ = batch_case(circuit, seed)
-    bounds = sorted({0, 13, min(n, 13 + sampler.chunk), n})
+    chunk = mps.chunk_draws(sampler.state, circuit.d_a)
+    bounds = sorted({0, 13, min(n, 13 + chunk), n})
     rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
     parts = [sampler.sample_batch(rng_split, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
     whole = sampler.sample_batch(rng_whole, n)
@@ -582,9 +584,8 @@ def test_chunk_draws_bounds():
     assert (mps.MAX_SAMPLER_DRAWS, mps.MAX_CHUNK_DRAWS) == (256, 64)
     for chi, want in ((32, 256), (256, 128)):
         circuit = mps.Circuit("staircase", 6, 2, chi, 14)
-        state, layout = mps.build(circuit, mps.stream(5))
+        state, _ = mps.build(circuit, mps.stream(5))
         assert mps.chunk_draws(state, circuit.d_a) == want
-        assert mps.BornSampler(state, layout).chunk == want
     glued = mps.Circuit("glued", 6, 2, 3)
     assert mps.chunk_draws(mps.build(glued)[0], glued.d_a) == 256
     stacks = mps._oracle_blocks(mps.Circuit("staircase", 2, 2, 2, 2), 0, range(100))
