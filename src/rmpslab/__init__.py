@@ -13,7 +13,6 @@ from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .estimator import (
     EnsembleConfig,
     MomentEstimate,
-    forced_ratio,
     overlap_histogram,
     sample_moments,
 )
@@ -24,9 +23,7 @@ from .mps import (
     RegionLayout,
     build_glued,
     build_staircase,
-    haar_unitary,
     oracle_frame_potentials,
-    statevector_oracle,
     stream,
 )
 from .permutations import ReplicaShape
@@ -60,11 +57,9 @@ __all__ = [
     "build_glued",
     "build_staircase",
     "contract",
-    "forced_ratio",
     "frame_potential_chain",
     "gaussian",
     "haar_frame_potential",
-    "haar_unitary",
     "leading_order_log",
     "oracle_frame_potentials",
     "overlap_histogram",
@@ -74,6 +69,5 @@ __all__ = [
     "setup2_generalized_ratio",
     "setup2_pdf",
     "setup2_ratio",
-    "statevector_oracle",
     "stream",
 ]

@@ -35,13 +35,17 @@ import numpy as np
 from . import mps, theory
 from .errors import PreconditionError, SizeLimitError
 
+# a pooled realization holds all its draws' n x n complex Gram matrix at once
+MAX_POOLED_DRAWS = 2048
+
 
 @dataclass(frozen=True)
 class EnsembleConfig(mps.Circuit):
     """One sampling experiment: the circuit (``mps.Circuit``, validated by
     its own rule) plus how it is sampled.  The counts and the seed are
     integers, stored as Python ints like the circuit sizes.  A pooled run
-    needs two draws per state, and D_A may not pass ``mps.MAX_POST_DIM``."""
+    needs 2 to MAX_POOLED_DRAWS draws per state, and D_A may not pass
+    ``mps.MAX_POST_DIM``."""
 
     k_max: int = 3
     pairs_per_state: int = 100
@@ -68,6 +72,11 @@ class EnsembleConfig(mps.Circuit):
         if self.pair_mode == "pooled" and self.pairs_per_state < 2:
             raise ValueError(
                 f"pooled pairs need pairs_per_state (--pairs) >= 2, got {self.pairs_per_state}"
+            )
+        if self.pair_mode == "pooled" and self.pairs_per_state > MAX_POOLED_DRAWS:
+            raise SizeLimitError(
+                f"pooled pairs_per_state (--pairs) {self.pairs_per_state} exceeds cap "
+                f"{MAX_POOLED_DRAWS}"
             )
         if self.d_a > mps.MAX_POST_DIM:
             raise SizeLimitError(f"D_A = {self.d_a} exceeds cap {mps.MAX_POST_DIM}")
@@ -99,7 +108,8 @@ def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
 
     Both modes draw in chunks of ``mps.chunk_draws``.  independent: pair i is
     draws (2i, 2i + 1), in chunks of whole pairs, so at most one chunk is
-    held.  pooled: all pairs i < j among pairs_per_state draws, held at once.
+    held.  pooled: all pairs i < j among pairs_per_state draws, held at once
+    (at most MAX_POOLED_DRAWS of them, which ``EnsembleConfig`` checks).
     """
     rng = mps.stream(config.seed, r)
     state, layout = mps.build(config, rng)
@@ -216,25 +226,6 @@ def sample_moments(config: EnsembleConfig, threads: int = 1) -> list[MomentEstim
     the alternative normalization mean_k/mean_1^k.
     """
     return _to_estimates(config, _collect(config, threads))
-
-
-def forced_ratio(config: EnsembleConfig, k: int, threads: int = 1) -> tuple[float, float]:
-    """Jackknife estimate of F^(k,0) / (F^(1,0))^k from one forced-mode run."""
-    if not 1 <= k <= config.k_max:
-        raise ValueError(f"need 1 <= k <= k_max, got k={k}")
-    per_real = _collect(config, threads)
-    f_k = per_real[:, k - 1]
-    f_1 = per_real[:, 0]
-    r = per_real.shape[0]
-    full = f_k.mean() / f_1.mean() ** k
-    loo = np.array(
-        [
-            (f_k.sum() - f_k[i]) / (r - 1) / ((f_1.sum() - f_1[i]) / (r - 1)) ** k
-            for i in range(r)
-        ]
-    )
-    err = math.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2))
-    return float(full), float(err)
 
 
 @dataclass

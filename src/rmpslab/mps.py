@@ -37,9 +37,9 @@ Tensor conventions (fixed so runs are reproducible per seed):
   least twice as tall as wide (every staircase gate, the glued blocks and
   edge glues) is factored by Cholesky-QR, which is accurate for such a
   well-conditioned block and built from matrix products; a square one (the
-  glued middle glues, ``haar_unitary``) keeps the Householder QR.  A
-  Cholesky-QR gate's memory is already (column, row) order, which is the
-  (left bond, physical, right bond) order of a staircase MPS tensor.
+  glued middle glues) keeps the Householder QR.  A Cholesky-QR gate's
+  memory is already (column, row) order, which is the (left bond, physical,
+  right bond) order of a staircase MPS tensor.
 * Staircase bonds carry the rank a sequentially generated MPS can have: the
   bond right of site j has dimension min(d^(j+1), chi) (Schön et al., PRL
   95, 110503, 2005).  Gate j is drawn on its input bond's rank only, and
@@ -67,7 +67,6 @@ stacks of up to MAX_CHUNK_DRAWS realizations, realization r drawn from
 the same numbers because Philox is counter-based (Salmon et al., SC'11).
 Then one stacked draw per gate, batched dense products, and every (k, n)
 frame potential from batched products with the overlap matrices.
-``statevector_oracle`` is its one-realization view.
 """
 
 from __future__ import annotations
@@ -84,6 +83,8 @@ from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .weingarten import HAAR, EnsembleKind
 
 MAX_POST_DIM = 2**20
+# the Born sampler refuses a state whose |<psi|psi> - 1| passes this
+NORM_TOL = 1e-8
 MAX_ORACLE_DIM = 2**24
 _ORACLE_MAX_OUTCOMES = 4096
 MAX_CHUNK_DRAWS = 64
@@ -211,13 +212,6 @@ def _tril_inverse(low: np.ndarray) -> np.ndarray:
     out[:, h:, h:] = d_inv
     out[:, h:, :h] = -(d_inv @ (low[:, h:, :h] @ a_inv))
     return out
-
-
-def haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed q x q unitary: the q-column case of a gate draw."""
-    if q < 1:
-        raise ValueError(f"dimension must be >= 1, got {q}")
-    return _gate_columns(q, q, HAAR, normals(rng))[0]
 
 
 def check_setup(setup: str) -> None:
@@ -428,30 +422,11 @@ def region_a_dim(state: MpsState, layout: RegionLayout) -> int:
     )
 
 
-def project_outcomes(
-    state: MpsState, layout: RegionLayout, outcomes
-) -> np.ndarray:
-    """Unnormalized post-measurement amplitude vector on region A.
-
-    outcomes lists one integer per B site, left to right.  The returned dense
-    vector has squared norm equal to the Born probability when the global
-    state is normalized.
-    """
-    outcomes = list(outcomes)
-    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
-    if len(outcomes) != len(dims):
-        raise ShapeMismatchError(f"expected {len(dims)} outcomes, got {len(outcomes)}")
-    d_a = region_a_dim(state, layout)
-    if d_a > MAX_POST_DIM:
-        raise SizeLimitError(f"region-A dimension {d_a} exceeds cap {MAX_POST_DIM}")
-    for z, dim in zip(outcomes, dims):
-        if not 0 <= z < dim:
-            raise ShapeMismatchError(f"outcome {z} out of range [0, {dim})")
-    return _project_batch(state, layout, np.array([outcomes], dtype=np.intp))[0]
-
-
 def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) -> np.ndarray:
-    """``project_outcomes`` for a (count, N_B) array of in-range outcome strings.
+    """(count, D_A) unnormalized post-measurement amplitudes on region A, one
+    row per row of a (count, N_B) array of in-range outcome strings (left to
+    right over the B sites); a row's squared norm is its Born probability
+    when the state is normalized.
 
     One left-to-right sweep of batched products per group of rows; returns
     (count, D_A).  The groups are ``_chunk_rows`` of the widest intermediate
@@ -544,7 +519,7 @@ class BornSampler:
     successive single draws do.
     """
 
-    def __init__(self, state: MpsState, layout: RegionLayout, norm_tol: float = 1e-8):
+    def __init__(self, state: MpsState, layout: RegionLayout):
         if len(state.tensors) != len(layout.site_roles):
             raise ShapeMismatchError("layout does not match state length")
         tensors = state.tensors
@@ -568,7 +543,7 @@ class BornSampler:
             lt = (self._left[-1] @ t.reshape(t.shape[0], -1)).reshape(flat.shape)
             self._left.append(flat.conj().T @ lt)
         nsq = float(self._left.pop().real[0, 0])
-        if abs(nsq - 1.0) > norm_tol:
+        if abs(nsq - 1.0) > NORM_TOL:
             raise PreconditionError(
                 f"born sampling needs a normalized state; <psi|psi> = {nsq!r}"
             )
@@ -702,50 +677,6 @@ class BornSampler:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjectedEnsemble:
-    """Exhaustive projected ensemble of one realization from the dense oracle.
-
-    amplitudes[:, z] is the unnormalized post-measurement vector on A for
-    outcome index z (mixed-radix over B sites, left to right, first site
-    most significant).
-    """
-
-    amplitudes: np.ndarray  # (D_A, D_B) complex
-    outcome_dims: tuple[int, ...]
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.einsum("az,az->z", self.amplitudes.conj(), self.amplitudes).real
-
-    def overlap_matrix(self) -> np.ndarray:
-        return self.amplitudes.conj().T @ self.amplitudes
-
-    def frame_potential(self, k: int) -> float:
-        """Physical frame potential: Born-weighted k-th overlap moment."""
-        return self.generalized_frame_potential(k, 1 - k)
-
-    def generalized_frame_potential(self, k: int, n: float) -> float:
-        _check_orders([(k, n)])
-        return float(_frame_potentials(self.amplitudes[None], [(k, n)])[0, 0])
-
-    def outcome_tuple(self, z: int) -> tuple[int, ...]:
-        out = []
-        for dim in reversed(self.outcome_dims):
-            out.append(z % dim)
-            z //= dim
-        return tuple(reversed(out))
-
-    def triples(self):
-        """Iterate (outcome string, probability, normalized post-state)."""
-        p = self.probabilities
-        for z in range(self.amplitudes.shape[1]):
-            amp = self.amplitudes[:, z]
-            norm = np.linalg.norm(amp)
-            post = amp / norm if norm > 0 else amp
-            yield self.outcome_tuple(z), float(p[z]), post
-
-
 def _frame_potentials(amps: np.ndarray, pairs) -> np.ndarray:
     """(count, len(pairs)) generalized frame potentials of a (count, D_A, D_B)
     stack of projected ensembles: for each (k, n) of pairs,
@@ -818,7 +749,9 @@ def _apply_gate(state: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) -> n
 def _dense_amplitudes(circuit: Circuit, source: NormalSource) -> np.ndarray:
     """(count, D_A, D_B) dense post-measurement amplitudes of one circuit
     realization per row of the normal source, by batched dense gate
-    application.
+    application.  Column z is the outcome string
+    ``np.unravel_index(z, circuit.outcome_dims)``: mixed radix over the B
+    sites, the first most significant.
 
     Shares the gate draws (and their order) with the MPS builders, so with an
     identically seeded stream the two paths realize the same state.  Each
@@ -858,16 +791,6 @@ def _dense_amplitudes(circuit: Circuit, source: NormalSource) -> np.ndarray:
     return state.reshape(count, circuit.d_a, -1)
 
 
-def statevector_oracle(circuit: Circuit, rng=None) -> ProjectedEnsemble:
-    """Dense end-to-end simulation of either circuit plus exhaustive projection:
-    the one-realization view of the dense build behind
-    ``oracle_frame_potentials``, for the realization drawn from rng."""
-    _oracle_size(circuit)
-    rng = rng if rng is not None else stream(0)
-    amps = _dense_amplitudes(circuit, normals(rng))[0]
-    return ProjectedEnsemble(np.ascontiguousarray(amps), circuit.outcome_dims)
-
-
 def _oracle_blocks(circuit: Circuit, seed: int, realizations: range):
     """Dense amplitudes of each realization r in realizations, drawn from
     ``stream(seed, r)``, in order: (count, D_A, D_B) stacks of at most
@@ -888,8 +811,8 @@ def oracle_frame_potentials(
     Returns a (realizations, len(pairs)) array: row i holds, for each (k, n)
     of pairs, the frame potential of the exhaustive projected ensemble of the
     realization r = realizations[i] (r = i when realizations is a count: a
-    Python or numpy integer), drawn from ``stream(seed, r)`` exactly as
-    ``statevector_oracle`` draws it.
+    Python or numpy integer), drawn from ``stream(seed, r)``: the realization
+    ``build(circuit, stream(seed, r))`` draws.
     The realizations are built and evaluated in stacks of up to
     MAX_CHUNK_DRAWS, starting at the first one.  Each k must be an integer
     >= 1; that is checked before any state is built.

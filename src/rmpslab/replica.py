@@ -36,8 +36,8 @@ Every chain operator is invariant under the symmetry described in
 vectors hold one value per orbit and each bond is an (orbits x orbits)
 matrix.  At m = 8 and n = 0 that is 95 values instead of 40,320, and a
 contraction takes milliseconds.  The gate-average dressing of the glue-site
-and staircase boundary weights goes through the same reduced kernel, with
-one class vector per ensemble kind (``wg.gate_average_class_vector``).
+weights goes through the same reduced kernel, with one class vector per
+ensemble kind (``wg.gate_average_class_vector``).
 ``contract`` is the one contraction path; a dense whole-group contraction
 (m <= 6) serves the tests as its reference.
 """
@@ -52,7 +52,7 @@ import numpy as np
 from . import permutations as pg
 from . import weingarten as wg
 from .errors import ShapeMismatchError, SizeLimitError
-from .mps import Circuit, check_circuit, check_setup
+from .mps import Circuit, check_circuit
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind
 
@@ -99,12 +99,6 @@ def site_weight_B_staircase(shape: ReplicaShape, d: int) -> np.ndarray:
     return np.where(mask, float(d) ** 2, float(d))
 
 
-def _glued_measured_vector(shape: ReplicaShape, chi: int) -> np.ndarray:
-    """chi^4 on factorized permutations, chi^2 otherwise (outcome sum x D_B share)."""
-    mask = pg.factorized_mask(shape.m)
-    return np.where(mask, float(chi) ** 4, float(chi) ** 2)
-
-
 def site_weight_B_glued(shape: ReplicaShape, chi: int, kind: EnsembleKind = HAAR) -> np.ndarray:
     """Glue-gate measured-site weight, dressed by the glue-gate average:
 
@@ -119,16 +113,11 @@ def site_weight_B_glued(shape: ReplicaShape, chi: int, kind: EnsembleKind = HAAR
     against the gaussian +q^-3.
     """
     check_circuit(chi)
-    vec = _glued_measured_vector(shape, chi)
-    return _gate_dressed(shape, float(chi) ** 2, kind, vec, glue=True)
-
-
-def _gate_dressed(
-    shape: ReplicaShape, q: float, kind: EnsembleKind, vec: np.ndarray, glue: bool = False
-) -> np.ndarray:
-    """The m-fold average of a gate from U(q) applied to an invariant vec, on the orbit space."""
+    q = float(chi) ** 2
+    # the undressed weight: outcome sum x D_B share
+    vec = np.where(pg.factorized_mask(shape.m), float(chi) ** 4, q)
     orbits = pg.chain_orbits(shape)
-    kernel = pg.reduced_kernel(shape, wg.gate_average_class_vector(shape.m, q, kind, glue))
+    kernel = pg.reduced_kernel(shape, wg.gate_average_class_vector(shape.m, q, kind, glue=True))
     return (kernel @ vec[orbits.reps])[orbits.label]
 
 
@@ -136,37 +125,6 @@ def _staircase_chi_leg_vector(shape: ReplicaShape, chi: int) -> np.ndarray:
     """Measured chi-leg weight chi (chi 1_F + (1 - 1_F)): outcome sum x D_B share."""
     mask = pg.factorized_mask(shape.m)
     return float(chi) * np.where(mask, float(chi), 1.0)
-
-
-def boundary_vectors(
-    setup: str, shape: ReplicaShape, chi: int, d: int, kind: EnsembleKind = HAAR
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary vectors of the replica chain.
-
-    The left vector is all ones (the first gate's |0> inputs).  The
-    staircase right vector absorbs the final gate average, the last measured
-    d-site weight and the chi-leg:
-
-        (v_R)_pi = sum_{pi'} W_{pi pi'}(d chi) d chi [d chi 1_F(pi') + (1 - 1_F(pi'))]
-
-    (gaussian: the diagonal gate average).  A chain terminated
-    with this vector carries the bare Gram bond G(chi) on its last gap and
-    one fewer explicit measured-site weight, so its ops end on a bond:
-
-        F = c_W(d chi) * ones . D_1 T ... T D_(gates - 1) G(chi) . v_R
-
-    ``staircase_chain`` uses the equivalent grouping with the plain chi-leg
-    vector instead, which also covers N_B = 1.  Glued boundaries are the
-    measured-site weight ``site_weight_B_glued`` absorbed at each chain end.
-    """
-    check_setup(setup)
-    check_circuit(chi, d)
-    left = np.ones(math.factorial(shape.m))
-    if setup == "glued":
-        return left, site_weight_B_glued(shape, chi, kind)
-    q = float(d * chi)
-    inner = np.where(pg.factorized_mask(shape.m), q * q, q)
-    return left, _gate_dressed(shape, q, kind, inner)
 
 
 # chain selectors: name -> (role, its value for a spec); a site resolves to
@@ -281,8 +239,11 @@ def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """Chain for the sequential circuit: N_A + N_B - 1 gates.
 
     Explicit weights for every gate site (N_A of type A, N_B - 1 measured
-    d-sites), dressed bonds on every gap, the chi-leg vector on the right,
-    and the first gate's average constant as a scalar prefactor.
+    d-sites), dressed bonds on every gap, all ones on the left (the first
+    gate's |0> inputs), the plain measured chi-leg vector on the right, and
+    the first gate's average constant as a scalar prefactor.  No gate
+    average is folded into a boundary, so the same grouping covers N_B = 1,
+    where no measured d-site is left.
     """
     m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))

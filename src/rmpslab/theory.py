@@ -17,8 +17,8 @@ The ratios and densities are limits D_A, chi -> infinity at fixed x.  At
 finite D_A even Haar-random states differ from them: u = D_A |<psi|phi>|^2
 has E[u^k]/k! = D_A^k / (D_A)_k (rising factorial; 0.8 at k = 2, D_A = 4)
 and density ((D_A - 1)/D_A) (1 - u/D_A)^(D_A - 2) on [0, D_A] instead of
-Porter-Thomas exp(-u).  The exact finite-size reference is the statevector
-oracle (``mps.statevector_oracle``).
+Porter-Thomas exp(-u).  The exact finite-size reference is the dense
+oracle (``mps.oracle_frame_potentials``).
 """
 
 from __future__ import annotations
@@ -173,18 +173,6 @@ def _hermgauss(nodes: int):
     return t, w
 
 
-def confinement_potential(ells) -> int:
-    """Confining cost of domain walls at signed offsets ell from the interface.
-
-    Walls inside the unmeasured region pay their depth individually; walls in
-    the measured region pay only the deepest excursion.
-    """
-    ells = list(ells)
-    v_a = sum(max(-e, 0) for e in ells)
-    v_b = max([*ells, 0])
-    return v_a + v_b
-
-
 _DIRECT_ALPHA_CAP = 4
 
 
@@ -192,9 +180,13 @@ def f_alpha(alpha: int, d: int, mode: str = "closed") -> float:
     """Confined partition sum over alpha wall positions (both evaluation routes).
 
     closed: (d/(d-1))^(alpha-1) (1 + sum_{j>=1} d^(-j) (1 + j (d-1)/d)^alpha).
-    direct: brute-force lattice sum of d^(-V) over all integer positions with
-    |ell_i| <= L_cut, the cutoff chosen so the geometric tail is below 1e-12;
-    capped at alpha <= 4 where the full grid is still enumerable.
+    direct: brute-force lattice sum of d^(-V) over all integer wall offsets
+    ell_i from the interface with |ell_i| <= L_cut, the cutoff chosen so the
+    geometric tail is below 1e-12; capped at alpha <= 4 where the full grid
+    is still enumerable.  V is the confining cost: walls inside the
+    unmeasured region pay their depth individually, walls in the measured
+    region only the deepest excursion, V = sum_i max(-ell_i, 0) +
+    max(0, max_i ell_i).
     """
     if not 0 <= alpha <= 6:
         raise ValueError(f"alpha must be in [0, 6], got {alpha}")

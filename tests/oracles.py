@@ -207,7 +207,7 @@ def born_sample(state: mps.MpsState, layout: mps.RegionLayout, rng) -> Measureme
 
 def born_probability(state: mps.MpsState, layout: mps.RegionLayout, outcomes) -> float:
     """Exact Born probability of a given outcome string (normalized states)."""
-    amp = mps.project_outcomes(state, layout, outcomes)
+    amp = mps._project_batch(state, layout, np.array([outcomes]))[0]
     return float(np.vdot(amp, amp).real)
 
 

@@ -395,6 +395,12 @@ def test_pooled_pairs_need_two_draws(argv, tmp_path, capsys, monkeypatch):
     assert_refused_before_building(argv, "--pairs", tmp_path, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("argv", [SAMPLE, HISTOGRAM], ids=["sample", "histogram"])
+def test_pooled_pairs_cap_is_refused_before_building(argv, tmp_path, capsys, monkeypatch):
+    argv = [*with_flag(argv, "--pairs", "2049"), "--pair-mode", "pooled"]
+    assert_refused_before_building(argv, "--pairs", tmp_path, capsys, monkeypatch)
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--bins", "0"), ("--bins", "-1"), ("--umax", "0"), ("--umax", "-1"), ("--umax", "nan"),

@@ -48,11 +48,18 @@ def test_config_validation():
 
 @pytest.mark.parametrize("mode", ["born", "forced"])
 def test_config_refuses_runs_that_cannot_sample(mode):
-    # a pool of one draw has no pair, and a kept region past the sampler's
-    # cap cannot be sampled: both are refused before any state is built
+    # a pool of one draw has no pair, a pool past MAX_POOLED_DRAWS would hold
+    # too large a Gram matrix, and a kept region past the sampler's cap cannot
+    # be sampled: all are refused before any state is built
     with pytest.raises(ValueError, match="pairs_per_state"):
         tiny_born_config(sampling_mode=mode, pair_mode="pooled", pairs_per_state=1)
     tiny_born_config(sampling_mode=mode, pair_mode="pooled", pairs_per_state=2)
+    cap = es.MAX_POOLED_DRAWS
+    assert cap == 2048
+    with pytest.raises(SizeLimitError, match="--pairs"):
+        tiny_born_config(sampling_mode=mode, pair_mode="pooled", pairs_per_state=cap + 1)
+    tiny_born_config(sampling_mode=mode, pair_mode="pooled", pairs_per_state=cap)
+    tiny_born_config(sampling_mode=mode, pairs_per_state=cap + 1)
     with pytest.raises(SizeLimitError, match="exceeds cap"):
         tiny_born_config(sampling_mode=mode, n_a=21)
     tiny_born_config(sampling_mode=mode, n_a=20)
@@ -170,7 +177,7 @@ def test_pair_overlaps_stream_contract(sampling_mode, pair_mode):
         scale = cfg.d_a
     else:
         z = rng.integers(0, cfg.outcome_dims, size=(count, cfg.n_b))
-        draws = np.array([mps.project_outcomes(state, layout, row) for row in z])
+        draws = mps._project_batch(state, layout, z)
         scale = 1
     if pair_mode == "independent":
         want = np.abs(np.vecdot(draws[0::2], draws[1::2])) ** 2
@@ -182,11 +189,16 @@ def test_pair_overlaps_stream_contract(sampling_mode, pair_mode):
 
 
 def test_forced_matches_engine():
-    cfg = tiny_born_config(sampling_mode="forced", pairs_per_state=60, realizations=300)
-    ests = es.sample_moments(cfg)
-    for k in (1, 2):
-        eng = rp.frame_potential_chain(cfg, k, 0).value
-        assert abs(ests[k - 1].mean - eng) < 3.5 * ests[k - 1].stderr
+    glued = es.EnsembleConfig(
+        setup="glued", n_a=3, d=2, chi=2, k_max=2,
+        pairs_per_state=60, realizations=400, seed=6, sampling_mode="forced",
+    )
+    staircase = tiny_born_config(sampling_mode="forced", pairs_per_state=60, realizations=300)
+    for cfg in (staircase, glued):
+        ests = es.sample_moments(cfg)
+        for k in (1, 2):
+            eng = rp.frame_potential_chain(cfg, k, 0).value
+            assert abs(ests[k - 1].mean - eng) < 3.5 * ests[k - 1].stderr
 
 
 def test_forced_gaussian_matches_engine():
@@ -199,18 +211,6 @@ def test_forced_gaussian_matches_engine():
     assert abs(ests[0].mean - eng) < 3.5 * ests[0].stderr
 
 
-def test_forced_ratio_glued():
-    cfg = es.EnsembleConfig(
-        setup="glued", n_a=3, d=2, chi=2, k_max=2,
-        pairs_per_state=60, realizations=400, seed=6, sampling_mode="forced",
-    )
-    val, err = es.forced_ratio(cfg, 2)
-    f2 = rp.frame_potential_chain(cfg, 2, 0)
-    f1 = rp.frame_potential_chain(cfg, 1, 0)
-    target = math.exp(f2.log - 2 * f1.log)
-    assert abs(val - target) < 3.5 * err
-
-
 def test_forced_all_zero_outcomes_product_state():
     # forcing all-zero outcomes on |00...0> gives overlap 1 deterministically
     import numpy as np
@@ -221,9 +221,9 @@ def test_forced_all_zero_outcomes_product_state():
     e0[0, 0, 0] = 1.0
     state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
     layout = mps.RegionLayout(("A", "B", "B"))
-    amp = mps.project_outcomes(state, layout, (0, 0))
+    amp, other = mps._project_batch(state, layout, np.array([(0, 0), (1, 0)]))
     assert abs(oracles.overlap(amp, amp)) == pytest.approx(1.0)
-    assert np.linalg.norm(mps.project_outcomes(state, layout, (1, 0))) == 0.0
+    assert np.linalg.norm(other) == 0.0
 
 
 def test_jackknife_scaling():
@@ -235,12 +235,6 @@ def test_jackknife_scaling():
         ratios.append(small[0].stderr / large[0].stderr)
     mean_ratio = float(np.mean(ratios))
     assert math.sqrt(2) * 0.8 < mean_ratio < math.sqrt(2) * 1.2
-
-
-def oracle_ensembles(cfg, realizations):
-    """Exhaustive projected ensembles of cfg's circuit from the dense oracle."""
-    for r in range(realizations):
-        yield mps.statevector_oracle(cfg, mps.stream(ORACLE_SEED, r))
 
 
 def test_haar_recovery_large_chi():
@@ -280,10 +274,12 @@ def test_histogram_properties():
     # with weight p_z p_z', not Porter-Thomas exp(-u), its D_A -> infinity law
     expected = np.zeros(tab.density.size)
     n_oracle = 200
-    for ens in oracle_ensembles(cfg, n_oracle):
-        p = ens.probabilities
+    for r in range(n_oracle):
+        amps = mps._dense_amplitudes(cfg, mps.normals(mps.stream(ORACLE_SEED, r)))[0]
+        ov = amps.conj().T @ amps
+        p = np.diagonal(ov).real
         w = np.outer(p, p)
-        u = cfg.d_a * np.abs(ens.overlap_matrix()) ** 2 / w
+        u = cfg.d_a * np.abs(ov) ** 2 / w
         counts, _ = np.histogram(u, bins=tab.density.size, range=(0.0, 8.0), weights=w)
         expected += counts / (counts.sum() * tab.bin_width) / n_oracle
     sel = tab.error > 0

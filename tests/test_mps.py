@@ -1,8 +1,8 @@
 """MPS builder, Born-sampling, and dense-oracle tests.
 
-The statevector oracle and the MPS path share gate draws, so identically
-seeded streams must realize the same state; that makes per-outcome equality
-checks exact rather than statistical.
+The dense oracle and the MPS path share gate draws, so identically seeded
+streams must realize the same state; that makes per-outcome equality checks
+exact rather than statistical.
 """
 
 import itertools
@@ -21,11 +21,12 @@ from rmpslab.weingarten import HAAR, gaussian
 import oracles
 
 
-def test_haar_unitary_unitarity():
+def test_square_haar_gate_unitarity():
+    # a square Haar gate (the Householder path) is unitary, down to q = 1
     rng = mps.stream(1)
-    u = mps.haar_unitary(64, rng)
+    u = mps._gate_columns(64, 64, HAAR, mps.normals(rng))[0]
     assert np.abs(u @ u.conj().T - np.eye(64)).max() < 1e-12
-    scalar = mps.haar_unitary(1, rng)
+    scalar = mps._gate_columns(1, 1, HAAR, mps.normals(rng))[0]
     assert abs(abs(scalar[0, 0]) - 1) < 1e-12
 
 
@@ -34,11 +35,11 @@ def successive(rng, n):
     return lambda size: rng.standard_normal((n, size))
 
 
-def test_haar_unitary_first_moment():
+def test_square_haar_gate_first_moment():
     # Haar moments of one entry at q = 4: E |U_00|^2 = 1/q, E |U_00|^4 =
     # 2/(q(q+1)), and E Re U_00 = 0, which fails without the R-diagonal
     # phase fix (LAPACK's real R diagonal gives U_00 a real part of one sign);
-    # the n unitaries are n successive haar_unitary draws of the stream, as one
+    # the n unitaries are n successive q x q gate draws of the stream, as one
     # stack (a square block keeps the per-matrix Householder QR)
     q, n = 4, 100_000
     rng = mps.stream(2)
@@ -309,6 +310,10 @@ def test_circuit_spec():
             mps.Circuit("staircase", **sizes)
 
 
+def no_dense_build(*args):
+    raise AssertionError("dense state built")
+
+
 @pytest.mark.parametrize(
     "setup,n_a,n_b,d,chi",
     [
@@ -321,9 +326,11 @@ def test_circuit_spec():
         ("glued", 1, None, 1, 2),
     ],
 )
-def test_oracle_validation(setup, n_a, n_b, d, chi):
+def test_oracle_validation(setup, n_a, n_b, d, chi, monkeypatch):
+    # a circuit the oracle cannot take is refused before any dense state is built
+    monkeypatch.setattr(mps, "_dense_amplitudes", no_dense_build)
     with pytest.raises(ShapeMismatchError):
-        mps.statevector_oracle(mps.Circuit(setup, n_a, d, chi, n_b), mps.stream(0))
+        mps.oracle_frame_potentials(mps.Circuit(setup, n_a, d, chi, n_b), 0, 1, [(1, 0)])
 
 
 @pytest.mark.parametrize(
@@ -347,15 +354,14 @@ def test_mps_matches_oracle_per_outcome(setup, kwargs):
     circuit = mps.Circuit(setup, **kwargs)
     kind = circuit.kind
     state, layout = mps.build(circuit, mps.stream(seed))
-    ens = mps.statevector_oracle(circuit, mps.stream(seed))
-    p = ens.probabilities
+    amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0]
+    p = np.vecdot(amps, amps, axis=0).real
     norm = 1.0 if kind.is_haar else oracles.norm_squared(state)
     assert p.sum() == pytest.approx(norm, abs=1e-12)
-    for z in range(ens.amplitudes.shape[1]):
-        zt = ens.outcome_tuple(z)
-        amp = mps.project_outcomes(state, layout, zt)
-        assert np.abs(amp - ens.amplitudes[:, z]).max() < 1e-12
-        assert oracles.born_probability(state, layout, zt) == pytest.approx(float(p[z]), abs=1e-12)
+    outcomes = np.array(list(np.ndindex(circuit.outcome_dims)))
+    assert np.abs(mps._project_batch(state, layout, outcomes) - amps.T).max() < 1e-12
+    for zt, pz in zip(outcomes, p):
+        assert oracles.born_probability(state, layout, zt) == pytest.approx(pz, abs=1e-12)
 
 
 # the batched-oracle tests: a staircase whose gates are rotated onto their
@@ -371,8 +377,8 @@ def mps_amplitudes(circuit, rng):
     """(D_A, D_B) projections of every outcome string onto the MPS of the circuit."""
     state, layout = mps.build(circuit, rng)
     dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
-    outcomes = itertools.product(*map(range, dims))
-    return np.array([mps.project_outcomes(state, layout, z) for z in outcomes]).T
+    outcomes = np.array(list(itertools.product(*map(range, dims))))
+    return mps._project_batch(state, layout, outcomes).T
 
 
 @pytest.mark.parametrize(
@@ -415,16 +421,10 @@ def test_oracle_takes_numpy_integer_counts():
 
 def test_oracle_refuses_fractional_order_before_building(monkeypatch):
     # k = 1.5 was read as k = 1; it is refused before any dense state is built
-    def no_build(*args):
-        raise AssertionError("dense state built")
-
-    monkeypatch.setattr(mps, "_dense_amplitudes", no_build)
+    monkeypatch.setattr(mps, "_dense_amplitudes", no_dense_build)
     circuit = mps.Circuit("staircase", 2, 2, 2, 2)
     with pytest.raises(ValueError, match="must be an integer"):
         mps.oracle_frame_potentials(circuit, 0, 4, [(2, 0), (1.5, 0)])
-    ens = mps.ProjectedEnsemble(np.eye(2, dtype=complex), (2,))
-    with pytest.raises(ValueError, match="must be an integer"):
-        ens.generalized_frame_potential(1.5, 0)
 
 
 @pytest.mark.parametrize("chi", [256, 32])
@@ -444,7 +444,7 @@ def test_project_batch_keeps_its_memory_bound(chi):
         tracemalloc.stop()
     assert peak <= 4 * mps.CHUNK_ENTRIES * 16
     for i in (0, 1, 31, 32, 63):
-        assert np.array_equal(amps[i], mps.project_outcomes(state, layout, outcomes[i]))
+        assert np.array_equal(amps[i], mps._project_batch(state, layout, outcomes[i : i + 1])[0])
 
 
 def test_born_product_state_deterministic():
@@ -462,8 +462,8 @@ def test_born_product_state_deterministic():
 def test_born_probabilities_and_frequencies():
     circuit = mps.Circuit("staircase", 2, 2, 2, 2)
     state, layout = mps.build_staircase(circuit, mps.stream(11))
-    ens = mps.statevector_oracle(circuit, mps.stream(11))
-    exact = {ens.outcome_tuple(z): float(p) for z, p in enumerate(ens.probabilities)}
+    amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(11)))[0]
+    exact = dict(zip(np.ndindex(circuit.outcome_dims), np.vecdot(amps, amps, axis=0).real))
     sampler = mps.BornSampler(state, layout)
     chunk = mps.chunk_draws(state, circuit.d_a)
     rng = mps.stream(123, 5)
@@ -484,13 +484,12 @@ def test_born_probabilities_and_frequencies():
 def test_born_post_state_matches_oracle_column():
     circuit = mps.Circuit("glued", 2, 2, 2)
     state, layout = mps.build_glued(circuit, mps.stream(13))
-    ens = mps.statevector_oracle(circuit, mps.stream(13))
-    cols = {ens.outcome_tuple(z): z for z in range(ens.amplitudes.shape[1])}
+    amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(13)))[0]
     sampler = mps.BornSampler(state, layout)
     rng = mps.stream(77, 1)
     for _ in range(25):
         rec = oracles.sample(sampler, rng)
-        col = ens.amplitudes[:, cols[rec.outcomes]]
+        col = amps[:, np.ravel_multi_index(rec.outcomes, circuit.outcome_dims)]
         col = col / np.linalg.norm(col)
         assert np.abs(rec.post_state - col).max() < 1e-10
         assert np.linalg.norm(rec.post_state) == pytest.approx(1.0, abs=1e-10)
@@ -510,8 +509,9 @@ BATCH_IDS = ["staircase", "glued", "staircase-chi16"]
 def batch_case(circuit, seed):
     """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
     state, layout = mps.build(circuit, mps.stream(seed))
-    ens = mps.statevector_oracle(circuit, mps.stream(seed))
-    exact = {outcome: (p, post) for outcome, p, post in ens.triples()}
+    amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0].T
+    p = np.vecdot(amps, amps).real
+    exact = dict(zip(np.ndindex(circuit.outcome_dims), zip(p, amps / np.sqrt(p)[:, None])))
     return mps.BornSampler(state, layout), exact
 
 
@@ -607,8 +607,8 @@ def test_sample_batch_kept_sites_at_both_ends():
     state = mps.MpsState(tensors)
     layout = mps.RegionLayout(roles)
     batch = mps.BornSampler(state, layout).sample_batch(mps.stream(4), 30)
-    for outcome, p, post in zip(batch.outcomes, batch.probabilities, batch.post_states):
-        amp = mps.project_outcomes(state, layout, outcome)
+    amps = mps._project_batch(state, layout, batch.outcomes)
+    for outcome, p, post, amp in zip(*batch, amps):
         assert p == pytest.approx(oracles.born_probability(state, layout, outcome), abs=1e-12)
         assert np.abs(post - amp / np.linalg.norm(amp)).max() < 1e-12
 
@@ -625,8 +625,8 @@ def test_gaussian_states_not_renormalized():
     state, layout = mps.build_staircase(circuit, mps.stream(3))
     nsq = oracles.norm_squared(state)
     assert abs(nsq - 1.0) > 1e-8  # generically unnormalized
-    ens = mps.statevector_oracle(circuit, mps.stream(3))
-    total = sum(oracles.born_probability(state, layout, ens.outcome_tuple(z)) for z in range(4))
+    outcomes = np.ndindex(circuit.outcome_dims)
+    total = sum(oracles.born_probability(state, layout, z) for z in outcomes)
     assert total == pytest.approx(nsq, abs=1e-10)
 
 
@@ -641,38 +641,33 @@ def test_overlap():
 
 
 def test_oracle_purity_identity():
+    # the oracle's Born probabilities sum to 1, and F^(1,0) is the purity of rho_A
+    circuit = mps.Circuit("staircase", 2, 2, 2, 2)
     for seed in (9, 10):
-        ens = mps.statevector_oracle(mps.Circuit("staircase", 2, 2, 2, 2), mps.stream(seed))
-        rho = ens.amplitudes @ ens.amplitudes.conj().T
-        assert ens.frame_potential(1) == pytest.approx(float(np.trace(rho @ rho).real), abs=1e-10)
+        amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0]
+        assert np.vecdot(amps, amps, axis=0).real.sum() == pytest.approx(1.0, abs=1e-12)
+        rho = amps @ amps.conj().T
+        f1 = mps.oracle_frame_potentials(circuit, seed, range(1), [(1, 0)])[0, 0]
+        assert f1 == pytest.approx(float(np.trace(rho @ rho).real), abs=1e-10)
 
 
 def test_generalized_frame_potential_zero_probability_outcome():
     # an outcome of probability 0 weighs 0, also at n = 1 - k < 0 where p^n
     # would diverge; the value is the Born sum over normalized post-states
     amps = np.array([[0.6, 0.0, 0.48], [0.0, 0.0, 0.64]], dtype=complex)
-    ens = mps.ProjectedEnsemble(amps, (3,))
     p0, p2, o2 = 0.36, 0.64, 0.36
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val = ens.frame_potential(2)
+        val = mps._frame_potentials(amps[None], [(2, -1)])[0, 0]
     assert val == pytest.approx(p0**2 + p2**2 + 2 * p0 * p2 * o2**2, rel=1e-12)
 
 
-def test_oracle_triples_and_posts():
-    ens = mps.statevector_oracle(mps.Circuit("staircase", 2, 2, 2, 2), mps.stream(4))
-    total = 0.0
-    for outcome, p, post in ens.triples():
-        assert len(outcome) == 2
-        assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-10)
-        total += p
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_oracle_size_caps():
-    with pytest.raises(SizeLimitError):
-        mps.statevector_oracle(mps.Circuit("staircase", 20, 2, 4, 10), mps.stream(0))
-    with pytest.raises(SizeLimitError):
+def test_oracle_size_caps(monkeypatch):
+    # both caps refuse before any dense state is built
+    monkeypatch.setattr(mps, "_dense_amplitudes", no_dense_build)
+    with pytest.raises(SizeLimitError, match="oracle dimension"):
+        mps.oracle_frame_potentials(mps.Circuit("staircase", 20, 2, 4, 10), 0, 1, [(1, 0)])
+    with pytest.raises(SizeLimitError, match="outcome space"):
         # the full state fits, but the outcome space is too large to enumerate
-        mps.statevector_oracle(mps.Circuit("staircase", 2, 2, 2, 13), mps.stream(0))
+        mps.oracle_frame_potentials(mps.Circuit("staircase", 2, 2, 2, 13), 0, 1, [(1, 0)])
 

@@ -144,52 +144,6 @@ def test_glued_block_constant():
     assert wg.weingarten_sum_constant(4, 8.0) == pytest.approx(1.0 / (8 * 9 * 10 * 11), rel=1e-12)
 
 
-def test_boundary_vectors():
-    shape = ReplicaShape(0, 1)
-    left, right = rp.boundary_vectors("staircase", shape, 1000, 2, gaussian())
-    assert np.all(left == 1.0)
-    mask = pg.factorized_mask(2)
-    var = 1.0 / 2000.0
-    assert right[mask][0] == pytest.approx(4.0 * 1000**2 * var**2, rel=1e-12)
-    assert right[~mask][0] / right[mask][0] == pytest.approx(1 / 2000.0, rel=1e-12)
-    left_g, right_g = rp.boundary_vectors("glued", shape, 3, 2, gaussian())
-    assert np.array_equal(right_g, rp.site_weight_B_glued(shape, 3, gaussian()))
-    assert np.all(left_g == 1.0)
-    # the staircase right vector is the gaussian gate average of
-    # d chi (d chi 1_F + (1 - 1_F)), bit for bit, at every m the engine takes
-    for n, k in M_LE_6 + [(0, 4), (1, 3)]:
-        shape = ReplicaShape(n, k)
-        vec = np.where(pg.factorized_mask(shape.m), 36.0, 6.0)
-        for kind, var in ((gaussian(), 1 / 6), (gaussian(0.3, 0.7), 0.3)):
-            right = rp.boundary_vectors("staircase", shape, 3, 2, kind)[1]
-            assert np.array_equal(right, var**shape.m * vec)
-
-
-@pytest.mark.parametrize("kind", [HAAR, gaussian()])
-@pytest.mark.parametrize("k,n", [(1, 0), (2, 0), (1, 1)])
-def test_boundary_vector_chain_equivalence(kind, k, n):
-    # the Weingarten-dressed right vector absorbs the final gate average and
-    # trailing measured-site weight; with a bare Gram bond on the last gap it
-    # reproduces the standard grouping exactly
-    shape = ReplicaShape(n, k)
-    d, chi, na, nb = 2, 3, 2, 3
-    clean = rp.frame_potential_chain(mps.Circuit("staircase", na, d, chi, nb, kind), k, n)
-    vl, vr = rp.boundary_vectors("staircase", shape, chi, d, kind)
-    sites = ("A",) * na + ("B_staircase",) * (nb - 2)
-    bonds = ("staircase_bulk",) * (len(sites) - 1) + ("glued_A_to_B",)
-    spec = rp.ReplicaChainSpec(
-        shape=shape,
-        kind=kind,
-        chi=chi,
-        d=d,
-        ops=tuple(op for pair in zip(sites, bonds) for op in pair),
-        left_boundary=vl,
-        right_boundary=vr,
-        log_prefactor=math.log(wg.weingarten_sum_constant(shape.m, float(d * chi), kind)),
-    )
-    assert rp.contract(spec).value == pytest.approx(clean.value, rel=1e-12)
-
-
 def test_contract_all_ones_counts_group():
     for shape in (ReplicaShape(0, 1), ReplicaShape(0, 2)):
         fac = math.factorial(shape.m)
@@ -390,15 +344,10 @@ def test_chain_builders_reject_bad_inputs(setup, d, chi, n_a):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda shape: rp.boundary_vectors("staircase", shape, 0, 2),
-        lambda shape: rp.boundary_vectors("staircase", shape, 2, 1),
-        lambda shape: rp.boundary_vectors("glued", shape, 0, 2),
-        lambda shape: rp.boundary_vectors("glued", shape, 2, 1),
         lambda shape: rp.site_weight_B_glued(shape, 0),
         lambda shape: rp.site_weight_B_glued(shape, -1, gaussian()),
     ],
-    ids=["staircase-chi0", "staircase-d1", "glued-chi0", "glued-d1", "glued-site-chi0",
-         "glued-site-chi-1"],
+    ids=["glued-site-chi0", "glued-site-chi-1"],
 )
 def test_chain_weights_reject_bad_inputs(call):
     # the public weight functions take the chain builders' check, not a nan
@@ -427,13 +376,9 @@ def test_selector_vectors_invariant(n, k):
         rp.site_weight_B_staircase(shape, 2),
         rp.site_weight_B_glued(shape, 3, gaussian()),
         rp.staircase_chain(mps.Circuit("staircase", 1, 2, 3, 1), shape).right_boundary,
-        *rp.boundary_vectors("staircase", shape, 3, 2, gaussian()),
     ]
     if shape.m <= 6:
-        vectors += [
-            rp.site_weight_B_glued(shape, 3, HAAR),
-            *rp.boundary_vectors("staircase", shape, 3, 2, HAAR),
-        ]
+        vectors.append(rp.site_weight_B_glued(shape, 3, HAAR))
     for image in pg.symmetry_maps(shape):
         for v in vectors:
             assert np.array_equal(v[image], v)

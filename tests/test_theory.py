@@ -89,13 +89,6 @@ def test_setup2_pdf_properties():
     assert th.setup2_pdf(1.0, 0.0, 2) == pytest.approx(math.exp(-1.0))
 
 
-def test_confinement_potential():
-    assert th.confinement_potential([]) == 0
-    assert th.confinement_potential([0, 0]) == 0
-    assert th.confinement_potential([-2, -1]) == 3
-    assert th.confinement_potential([3, -1]) == 4
-
-
 def test_f_alpha_direct_vs_closed_light():
     for d in (2, 3):
         for alpha in (1, 2, 3):
