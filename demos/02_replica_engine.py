@@ -7,8 +7,12 @@ engine works on the orbit space of the chain's symmetry (13 values at m = 4,
 leading order for the staircase, reproduces the glued-circuit scaling
 plot (the ratio F^(2,0)/(F^(1,0))^2, normalized by its leading order,
 approaches the excitation-exponent prediction exp(19 x) with finite-size
-residuals shrinking like 1/sqrt(N_A)), and contracts the m = 8 staircase
-chain at N_A = 6, N_B = 14 in milliseconds.
+residuals shrinking like 1/sqrt(N_A)), contracts the m = 8 staircase
+chain at N_A = 6, N_B = 14 in milliseconds, and follows the glued circuit
+at x = N_A / chi^2 = 1 out to chi = 2^14, N_A = 2^28, where log F minus its
+leading order reaches the excitation exponent times x.  A chain is held as
+runs of a repeated cell, and a long run is applied by binary powering, so
+each of those chains takes milliseconds.
 """
 
 import math
@@ -68,3 +72,20 @@ for chi in (64, 1024, 16384):
     lead = th.leading_order_log(shape, d, float(chi), 6, 14, "staircase")
     print(f"  chi={chi:6d}: log F = {f4.log:+.6f}   engine/leading - 1 = "
           f"{math.exp(f4.log - lead) - 1:+.2e}   ({seconds * 1e3:.1f} ms)")
+
+print()
+print("glued scaling limit at x = N_A / chi^2 = 1: log(F / F_leading) -> e_k x")
+print("(k = 1 converges as 1/chi^2; past chi = 2^12 its gap meets rounding, a few")
+print("1e-7 in a log F of -1.9e8)")
+print(f"  {'chi':>6} {'N_A':>10}  k   log(F/F_lead)   e_k x   chi*(diff)    ms")
+for k in (1, 2):
+    e_k = th.setup2_excitation_exponent(k, 0, d)
+    for chi in (2**j for j in range(6, 15)):
+        n_a = chi * chi
+        t0 = time.perf_counter()
+        fk = rp.frame_potential_chain(Circuit("glued", n_a, d, chi), k, 0)
+        seconds = time.perf_counter() - t0
+        lead = th.leading_order_log(ReplicaShape(0, k), d, float(chi), n_a, None, "glued")
+        gap = fk.log - lead
+        print(f"  {chi:6d} {n_a:10d}  {k}   {gap:13.6f} {e_k:7.2f} {chi * (gap - e_k):+11.4f}"
+              f"  {seconds * 1e3:5.1f}")

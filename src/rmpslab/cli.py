@@ -57,8 +57,10 @@ from .weingarten import HAAR, gaussian
 # the draw-major Born sweep in chunks of up to 256 draws moves the last bits of
 # Born probabilities, post-states and forced-mode chunk sums (sample and
 # histogram 8); forced mode sums its pair moments in one mean, not per chunk,
-# and its --pair-mode pooled really pools (sample 9)
-SCHEMA = {"predict": 1, "contract": 2, "oracle": 6, "sample": 9, "histogram": 8}
+# and its --pair-mode pooled really pools (sample 9); chains held as runs,
+# long runs applied by binary powering, and the log scale summed exactly by
+# math.fsum move the last bits of contract files (3)
+SCHEMA = {"predict": 1, "contract": 3, "oracle": 6, "sample": 9, "histogram": 8}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +165,17 @@ def per_realization(worker, config, realizations: int, threads: int) -> list:
     if workers <= 1:
         return [worker(config, r) for r in reals]
     chunk = max(1, realizations // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _process_pool(workers) as pool:
         return list(pool.map(worker, [config] * realizations, reals, chunksize=chunk))
+
+
+def _process_pool(workers: int):
+    """A ``ProcessPoolExecutor``, imported here: the module brings in
+    multiprocessing, sockets and logging, about 2 MB of memory that a
+    contraction or a one-process run never uses."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _collect(config: EnsembleConfig, threads: int = 1) -> np.ndarray:

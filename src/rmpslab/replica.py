@@ -26,6 +26,11 @@ statevector oracle at small sizes):
   where beta is the Weingarten-dressed measured-site weight (one per glue
   gate, the two edge copies acting as boundary vectors).
 
+Both chains are written as runs of a repeated cell, so a spec's length does
+not grow with N_A or N_B: the staircase as (D_A T)^(N_A) (D_B T)^(N_B - 2) D_B
+((D_A T)^(N_A - 1) D_A at N_B = 1), the glued chain as
+G D_A G (beta G D_A G)^(N_A - 1).
+
 The chain builders and ``frame_potential_chain`` take the circuit as one
 ``mps.Circuit``, which has already validated it, and the replica counts as a
 ``ReplicaShape``.  Values are returned as (mantissa, log scale) pairs: chains
@@ -35,7 +40,12 @@ Every chain operator is invariant under the symmetry described in
 ``permutations.chain_orbits``, so ``contract`` works on its orbit space:
 vectors hold one value per orbit and each bond is an (orbits x orbits)
 matrix.  At m = 8 and n = 0 that is 95 values instead of 40,320, and a
-contraction takes milliseconds.  The gate-average dressing of the glue-site
+contraction takes milliseconds.  A run goes op by op while that is cheaper;
+a long run on a narrow orbit space is fused into one cell matrix and applied
+by binary powering (``_power_is_cheaper`` weighs about o^2 flops per matvec
+against o^3/8 per matmul, o the orbit count, each plus a fixed overhead), so
+a glued chain at N_A = 2^28 takes milliseconds at m <= 6 and about a second
+at m = 8.  The gate-average dressing of the glue-site
 weights goes through the same reduced kernel, with one class vector per
 ensemble kind (``wg.gate_average_class_vector``).
 ``contract`` is the one contraction path; a dense whole-group contraction
@@ -45,6 +55,7 @@ ensemble kind (``wg.gate_average_class_vector``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +96,7 @@ class ChainValue:
 
 def site_weight_A(shape: ReplicaShape, d: int) -> np.ndarray:
     """Onsite weight in region A: d^(m - dist(sigma, overlap pairing))."""
+    check_circuit(1, d)
     sig_a = pg.overlap_permutation(shape)
     return float(d) ** (shape.m - pg.distances_from(shape.m, sig_a).astype(np.float64))
 
@@ -95,6 +107,7 @@ def site_weight_B_staircase(shape: ReplicaShape, d: int) -> np.ndarray:
     One factor d is the outcome sum, the second the site's share of the
     fixed-outcome prefactor D_B.
     """
+    check_circuit(1, d)
     mask = pg.factorized_mask(shape.m)
     return np.where(mask, float(d) ** 2, float(d))
 
@@ -148,10 +161,12 @@ SELECTORS = {
 class ReplicaChainSpec:
     """Declarative permutation-chain partition function.
 
-    ops lists the chain operators between the two boundary vectors, left to
-    right.  Each is a key of ``SELECTORS`` (resolved through the chain's
-    shape, chi, d, kind), an explicit (m!,) site weight or an explicit
-    (m!, m!) bond.
+    ops lists the chain entries between the two boundary vectors, left to
+    right.  An operator is a key of ``SELECTORS`` (resolved through the
+    chain's shape, chi, d, kind), an explicit (m!,) site weight or an
+    explicit (m!, m!) bond.  A run ``(cell_ops, repeat)`` stands for the
+    non-empty tuple of operators ``cell_ops`` written ``repeat`` >= 0 times
+    in a row; runs do not nest, and every tuple entry is read as a run.
 
     The orbit-space contraction accepts an explicit operand only when it is
     invariant under the chain symmetry (a bond: when it maps invariant
@@ -172,15 +187,32 @@ class ReplicaChainSpec:
         for v in (self.left_boundary, self.right_boundary):
             if np.shape(v) != (fac,):
                 raise ShapeMismatchError(f"boundary vector length != {fac}")
-        for op in self.ops:
-            if isinstance(op, str):
-                if op not in SELECTORS:
-                    raise ValueError(f"unknown chain selector {op!r}")
-            elif np.shape(op) not in ((fac,), (fac, fac)):
-                raise ShapeMismatchError(
-                    f"explicit chain operand has shape {np.shape(op)}, "
-                    f"expected ({fac},) or ({fac}, {fac})"
-                )
+        for entry in self.ops:
+            if not isinstance(entry, tuple):
+                _check_operator(entry, fac)
+                continue
+            if len(entry) != 2:
+                raise ValueError(f"a chain run is a (cell_ops, repeat) pair, got {entry!r}")
+            cell, repeat = entry
+            if isinstance(repeat, bool) or not isinstance(repeat, numbers.Integral) or repeat < 0:
+                raise ValueError(f"a chain run repeats a non-negative integer count, got {repeat!r}")
+            if not isinstance(cell, tuple) or not cell:
+                raise ValueError("a chain run's cell is a non-empty tuple of operators")
+            for op in cell:
+                if isinstance(op, tuple):
+                    raise ValueError("chain runs do not nest")
+                _check_operator(op, fac)
+
+
+def _check_operator(op, fac: int) -> None:
+    if isinstance(op, str):
+        if op not in SELECTORS:
+            raise ValueError(f"unknown chain selector {op!r}")
+    elif np.shape(op) not in ((fac,), (fac, fac)):
+        raise ShapeMismatchError(
+            f"explicit chain operand has shape {np.shape(op)}, "
+            f"expected ({fac},) or ({fac}, {fac})"
+        )
 
 
 def _reduce_operand(orbits: pg.ChainOrbits, operand) -> np.ndarray:
@@ -199,40 +231,112 @@ def _reduce_operand(orbits: pg.ChainOrbits, operand) -> np.ndarray:
     return reduced
 
 
+class _Vanished(Exception):
+    """A chain product came out exactly zero."""
+
+
+def _rescaled(x: np.ndarray, logs: list) -> np.ndarray:
+    """x over its max-norm, whose log is appended to logs."""
+    # the method skips np.max's dispatch, a third of a small chain step
+    peak = np.abs(x).max()
+    if peak == 0.0:
+        raise _Vanished
+    logs.append(math.log(peak))
+    return x / peak
+
+
+def _power_is_cheaper(cell_len: int, repeat: int, orbit_count: int) -> bool:
+    """Cost estimate of a run: op by op, each step a matvec of about o^2
+    flops plus about 4096 flops' worth of call overhead, against fusing the
+    cell and binary powering, each product a matmul of about o^3/8 (BLAS
+    speed) plus the same overhead.  The constants fit one BLAS thread on
+    chains of 2 to 88 orbits: the 88-orbit staircase runs, repeated 6 and
+    12 times, are faster op by op."""
+    if repeat < 2:
+        return False
+    o2, o3 = orbit_count**2, orbit_count**3
+    squarings = repeat.bit_length() - 1
+    return repeat * cell_len * (o2 + 4096) > (cell_len + 2 * squarings) * (o3 / 8 + 4096)
+
+
+def _apply_power(steps: list, repeat: int, vec: np.ndarray, logs: list) -> np.ndarray:
+    """(steps[-1] ... steps[0])^repeat vec by binary powering; steps are a
+    cell's reduced operands in the order they act.
+
+    The fused cell and each square are rescaled by their max-norm.  terms
+    holds the logs whose sum is the scale of the current square; doubling
+    them is exact, so ``math.fsum`` of all terms is the exact sum of the
+    computed logs."""
+    terms: list = []
+    mat = None
+    for op in steps:
+        if mat is None:
+            mat = np.diag(op) if op.ndim == 1 else op
+        else:
+            mat = op @ mat if op.ndim == 2 else op[:, None] * mat
+        mat = _rescaled(mat, terms)
+    while True:
+        if repeat & 1:
+            vec = _rescaled(mat @ vec, logs)
+            logs.extend(terms)
+        repeat >>= 1
+        if not repeat:
+            return vec
+        terms = [2.0 * t for t in terms]
+        mat = _rescaled(mat @ mat, terms)
+
+
 def contract(spec: ReplicaChainSpec) -> ChainValue:
-    """Evaluate the chain right-to-left with per-step max-norm rescaling.
+    """Evaluate the chain right-to-left with max-norm rescaling.
 
     The contraction works on the orbit space of the chain symmetry: site
     weights act on the orbit representatives, each bond is the
     (orbits x orbits) ``pg.reduced_kernel``, and the closing product weighs
     each orbit by its size.  The rescaling is that of the whole group, since
     an invariant vector takes its maximum on a representative.
+
+    A run's operands are resolved and reduced once.  A run goes op by op,
+    rescaling after every step, unless ``_power_is_cheaper`` says that
+    fusing its cell into one orbit-space matrix and applying that by binary
+    powering costs less; a run repeated 0 times resolves nothing.  The logs
+    of all rescalings and the prefactor are added by ``math.fsum``.
     """
     orbits = pg.chain_orbits(spec.shape)
     # each selector is resolved once per call: a chain repeats a few
     # selectors many times
     resolved: dict[str, np.ndarray] = {}
-    for op in spec.ops:
-        if isinstance(op, str) and op not in resolved:
+
+    def reduced(op) -> np.ndarray:
+        if not isinstance(op, str):
+            return _reduce_operand(orbits, op)
+        if op not in resolved:
             role, value_of = SELECTORS[op]
             value = value_of(spec)
             resolved[op] = (
                 value[orbits.reps] if role == "site" else pg.reduced_kernel(spec.shape, value)
             )
-    ops = [resolved[op] if isinstance(op, str) else _reduce_operand(orbits, op) for op in spec.ops]
+        return resolved[op]
 
     vec = _reduce_operand(orbits, spec.right_boundary)
-    log_scale = spec.log_prefactor
-    for op in reversed(ops):
-        vec = op @ vec if op.ndim == 2 else op * vec
-        peak = np.max(np.abs(vec))
-        if peak == 0.0:
-            return ChainValue(0.0, 0.0)
-        vec = vec / peak
-        log_scale += math.log(peak)
+    logs = [spec.log_prefactor]
+    try:
+        for entry in reversed(spec.ops):
+            cell, repeat = entry if isinstance(entry, tuple) else ((entry,), 1)
+            repeat = int(repeat)
+            if repeat == 0:
+                continue
+            steps = [reduced(op) for op in reversed(cell)]
+            if _power_is_cheaper(len(steps), repeat, orbits.reps.size):
+                vec = _apply_power(steps, repeat, vec, logs)
+                continue
+            for _ in range(repeat):
+                for op in steps:
+                    vec = _rescaled(op @ vec if op.ndim == 2 else op * vec, logs)
+    except _Vanished:
+        return ChainValue(0.0, 0.0)
     left = _reduce_operand(orbits, spec.left_boundary) * orbits.sizes
     mantissa = float(np.dot(left, vec))
-    return ChainValue(mantissa, log_scale)
+    return ChainValue(mantissa, math.fsum(logs))
 
 
 def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
@@ -247,13 +351,23 @@ def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """
     m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
-    sites = ("A",) * circuit.n_a + ("B_staircase",) * (circuit.n_b - 1)
+    n_a, n_b = circuit.n_a, circuit.n_b
+    if n_b == 1:
+        # (A T)^(N_A - 1) A
+        ops = ((("A", "staircase_bulk"), n_a - 1), "A")
+    else:
+        # (A T)^N_A (B T)^(N_B - 2) B
+        ops = (
+            (("A", "staircase_bulk"), n_a),
+            (("B_staircase", "staircase_bulk"), n_b - 2),
+            "B_staircase",
+        )
     return ReplicaChainSpec(
         shape=shape,
         kind=kind,
         chi=chi,
         d=d,
-        ops=tuple(op for site in sites for op in (site, "staircase_bulk"))[:-1],
+        ops=ops,
         left_boundary=np.ones(math.factorial(m)),
         right_boundary=_staircase_chi_leg_vector(shape, chi),
         log_prefactor=log_pref,
@@ -281,8 +395,13 @@ def glued_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
         kind=kind,
         chi=chi,
         d=d,
-        # G A G B G A G ... B G A G
-        ops=(("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * circuit.n_a)[1:],
+        # G A G (B G A G)^(N_A - 1)
+        ops=(
+            "glued_A_to_B",
+            "A",
+            "glued_A_to_B",
+            (("B_glued", "glued_A_to_B", "A", "glued_A_to_B"), circuit.n_a - 1),
+        ),
         left_boundary=beta.copy(),
         right_boundary=beta.copy(),
         log_prefactor=circuit.n_a * log_block,

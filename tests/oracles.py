@@ -10,9 +10,10 @@ pseudo-inverse of the dense Gram matrix rather than from the class algebra.
 Enumeration follows ``permutations.MAX_ENUM_M``; dense tables stop at
 m = ``MAX_DENSE_M``.
 
-The helpers at the end (one Born draw with its record, one outcome's Born
-probability, a state's norm, a vector overlap, the leading order of a frame
-potential) are thin wrappers over the library that only the tests use.
+The helpers at the end (a chain's runs written out, one Born draw with its
+record, one outcome's Born probability, a state's norm, a vector overlap, the
+leading order of a frame potential) are thin wrappers over the library that
+only the tests use.
 """
 
 import itertools
@@ -174,6 +175,15 @@ def densify_class_kernel(m: int, kernel_by_class: np.ndarray) -> np.ndarray:
     """Materialize a class kernel as a dense m! x m! matrix (m <= 6)."""
     class_of, _, _ = pg.conjugacy_classes(m)
     return np.asarray(kernel_by_class, dtype=np.float64)[class_of[relative_index_matrix(m)]]
+
+
+def expand_runs(ops: tuple) -> tuple:
+    """A chain's ops with every run (cell_ops, repeat) written out in full."""
+    return tuple(
+        op
+        for entry in ops
+        for op in (entry[0] * entry[1] if isinstance(entry, tuple) else (entry,))
+    )
 
 
 @dataclass

@@ -123,7 +123,7 @@ def test_pool_never_outgrows_the_work(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(es, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(es, "_process_pool", RecordingPool)
     cfg = tiny_born_config(realizations=3, pairs_per_state=4)
     serial = es.per_realization(es._pair_moments, cfg, 3, threads=1)
     assert sizes == []

@@ -6,11 +6,12 @@ outcome-count bookkeeping conventions.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from rmpslab import mps
+from rmpslab import cli, mps
 from rmpslab import permutations as pg
 from rmpslab import replica as rp
 from rmpslab import theory as th
@@ -31,12 +32,14 @@ def chain_spec(setup, k, n, n_a, n_b, d, chi, kind=HAAR):
 
 
 def dense_contract(spec):
-    """Whole-group reference for ``rp.contract``: the same walk and rescaling.
+    """Whole-group reference for ``rp.contract``: the same walk and rescaling,
+    op by op along the chain with its runs written out.
 
     Bonds are the dense matrices built from the eigh pseudo-inverse of the
     dense Gram matrix, not from the engine's class algebra (m <= 6).
     """
     m, chi = spec.shape.m, float(spec.chi)
+    ops = oracles.expand_runs(spec.ops)
     dense = {
         "A": lambda: rp.site_weight_A(spec.shape, spec.d),
         "B_staircase": lambda: rp.site_weight_B_staircase(spec.shape, spec.d),
@@ -44,9 +47,9 @@ def dense_contract(spec):
         "staircase_bulk": lambda: oracles.interaction_matrix(m, chi, spec.d, spec.kind),
         "glued_A_to_B": lambda: oracles.gram_matrix(m, chi),
     }
-    resolved = {name: dense[name]() for name in {op for op in spec.ops if isinstance(op, str)}}
+    resolved = {name: dense[name]() for name in {op for op in ops if isinstance(op, str)}}
     vec, log_scale = np.asarray(spec.right_boundary, dtype=np.float64), spec.log_prefactor
-    for op in reversed(spec.ops):
+    for op in reversed(ops):
         op = resolved[op] if isinstance(op, str) else np.asarray(op, dtype=np.float64)
         vec = op @ vec if op.ndim == 2 else op * vec
         peak = np.max(np.abs(vec))
@@ -167,7 +170,7 @@ def test_contract_linearity():
         kind=spec.kind,
         chi=spec.chi,
         d=spec.d,
-        ops=(2.0 * rp.site_weight_A(spec.shape, 2),) + spec.ops[1:],
+        ops=(2.0 * rp.site_weight_A(spec.shape, 2),) + oracles.expand_runs(spec.ops)[1:],
         left_boundary=spec.left_boundary,
         right_boundary=2.0 * spec.right_boundary,
         log_prefactor=spec.log_prefactor,
@@ -355,6 +358,14 @@ def test_chain_weights_reject_bad_inputs(call):
         call(ReplicaShape(0, 1))
 
 
+@pytest.mark.parametrize("d", [1, -1])
+@pytest.mark.parametrize("weight", [rp.site_weight_A, rp.site_weight_B_staircase])
+def test_site_weights_reject_bad_d(weight, d):
+    # d^(m - dist) at d = -1 was [-1, 1], and d^2 / d at d = 1 was [1, 1]
+    with pytest.raises(ShapeMismatchError, match="d >= 2"):
+        weight(ReplicaShape(0, 1), d)
+
+
 M_LE_6 = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]
 
 
@@ -406,7 +417,7 @@ def test_non_invariant_operands_raise():
         kind=spec.kind,
         chi=spec.chi,
         d=spec.d,
-        ops=(site,) + spec.ops[1:],
+        ops=(site,) + oracles.expand_runs(spec.ops)[1:],
         left_boundary=spec.left_boundary,
         right_boundary=spec.right_boundary,
         log_prefactor=spec.log_prefactor,
@@ -436,3 +447,151 @@ def test_bondless_chain_builds_no_kernel_table():
     val = rp.frame_potential_chain(mps.Circuit("staircase", 1, 2, 2, 1), 1, 3)
     assert math.isfinite(val.log)
     assert pg.orbit_class_counts.cache_info().misses == before
+
+
+def test_spec_length_independent_of_size():
+    # runs keep a spec's length fixed; written out they are the site-by-site
+    # chains: staircase (A T)^N_A (B T)^(N_B - 2) B, or (A T)^(N_A - 1) A
+    # at N_B = 1, and glued G A G (B G A G)^(N_A - 1)
+    shape = ReplicaShape(0, 1)
+    for n_a in (1, 2, 7, 10**6):
+        for n_b in (1, 2, 3, 10**6):
+            spec = chain_spec("staircase", 1, 0, n_a, n_b, 2, 3)
+            assert len(spec.ops) == (2 if n_b == 1 else 3)
+            if n_a + n_b < 20:
+                sites = ("A",) * n_a + ("B_staircase",) * (n_b - 1)
+                flat = tuple(op for site in sites for op in (site, "staircase_bulk"))[:-1]
+                assert oracles.expand_runs(spec.ops) == flat
+        glued = rp.glued_chain(mps.Circuit("glued", n_a, 2, 3), shape)
+        assert len(glued.ops) == 4
+        if n_a < 20:
+            flat = (("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * n_a)[1:]
+            assert oracles.expand_runs(glued.ops) == flat
+
+
+def contract_forced(monkeypatch, spec, power):
+    """``rp.contract`` with every run of repeat >= 1 powered, or none."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rp, "_power_is_cheaper", lambda cell_len, repeat, orbits: power)
+        return rp.contract(spec)
+
+
+# (setup, N_A, N_B, d, chi, kind, (k, n)) of the chains the Tier-1 tests and
+# demos contract, one entry per family at the sizes they use
+TIER1_CHAINS = (
+    [("staircase", 2, 2, 2, 2, HAAR, kn) for kn in ((1, 0), (2, 0), (1, 1))]
+    + [("glued", 2, None, 2, 2, HAAR, kn) for kn in ((1, 0), (2, 0), (1, 1))]
+    + [("glued", 3, None, 2, 2, HAAR, kn) for kn in ((1, 0), (2, 0))]
+    + [("staircase", 1, 2, 2, 2, gaussian(), (1, 0)), ("staircase", 1, 2, 2, 2, HAAR, (4, 0))]
+    + [("staircase", n_a, n_b, 2, chi, kind, kn)
+       for n_a, n_b, chi in ((2, 3, 4), (3, 2, 8)) for kind in (HAAR, gaussian())
+       for kn in ((1, 0), (2, 0), (1, 1))]
+    + [("staircase", 1, n_b, d, chi, HAAR, (1, 0)) for d, chi in ((2, 2), (2, 4), (3, 5))
+       for n_b in (1, 2, 3)]
+    + [("staircase", n_a, 3, 2, 4, HAAR, (1, 0)) for n_a in range(2, 7)]
+    + [("staircase", 2, 3, 2, 3, HAAR, (2, 0))]
+    + [("staircase", n_a, n_b, 2, 2 ** (n_a - 1), HAAR, (1, 0)) for n_a in (4, 6, 8)
+       for n_b in (14, 30)]
+    + [("staircase", n_a, n_b, 2, chi, kind, (1, 1)) for kind, n_a, n_b in
+       ((HAAR, 1, 3), (gaussian(), 1, 3), (HAAR, 2, 4)) for chi in (1024, 2048)]
+    + [("glued", 2, None, 2, 2048, kind, (1, 1)) for kind in (HAAR, gaussian())]
+    + [("staircase", 2, 3, 2, 3, HAAR, (1, 1)), ("glued", 2, None, 2, 3, HAAR, (1, 1))]
+    + [("staircase", 2, 3, 2, 2, HAAR, (3, 0)), ("glued", 2, None, 2, 2, HAAR, (3, 0))]
+    + [(setup, n_a, n_b, 2, 3, kind, (k, n)) for n, k in M_LE_6 for kind in (HAAR, gaussian())
+       for setup, n_a, n_b in (("staircase", 3, 4), ("staircase", 1, 1), ("glued", 3, None))]
+    + [("staircase", 1, 1, 2, 2, HAAR, kn) for kn in ((4, 0), (1, 3))]
+    + [("staircase", 6, 14, 2, chi, HAAR, kn) for chi in (32, 64, 256) for kn in ((1, 0), (2, 0))]
+    + [("staircase", 2, 4, 2, chi, HAAR, (1, 1)) for chi in (32, 128, 512, 2048)]
+    + [("glued", n_a, None, 2, math.isqrt(int(n_a / 0.05)), HAAR, kn)
+       for n_a in (16, 25, 36, 49, 64, 81, 100) for kn in ((1, 0), (2, 0))]
+    + [("glued", round(0.05 * chi * chi), None, 2, chi, HAAR, kn)
+       for chi in (20, 40, 44, 60, 80, 160, 200) for kn in ((1, 0), (2, 0))]
+    + [("glued", 5, None, 2, 10, HAAR, (1, 0)), ("staircase", 6, 14, 2, 64, HAAR, (4, 0))]
+    # the glued m = 2 chain on which the old running log-scale sum drifted
+    # by 2.2e-9 against a 60-bit fixed-point reference
+    + [("glued", 1600, None, 2, 40, HAAR, (1, 0))]
+)
+
+
+@pytest.mark.parametrize(
+    "setup,n_a,n_b,d,chi,kind,kn",
+    TIER1_CHAINS,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-d{c[3]}-chi{c[4]}-{c[5].kind}-{c[6]}" for c in TIER1_CHAINS],
+)
+def test_powered_runs_match_op_by_op(monkeypatch, setup, n_a, n_b, d, chi, kind, kn):
+    # both setups carry negative operands (the haar glue-site weight and the
+    # staircase bulk), so Perron-Frobenius does not rule out cancellation
+    k, n = kn
+    spec = chain_spec(setup, k, n, n_a, n_b, d, chi, kind)
+    looped = contract_forced(monkeypatch, spec, False)
+    for value in (contract_forced(monkeypatch, spec, True), rp.contract(spec)):
+        assert abs(value.log - looped.log) <= 1e-12 * abs(looped.log)
+        assert value.sign == looped.sign
+
+
+@pytest.mark.parametrize("n,k", M_LE_6)
+def test_glued_scaling_limit_chain_is_cheap(n, k):
+    # x = N_A / chi^2 = 1 at chi = 2^14: 2^30 chain operators, about 28
+    # squarings of one cell; site by site it would take hours
+    circuit = mps.Circuit("glued", 2**28, 2, 2**14)
+    t0 = time.perf_counter()
+    value = rp.frame_potential_chain(circuit, k, n)
+    assert time.perf_counter() - t0 < 1.0
+    assert math.isfinite(value.log) and value.mantissa != 0.0
+    if n == 0 and k <= 2:
+        # log F minus its chi -> infinity leading order reaches the
+        # excitation exponent times x, 1.5 and 22 at d = 2
+        lead = th.leading_order_log(ReplicaShape(0, k), 2, 2.0**14, 2**28, None, "glued")
+        assert value.log - lead == pytest.approx(th.setup2_excitation_exponent(k, 0, 2), abs=1e-3)
+
+
+def test_glued_scaling_limit_from_the_command_line(capsys):
+    argv = ["contract", "--setup", "glued", "--na", "268435456", "--d", "2", "--chi", "16384",
+            "--k", "1", "--n", "0"]
+    assert cli.main(argv) == 0
+    ratio = float(capsys.readouterr().out.split("ratio_to_leading_order=")[1])
+    assert ratio == pytest.approx(math.exp(1.5), rel=1e-3)
+
+
+@pytest.mark.slow
+def test_glued_scaling_limit_chain_m8():
+    # (k, n) = (2, 2): 976 orbits, so each squaring is a 976 x 976 matmul
+    value = rp.frame_potential_chain(mps.Circuit("glued", 2**28, 2, 2**14), 2, 2)
+    assert math.isfinite(value.log) and value.mantissa != 0.0
+
+
+def test_malformed_runs_are_refused():
+    def spec(*ops):
+        return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops, np.ones(2), np.ones(2))
+
+    spec((("A", "glued_A_to_B"), 3), "A", ((np.ones(2),), np.int64(2)), (("A",), 0))
+    for repeat in (-1, 1.5, 2.0, "3", True, None):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            spec((("A",), repeat))
+    for cell in ((), ["A"], "A"):
+        with pytest.raises(ValueError, match="non-empty tuple"):
+            spec((cell, 2))
+    with pytest.raises(ValueError, match="do not nest"):
+        spec((("A", (("A",), 2)), 2))
+    with pytest.raises(ValueError, match="pair"):
+        spec((("A",), 2, 1))
+    # a run's operators are checked like any other
+    with pytest.raises(ValueError, match="unknown chain selector"):
+        spec((("A", "nowhere"), 2))
+    with pytest.raises(ShapeMismatchError):
+        spec(((np.ones(3),), 2))
+
+
+def test_repeat_zero_run_builds_nothing(monkeypatch):
+    # neither its operands nor a cell matrix: staircase N_B = 1 ends in
+    # (A T)^0 at N_A = 1, and the bondless check above relies on that
+    def refuse(*args):
+        raise AssertionError("a repeat-0 run was evaluated")
+
+    monkeypatch.setattr(pg, "reduced_kernel", refuse)
+    monkeypatch.setattr(rp, "_apply_power", refuse)
+    monkeypatch.setattr(rp, "_reduce_operand", lambda orbits, op: np.asarray(op)[orbits.reps])
+    spec = rp.ReplicaChainSpec(
+        ReplicaShape(0, 1), HAAR, 2, 2, ((("A", "staircase_bulk"), 0), "A"), np.ones(2), np.ones(2)
+    )
+    assert rp.contract(spec).value == pytest.approx(rp.site_weight_A(spec.shape, 2).sum())
