@@ -59,8 +59,11 @@ from .weingarten import HAAR, gaussian
 # histogram 8); forced mode sums its pair moments in one mean, not per chunk,
 # and its --pair-mode pooled really pools (sample 9); chains held as runs,
 # long runs applied by binary powering, and the log scale summed exactly by
-# math.fsum move the last bits of contract files (3)
-SCHEMA = {"predict": 1, "contract": 3, "oracle": 6, "sample": 9, "histogram": 8}
+# math.fsum move the last bits of contract files (3); chains read between
+# all-ones vectors, their boundary weights being their end sites, rescale
+# one more step and so split the same value into another mantissa and log
+# scale (contract 4)
+SCHEMA = {"predict": 1, "contract": 4, "oracle": 6, "sample": 9, "histogram": 8}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {

@@ -4,32 +4,32 @@ Averaging the replicated circuit gate by gate turns the generalized frame
 potential into a one-dimensional partition function over S_m variables, one
 per gate: diagonal onsite weights (distance to the overlap pairing in region
 A, a factorized-set indicator in region B), bond matrices coupling
-neighboring permutations through the auxiliary space, and boundary vectors.
+neighboring permutations through the auxiliary space.
 
-Chain groupings used here (pinned by exact agreement with the dense
-statevector oracle at small sizes):
+Every chain is read between all-ones vectors, its boundary weights being its
+first and last sites.  Chain groupings used here (pinned by exact agreement
+with the dense statevector oracle at small sizes):
 
 * staircase, N_A + N_B - 1 gates:
 
-      F = c_W(d chi) * ones . D_1 T D_2 T ... T D_(gates) . r
+      F = c_W(d chi) * ones . D_1 T D_2 T ... T D_(gates) R . ones
 
-  with T = W(d chi) G(chi), D_i the A/B site weights, r the measured
-  chi-leg vector chi^2 (factorized) / chi (otherwise), and c_W the
+  with T = W(d chi) G(chi), D_i the A/B site weights, R the measured
+  chi-leg weight chi^2 (factorized) / chi (otherwise), and c_W the
   gate-average constant from the first gate's |0> inputs.  The outcome-count
   prefactor D_B is distributed as one factor d per measured d-site weight
-  and the factor chi inside r.
+  and the factor chi inside R.
 
 * glued, alternating chain with all bonds G(chi):
 
-      F = (c_W(d chi^2))^(N_A) * beta . G D_A G beta G D_A G ... D_A G . beta
+      F = (c_W(d chi^2))^(N_A) * ones . beta G D_A G beta ... D_A G beta . ones
 
   where beta is the Weingarten-dressed measured-site weight (one per glue
-  gate, the two edge copies acting as boundary vectors).
+  gate, the two edge copies acting as boundaries).
 
 Both chains are written as runs of a repeated cell, so a spec's length does
-not grow with N_A or N_B: the staircase as (D_A T)^(N_A) (D_B T)^(N_B - 2) D_B
-((D_A T)^(N_A - 1) D_A at N_B = 1), the glued chain as
-G D_A G (beta G D_A G)^(N_A - 1).
+not grow with N_A or N_B: the staircase as (D_A T)^(N_A) (D_B T)^(N_B - 2) D_B R
+((D_A T)^(N_A - 1) D_A R at N_B = 1), the glued chain as (beta G D_A G)^(N_A) beta.
 
 The chain builders and ``frame_potential_chain`` take the circuit as one
 ``mps.Circuit``, which has already validated it, and the replica counts as a
@@ -62,13 +62,10 @@ import numpy as np
 
 from . import permutations as pg
 from . import weingarten as wg
-from .errors import ShapeMismatchError, SizeLimitError
+from .errors import SizeLimitError
 from .mps import Circuit, check_circuit
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind
-
-# explicit operands must be invariant under the chain symmetry to this relative size
-INVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,18 +131,18 @@ def site_weight_B_glued(shape: ReplicaShape, chi: int, kind: EnsembleKind = HAAR
     return (kernel @ vec[orbits.reps])[orbits.label]
 
 
-def _staircase_chi_leg_vector(shape: ReplicaShape, chi: int) -> np.ndarray:
-    """Measured chi-leg weight chi (chi 1_F + (1 - 1_F)): outcome sum x D_B share."""
-    mask = pg.factorized_mask(shape.m)
-    return float(chi) * np.where(mask, float(chi), 1.0)
-
-
 # chain selectors: name -> (role, its value for a spec); a site resolves to
 # its m!-vector, a bond to the class vector of its kernel
 SELECTORS = {
     "A": ("site", lambda spec: site_weight_A(spec.shape, spec.d)),
     "B_staircase": ("site", lambda spec: site_weight_B_staircase(spec.shape, spec.d)),
     "B_glued": ("site", lambda spec: site_weight_B_glued(spec.shape, spec.chi, spec.kind)),
+    # the staircase's measured chi leg chi (chi 1_F + (1 - 1_F)): outcome sum
+    # x D_B share
+    "chi_leg": (
+        "site",
+        lambda spec: spec.chi * np.where(pg.factorized_mask(spec.shape.m), float(spec.chi), 1.0),
+    ),
     # the dressed interaction T(chi, d) = W(d chi) G(chi)
     "staircase_bulk": (
         "bond",
@@ -161,16 +158,14 @@ SELECTORS = {
 class ReplicaChainSpec:
     """Declarative permutation-chain partition function.
 
-    ops lists the chain entries between the two boundary vectors, left to
-    right.  An operator is a key of ``SELECTORS`` (resolved through the
-    chain's shape, chi, d, kind), an explicit (m!,) site weight or an
-    explicit (m!, m!) bond.  A run ``(cell_ops, repeat)`` stands for the
-    non-empty tuple of operators ``cell_ops`` written ``repeat`` >= 0 times
-    in a row; runs do not nest, and every tuple entry is read as a run.
-
-    The orbit-space contraction accepts an explicit operand only when it is
-    invariant under the chain symmetry (a bond: when it maps invariant
-    vectors to invariant vectors), to ``INVARIANCE_TOL`` relative.
+    ops lists the chain entries left to right, each a key of ``SELECTORS``
+    resolved through the chain's shape, chi, d, kind.  There are no boundary
+    vectors: the first and last entries are the boundary sites, and the chain
+    is read between all-ones vectors,
+    F = exp(log_prefactor) * ones . ops[0] ... ops[-1] . ones.  A run
+    ``(cell_ops, repeat)`` stands for the non-empty tuple of selectors
+    ``cell_ops`` written ``repeat`` >= 0 times in a row; runs do not nest, and
+    every tuple entry is read as a run.
     """
 
     shape: ReplicaShape
@@ -178,18 +173,12 @@ class ReplicaChainSpec:
     chi: int
     d: int
     ops: tuple
-    left_boundary: np.ndarray
-    right_boundary: np.ndarray
     log_prefactor: float = 0.0
 
     def __post_init__(self):
-        fac = math.factorial(self.shape.m)
-        for v in (self.left_boundary, self.right_boundary):
-            if np.shape(v) != (fac,):
-                raise ShapeMismatchError(f"boundary vector length != {fac}")
         for entry in self.ops:
             if not isinstance(entry, tuple):
-                _check_operator(entry, fac)
+                _check_selector(entry)
                 continue
             if len(entry) != 2:
                 raise ValueError(f"a chain run is a (cell_ops, repeat) pair, got {entry!r}")
@@ -201,34 +190,12 @@ class ReplicaChainSpec:
             for op in cell:
                 if isinstance(op, tuple):
                     raise ValueError("chain runs do not nest")
-                _check_operator(op, fac)
+                _check_selector(op)
 
 
-def _check_operator(op, fac: int) -> None:
-    if isinstance(op, str):
-        if op not in SELECTORS:
-            raise ValueError(f"unknown chain selector {op!r}")
-    elif np.shape(op) not in ((fac,), (fac, fac)):
-        raise ShapeMismatchError(
-            f"explicit chain operand has shape {np.shape(op)}, "
-            f"expected ({fac},) or ({fac}, {fac})"
-        )
-
-
-def _reduce_operand(orbits: pg.ChainOrbits, operand) -> np.ndarray:
-    """An explicit m!-vector or m! x m! bond on the orbit space.
-
-    A vector must be constant on every orbit.  A bond B must map invariant
-    vectors to invariant vectors: its orbit sums sum_{tau in o} B[i, tau]
-    must be constant on every orbit of i, and they form the reduced bond.
-    """
-    operand = np.asarray(operand, dtype=np.float64)
-    if operand.ndim == 2:
-        operand = operand @ (orbits.label[:, None] == np.arange(orbits.reps.size))
-    reduced = operand[orbits.reps]
-    if np.abs(operand - reduced[orbits.label]).max() > INVARIANCE_TOL * np.abs(operand).max():
-        raise ValueError("explicit chain operand is not invariant under the chain symmetry")
-    return reduced
+def _check_selector(op) -> None:
+    if not (isinstance(op, str) and op in SELECTORS):
+        raise ValueError(f"unknown chain selector {op!r}")
 
 
 class _Vanished(Exception):
@@ -290,10 +257,11 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
     """Evaluate the chain right-to-left with max-norm rescaling.
 
     The contraction works on the orbit space of the chain symmetry: site
-    weights act on the orbit representatives, each bond is the
-    (orbits x orbits) ``pg.reduced_kernel``, and the closing product weighs
-    each orbit by its size.  The rescaling is that of the whole group, since
-    an invariant vector takes its maximum on a representative.
+    weights act on the orbit representatives, and each bond is the
+    (orbits x orbits) ``pg.reduced_kernel``.  The walk starts from the
+    all-ones vector, and the closing product weighs each orbit by its size.
+    The rescaling is that of the whole group, since an invariant vector
+    takes its maximum on a representative.
 
     A run's operands are resolved and reduced once.  A run goes op by op,
     rescaling after every step, unless ``_power_is_cheaper`` says that
@@ -306,9 +274,7 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
     # selectors many times
     resolved: dict[str, np.ndarray] = {}
 
-    def reduced(op) -> np.ndarray:
-        if not isinstance(op, str):
-            return _reduce_operand(orbits, op)
+    def reduced(op: str) -> np.ndarray:
         if op not in resolved:
             role, value_of = SELECTORS[op]
             value = value_of(spec)
@@ -317,7 +283,7 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
             )
         return resolved[op]
 
-    vec = _reduce_operand(orbits, spec.right_boundary)
+    vec = np.ones(orbits.reps.size)
     logs = [spec.log_prefactor]
     try:
         for entry in reversed(spec.ops):
@@ -334,53 +300,43 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
                     vec = _rescaled(op @ vec if op.ndim == 2 else op * vec, logs)
     except _Vanished:
         return ChainValue(0.0, 0.0)
-    left = _reduce_operand(orbits, spec.left_boundary) * orbits.sizes
-    mantissa = float(np.dot(left, vec))
-    return ChainValue(mantissa, math.fsum(logs))
+    return ChainValue(float(np.dot(orbits.sizes, vec)), math.fsum(logs))
 
 
 def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """Chain for the sequential circuit: N_A + N_B - 1 gates.
 
-    Explicit weights for every gate site (N_A of type A, N_B - 1 measured
-    d-sites), dressed bonds on every gap, all ones on the left (the first
-    gate's |0> inputs), the plain measured chi-leg vector on the right, and
-    the first gate's average constant as a scalar prefactor.  No gate
-    average is folded into a boundary, so the same grouping covers N_B = 1,
-    where no measured d-site is left.
+    Weights for every gate site (N_A of type A, N_B - 1 measured d-sites),
+    dressed bonds on every gap, the measured chi-leg weight as the last site
+    (the all-ones start is the first gate's |0> inputs), and the first gate's
+    average constant as a scalar prefactor.  No gate average is folded into a
+    boundary, so the same grouping covers N_B = 1, where no measured d-site
+    is left.
     """
     m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
     log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
     n_a, n_b = circuit.n_a, circuit.n_b
     if n_b == 1:
-        # (A T)^(N_A - 1) A
-        ops = ((("A", "staircase_bulk"), n_a - 1), "A")
+        # (A T)^(N_A - 1) A R
+        ops = ((("A", "staircase_bulk"), n_a - 1), "A", "chi_leg")
     else:
-        # (A T)^N_A (B T)^(N_B - 2) B
+        # (A T)^N_A (B T)^(N_B - 2) B R
         ops = (
             (("A", "staircase_bulk"), n_a),
             (("B_staircase", "staircase_bulk"), n_b - 2),
             "B_staircase",
+            "chi_leg",
         )
-    return ReplicaChainSpec(
-        shape=shape,
-        kind=kind,
-        chi=chi,
-        d=d,
-        ops=ops,
-        left_boundary=np.ones(math.factorial(m)),
-        right_boundary=_staircase_chi_leg_vector(shape, chi),
-        log_prefactor=log_pref,
-    )
+    return ReplicaChainSpec(shape=shape, kind=kind, chi=chi, d=d, ops=ops, log_prefactor=log_pref)
 
 
 def glued_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """Chain for the glued shallow circuit: alternating A blocks and glue sites.
 
     All 2 N_A gaps carry the bare Gram bond G(chi); the N_A + 1 measured-site
-    weights appear as N_A - 1 interior sites plus the two boundaries; each
-    block gate contributes the scalar c_W(d chi^2) (haar) or
-    varsigma_A^(2m) (gaussian), accumulated in the prefactor.
+    weights are the sites between and around them, the outer two being the
+    chain's ends; each block gate contributes the scalar c_W(d chi^2) (haar)
+    or varsigma_A^(2m) (gaussian), accumulated in the prefactor.
     """
     m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
     if kind.is_haar:
@@ -389,21 +345,13 @@ def glued_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
         # m log(varsigma_A^2): log(weingarten_sum_constant) differs in the
         # last bits of log_scale, which the contract files record
         log_block = m * math.log(kind.gate_variance(d * chi**2))
-    beta = site_weight_B_glued(shape, chi, kind)
     return ReplicaChainSpec(
         shape=shape,
         kind=kind,
         chi=chi,
         d=d,
-        # G A G (B G A G)^(N_A - 1)
-        ops=(
-            "glued_A_to_B",
-            "A",
-            "glued_A_to_B",
-            (("B_glued", "glued_A_to_B", "A", "glued_A_to_B"), circuit.n_a - 1),
-        ),
-        left_boundary=beta.copy(),
-        right_boundary=beta.copy(),
+        # (B G A G)^N_A B
+        ops=((("B_glued", "glued_A_to_B", "A", "glued_A_to_B"), circuit.n_a), "B_glued"),
         log_prefactor=circuit.n_a * log_block,
     )
 

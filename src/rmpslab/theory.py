@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import permutations as pg
 from .errors import SizeLimitError
 from .permutations import ReplicaShape
 from .weingarten import HAAR, EnsembleKind
@@ -35,15 +36,26 @@ from .weingarten import HAAR, EnsembleKind
 _REL_TOL = 1e-14
 
 
+def _check_d(d: int) -> None:
+    """Refuse a local dimension below 2: the closed forms hold for d >= 2."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
+
+
 def haar_frame_potential(k: int, d_a: float) -> float:
     """Asymptotic Haar value k! D_A^(-k)."""
     if k < 1:
         raise ValueError(f"moment order k must be >= 1, got {k}")
+    if d_a <= 0:
+        raise ValueError(f"need D_A > 0, got {d_a}")
     return math.factorial(k) * float(d_a) ** (-k)
 
 
 def scaling_variable(setup: str, kind: EnsembleKind, d: int, chi: float, n_a: int) -> float:
     """The confinement scaling variable x for a given geometry and ensemble."""
+    _check_d(d)
+    if chi <= 0:
+        raise ValueError(f"need chi > 0, got chi={chi}")
     if setup == "staircase":
         d_a = float(d) ** n_a
         if kind.is_haar:
@@ -62,8 +74,9 @@ def setup1_ratio(k: int, x: float, d: int) -> float:
     the D_A, chi -> infinity limit at fixed x; it leaves out the finite-D Haar
     factor D_A^k / (D_A)_k (see the module docstring).
     """
-    if k < 1 or x < 0 or d < 2:
-        raise ValueError(f"need k >= 1, x >= 0, d >= 2; got k={k}, x={x}, d={d}")
+    if k < 1 or x < 0:
+        raise ValueError(f"need k >= 1 and x >= 0; got k={k}, x={x}")
+    _check_d(d)
     base = 1.0 + x * d / (d - 1)
     total = 0.0
     prev = np.inf
@@ -90,6 +103,7 @@ def setup1_pdf(u: float, x: float, d: int) -> float:
     """
     if u < 0 or x < 0:
         raise ValueError(f"need u >= 0 and x >= 0; got u={u}, x={x}")
+    _check_d(d)
     total = 0.0
     j = 0
     while True:
@@ -108,6 +122,7 @@ def setup2_ratio(k: int, x: float, d: int) -> float:
     """Glued-circuit frame-potential ratio: exp(x k (d - 1 - 1/d) + x k^2)."""
     if k < 1 or x < 0:
         raise ValueError(f"need k >= 1 and x >= 0; got k={k}, x={x}")
+    _check_d(d)
     return math.exp(x * k * (d - 1.0 - 1.0 / d) + x * k * k)
 
 
@@ -119,6 +134,7 @@ def setup2_excitation_exponent(k: int, n: float, d: int) -> float:
     bound factorized meson pairs, vacuum-to-vacuum double jumps, plus the two
     unitary dressing counterterms from the Weingarten expansions.
     """
+    _check_d(d)
     m = 2.0 * (n + k)
     half = m / 2.0
     return (
@@ -143,7 +159,7 @@ def setup2_generalized_ratio(k: int, n: float, x: float, d: int) -> float:
     return math.exp(x * setup2_excitation_exponent(k, n, d))
 
 
-def setup2_pdf(u: float, x: float, d: int, nodes: int | None = None) -> float:
+def setup2_pdf(u: float, x: float, d: int) -> float:
     """Overlap density for the glued setup: exponential mixed over a log-normal.
 
     P(u; x) = int dw/sqrt(2 pi) exp(-w^2/2 - w s - mu) exp(-u e^(-s w - mu))
@@ -152,13 +168,12 @@ def setup2_pdf(u: float, x: float, d: int, nodes: int | None = None) -> float:
     """
     if u < 0 or x < 0:
         raise ValueError(f"need u >= 0 and x >= 0; got u={u}, x={x}")
+    _check_d(d)
     if x == 0:
         return math.exp(-u)
-    if nodes is None:
-        nodes = 128 if x > 1 else 64
     mu = x * (d * d - d - 1.0) / d
     sig = math.sqrt(2.0 * x)
-    t, w = _hermgauss(nodes)
+    t, w = _hermgauss(128 if x > 1 else 64)
     ww = math.sqrt(2.0) * t
     rate = np.exp(-sig * ww - mu)
     vals = rate * np.exp(-u * rate)
@@ -190,8 +205,7 @@ def f_alpha(alpha: int, d: int, mode: str = "closed") -> float:
     """
     if not 0 <= alpha <= 6:
         raise ValueError(f"alpha must be in [0, 6], got {alpha}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    _check_d(d)
     if mode == "closed":
         if alpha == 0:
             return 1.0
@@ -275,8 +289,6 @@ def _log_factorized_sum(shape: ReplicaShape, d: int, n_a: int) -> float:
     approaches k! d^((m-k) N_A); at small N_A the subleading factorized
     permutations are not negligible and the full sum is the honest limit.
     """
-    from . import permutations as pg
-
     m = shape.m
     sig_a = pg.overlap_permutation(shape)
     dists = pg.distances_from(m, sig_a)[pg.factorized_mask(m)].astype(np.float64)
@@ -305,6 +317,9 @@ def leading_order_log(
     varsigma_A^(2m) per block and varsigma_B^(2m) per glue gate.  At large
     N_A both reduce to the k!-degenerate ground-state expressions.
     """
+    _check_d(d)
+    if chi <= 0 or n_a < 1:
+        raise ValueError(f"need chi > 0 and N_A >= 1; got chi={chi}, N_A={n_a}")
     m = shape.m
     logd, logchi = math.log(d), math.log(chi)
     log_fact_sum = _log_factorized_sum(shape, d, n_a)

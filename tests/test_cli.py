@@ -63,7 +63,7 @@ def test_contract_output_and_determinism(tmp_path, capsys):
 # one small invocation per subcommand, with the schema and seed its files carry
 SCHEMA_CASES = {
     "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
-    "contract": (3, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
+    "contract": (4, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
                         "--k", "2", "--n", "1"]),
     "oracle": (6, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),

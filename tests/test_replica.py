@@ -1,4 +1,4 @@
-"""Replica-chain engine tests: site weights, bonds, boundaries, contractions.
+"""Replica-chain engine tests: site weights, bonds, contractions.
 
 The binding correctness anchor is exact agreement with analytically known
 random-state purities and with the dense statevector oracle; those pin the
@@ -33,7 +33,8 @@ def chain_spec(setup, k, n, n_a, n_b, d, chi, kind=HAAR):
 
 def dense_contract(spec):
     """Whole-group reference for ``rp.contract``: the same walk and rescaling,
-    op by op along the chain with its runs written out.
+    op by op along the chain with its runs written out, from all ones to a
+    plain sum over the group.
 
     Bonds are the dense matrices built from the eigh pseudo-inverse of the
     dense Gram matrix, not from the engine's class algebra (m <= 6).
@@ -44,19 +45,20 @@ def dense_contract(spec):
         "A": lambda: rp.site_weight_A(spec.shape, spec.d),
         "B_staircase": lambda: rp.site_weight_B_staircase(spec.shape, spec.d),
         "B_glued": lambda: rp.site_weight_B_glued(spec.shape, spec.chi, spec.kind),
+        "chi_leg": lambda: chi * np.where(pg.factorized_mask(m), chi, 1.0),
         "staircase_bulk": lambda: oracles.interaction_matrix(m, chi, spec.d, spec.kind),
         "glued_A_to_B": lambda: oracles.gram_matrix(m, chi),
     }
-    resolved = {name: dense[name]() for name in {op for op in ops if isinstance(op, str)}}
-    vec, log_scale = np.asarray(spec.right_boundary, dtype=np.float64), spec.log_prefactor
+    resolved = {name: dense[name]() for name in set(ops)}
+    vec, log_scale = np.ones(math.factorial(m)), spec.log_prefactor
     for op in reversed(ops):
-        op = resolved[op] if isinstance(op, str) else np.asarray(op, dtype=np.float64)
+        op = resolved[op]
         vec = op @ vec if op.ndim == 2 else op * vec
         peak = np.max(np.abs(vec))
         if peak == 0.0:
             return rp.ChainValue(0.0, 0.0)
         vec, log_scale = vec / peak, log_scale + math.log(peak)
-    return rp.ChainValue(float(np.dot(spec.left_boundary, vec)), log_scale)
+    return rp.ChainValue(float(np.sum(vec)), log_scale)
 
 
 def test_site_weight_A_values():
@@ -132,7 +134,7 @@ def test_bond_matrix_locations():
     shape = ReplicaShape(1, 1)
 
     def bond(location, chi):
-        spec = rp.ReplicaChainSpec(shape, HAAR, chi, 2, (location,), np.ones(24), np.ones(24))
+        spec = rp.ReplicaChainSpec(shape, HAAR, chi, 2, (location,))
         role, value_of = rp.SELECTORS[location]
         assert role == "bond"
         return oracles.densify_class_kernel(4, value_of(spec))
@@ -148,34 +150,11 @@ def test_glued_block_constant():
 
 
 def test_contract_all_ones_counts_group():
-    for shape in (ReplicaShape(0, 1), ReplicaShape(0, 2)):
-        fac = math.factorial(shape.m)
-        spec = rp.ReplicaChainSpec(
-            shape=shape,
-            kind=HAAR,
-            chi=2,
-            d=2,
-            ops=(np.ones(fac), np.eye(fac), np.ones(fac)),
-            left_boundary=np.ones(fac),
-            right_boundary=np.ones(fac),
-        )
-        assert rp.contract(spec).value == pytest.approx(fac)
-
-
-def test_contract_linearity():
-    spec = rp.staircase_chain(mps.Circuit("staircase", 2, 2, 2, 2), ReplicaShape(1, 1))
-    base = rp.contract(spec).value
-    doubled = rp.ReplicaChainSpec(
-        shape=spec.shape,
-        kind=spec.kind,
-        chi=spec.chi,
-        d=spec.d,
-        ops=(2.0 * rp.site_weight_A(spec.shape, 2),) + oracles.expand_runs(spec.ops)[1:],
-        left_boundary=spec.left_boundary,
-        right_boundary=2.0 * spec.right_boundary,
-        log_prefactor=spec.log_prefactor,
-    )
-    assert rp.contract(doubled).value == pytest.approx(4.0 * base, rel=1e-12)
+    # a chain without entries is ones . ones: the orbit sizes of the closing
+    # product add up to m!
+    for shape in (ReplicaShape(0, 1), ReplicaShape(0, 2), ReplicaShape(1, 1)):
+        value = rp.contract(rp.ReplicaChainSpec(shape, HAAR, 2, 2, ()))
+        assert value.value == pytest.approx(math.factorial(shape.m), rel=1e-15)
 
 
 def test_purity_formula_single_block():
@@ -324,14 +303,12 @@ def test_frame_potential_chain_validation():
             rp.frame_potential_chain(mps.Circuit("staircase", 2, 2, 2, 2), k, n)
 
     def spec(*ops):
-        return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops, np.ones(2), np.ones(2))
+        return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops)
 
-    # an unknown selector is refused when the chain is declared
-    with pytest.raises(ValueError, match="unknown chain selector"):
-        spec("A", "nowhere")
-    # an explicit operand is a (2,) site or a (2, 2) bond at m = 2
-    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))):
-        with pytest.raises(ShapeMismatchError):
+    # an unknown selector is refused when the chain is declared, and an
+    # array is not a selector, whatever its shape
+    for bad in ("nowhere", np.ones(2), np.ones((2, 2)), np.ones(3)):
+        with pytest.raises(ValueError, match="unknown chain selector"):
             spec("A", bad)
 
 
@@ -386,7 +363,7 @@ def test_selector_vectors_invariant(n, k):
         rp.site_weight_A(shape, 2),
         rp.site_weight_B_staircase(shape, 2),
         rp.site_weight_B_glued(shape, 3, gaussian()),
-        rp.staircase_chain(mps.Circuit("staircase", 1, 2, 3, 1), shape).right_boundary,
+        rp.SELECTORS["chi_leg"][1](rp.staircase_chain(mps.Circuit("staircase", 1, 2, 3, 1), shape)),
     ]
     if shape.m <= 6:
         vectors.append(rp.site_weight_B_glued(shape, 3, HAAR))
@@ -405,41 +382,6 @@ def test_weingarten_dressing_matches_dense(n, k):
     assert np.abs(w - dense).max() < 1e-12 * np.abs(dense).max()
 
 
-def test_non_invariant_operands_raise():
-    spec = rp.staircase_chain(mps.Circuit("staircase", 2, 2, 2, 2), ReplicaShape(1, 1))
-    orbits = pg.chain_orbits(spec.shape)
-    # an element that shares its orbit with its representative
-    i = int(np.flatnonzero(orbits.reps[orbits.label] != np.arange(24))[0])
-    site = rp.site_weight_A(spec.shape, 2).copy()
-    site[i] *= 1.0 + 1e-9
-    broken = rp.ReplicaChainSpec(
-        shape=spec.shape,
-        kind=spec.kind,
-        chi=spec.chi,
-        d=spec.d,
-        ops=(site,) + oracles.expand_runs(spec.ops)[1:],
-        left_boundary=spec.left_boundary,
-        right_boundary=spec.right_boundary,
-        log_prefactor=spec.log_prefactor,
-    )
-    with pytest.raises(ValueError, match="not invariant"):
-        rp.contract(broken)
-    # the whole-group reference takes it
-    assert math.isfinite(dense_contract(broken).log)
-    bond = np.eye(24)
-    bond[i, i] = 2.0
-    with pytest.raises(ValueError, match="not invariant"):
-        rp.contract(rp.ReplicaChainSpec(
-            shape=spec.shape,
-            kind=spec.kind,
-            chi=spec.chi,
-            d=spec.d,
-            ops=("A", bond, "A"),
-            left_boundary=spec.left_boundary,
-            right_boundary=spec.right_boundary,
-        ))
-
-
 def test_bondless_chain_builds_no_kernel_table():
     # an m = 8 chain without bonds (N_B = 1) needs the orbits, never the
     # orbit-space count table, which is the costly part of a first bond
@@ -451,21 +393,21 @@ def test_bondless_chain_builds_no_kernel_table():
 
 def test_spec_length_independent_of_size():
     # runs keep a spec's length fixed; written out they are the site-by-site
-    # chains: staircase (A T)^N_A (B T)^(N_B - 2) B, or (A T)^(N_A - 1) A
-    # at N_B = 1, and glued G A G (B G A G)^(N_A - 1)
+    # chains: staircase (A T)^N_A (B T)^(N_B - 2) B R, or (A T)^(N_A - 1) A R
+    # at N_B = 1, and glued (B G A G)^N_A B
     shape = ReplicaShape(0, 1)
     for n_a in (1, 2, 7, 10**6):
         for n_b in (1, 2, 3, 10**6):
             spec = chain_spec("staircase", 1, 0, n_a, n_b, 2, 3)
-            assert len(spec.ops) == (2 if n_b == 1 else 3)
+            assert len(spec.ops) == (3 if n_b == 1 else 4)
             if n_a + n_b < 20:
                 sites = ("A",) * n_a + ("B_staircase",) * (n_b - 1)
                 flat = tuple(op for site in sites for op in (site, "staircase_bulk"))[:-1]
-                assert oracles.expand_runs(spec.ops) == flat
+                assert oracles.expand_runs(spec.ops) == flat + ("chi_leg",)
         glued = rp.glued_chain(mps.Circuit("glued", n_a, 2, 3), shape)
-        assert len(glued.ops) == 4
+        assert len(glued.ops) == 2
         if n_a < 20:
-            flat = (("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * n_a)[1:]
+            flat = ("B_glued", "glued_A_to_B", "A", "glued_A_to_B") * n_a + ("B_glued",)
             assert oracles.expand_runs(glued.ops) == flat
 
 
@@ -562,9 +504,9 @@ def test_glued_scaling_limit_chain_m8():
 
 def test_malformed_runs_are_refused():
     def spec(*ops):
-        return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops, np.ones(2), np.ones(2))
+        return rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ops)
 
-    spec((("A", "glued_A_to_B"), 3), "A", ((np.ones(2),), np.int64(2)), (("A",), 0))
+    spec((("A", "glued_A_to_B"), 3), "A", (("chi_leg",), np.int64(2)), (("A",), 0))
     for repeat in (-1, 1.5, 2.0, "3", True, None):
         with pytest.raises(ValueError, match="non-negative integer"):
             spec((("A",), repeat))
@@ -576,10 +518,9 @@ def test_malformed_runs_are_refused():
     with pytest.raises(ValueError, match="pair"):
         spec((("A",), 2, 1))
     # a run's operators are checked like any other
-    with pytest.raises(ValueError, match="unknown chain selector"):
-        spec((("A", "nowhere"), 2))
-    with pytest.raises(ShapeMismatchError):
-        spec(((np.ones(3),), 2))
+    for bad in ("nowhere", np.ones(2)):
+        with pytest.raises(ValueError, match="unknown chain selector"):
+            spec((("A", bad), 2))
 
 
 def test_repeat_zero_run_builds_nothing(monkeypatch):
@@ -590,8 +531,5 @@ def test_repeat_zero_run_builds_nothing(monkeypatch):
 
     monkeypatch.setattr(pg, "reduced_kernel", refuse)
     monkeypatch.setattr(rp, "_apply_power", refuse)
-    monkeypatch.setattr(rp, "_reduce_operand", lambda orbits, op: np.asarray(op)[orbits.reps])
-    spec = rp.ReplicaChainSpec(
-        ReplicaShape(0, 1), HAAR, 2, 2, ((("A", "staircase_bulk"), 0), "A"), np.ones(2), np.ones(2)
-    )
+    spec = rp.ReplicaChainSpec(ReplicaShape(0, 1), HAAR, 2, 2, ((("A", "staircase_bulk"), 0), "A"))
     assert rp.contract(spec).value == pytest.approx(rp.site_weight_A(spec.shape, 2).sum())

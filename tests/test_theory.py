@@ -154,3 +154,34 @@ def test_leading_order_large_na_matches_ground_state_form():
         + sh.m * n_gates * math.log(1 / 200.0)
     )
     assert full == pytest.approx(trunc, abs=1e-6)
+
+
+BAD_THEORY_CALLS = {
+    "setup1_ratio-d1": (lambda: th.setup1_ratio(1, 0.5, 1), "d >= 2"),
+    "setup1_pdf-d1": (lambda: th.setup1_pdf(0.5, 0.3, 1), "d >= 2"),
+    "setup2_ratio-d1": (lambda: th.setup2_ratio(1, 0.5, 1), "d >= 2"),
+    "setup2_pdf-d1": (lambda: th.setup2_pdf(0.5, 0.3, 1), "d >= 2"),
+    "setup2_generalized_ratio-d1": (lambda: th.setup2_generalized_ratio(1, 0, 0.3, 1), "d >= 2"),
+    "setup2_excitation_exponent-d1": (lambda: th.setup2_excitation_exponent(1, 0, 1), "d >= 2"),
+    "f_alpha-d1": (lambda: th.f_alpha(2, 1), "d >= 2"),
+    "leading_order_log-d1": (
+        lambda: th.leading_order_log(ReplicaShape(0, 1), 1, 8.0, 2, 2, "staircase"), "d >= 2"
+    ),
+    "leading_order_log-chi0": (
+        lambda: th.leading_order_log(ReplicaShape(0, 1), 2, 0.0, 2, 2, "staircase"), "chi > 0"
+    ),
+    "leading_order_log-na0": (
+        lambda: th.leading_order_log(ReplicaShape(0, 1), 2, 8.0, 0, None, "glued"), "N_A >= 1"
+    ),
+    "haar_frame_potential-da0": (lambda: th.haar_frame_potential(1, 0), "D_A > 0"),
+    "scaling_variable-d1": (lambda: th.scaling_variable("staircase", HAAR, 1, 64.0, 6), "d >= 2"),
+    "scaling_variable-chi0": (lambda: th.scaling_variable("glued", HAAR, 2, 0.0, 6), "chi > 0"),
+}
+
+
+@pytest.mark.parametrize("call,match", BAD_THEORY_CALLS.values(), ids=BAD_THEORY_CALLS.keys())
+def test_closed_forms_refuse_bad_sizes(call, match):
+    # d = 1 used to give a ZeroDivisionError or a quiet number in most of
+    # these, chi = 0 a math domain error
+    with pytest.raises(ValueError, match=match):
+        call()
