@@ -40,8 +40,8 @@ print(f"  sampler: {est.mean:.4f} ± {est.stderr:.4f}   engine: {target:.4f} "
 
 print()
 print("per-realization identity (same gate stream feeds both code paths):")
-state, layout = mps.build_staircase(circuit, mps.stream(123, 0))
+state = mps.build_staircase(circuit, mps.stream(123, 0))
 dense = mps._dense_amplitudes(circuit, mps.normals(mps.stream(123, 0)))[0]
 outcomes = np.stack(np.unravel_index(np.arange(dense.shape[1]), circuit.outcome_dims), axis=1)
-worst = np.abs(mps._project_batch(state, layout, outcomes) - dense.T).max()
+worst = np.abs(mps._project_batch(state, outcomes) - dense.T).max()
 print(f"  max |MPS amplitude - dense amplitude| over all outcomes = {worst:.2e}")

@@ -20,7 +20,6 @@ from .mps import (
     BornSampler,
     Circuit,
     MpsState,
-    RegionLayout,
     build_glued,
     build_staircase,
     oracle_frame_potentials,
@@ -49,7 +48,6 @@ __all__ = [
     "MomentEstimate",
     "MpsState",
     "PreconditionError",
-    "RegionLayout",
     "ReplicaChainSpec",
     "ReplicaShape",
     "ShapeMismatchError",

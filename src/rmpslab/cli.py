@@ -44,25 +44,8 @@ from .errors import PreconditionError, ShapeMismatchError, SizeLimitError
 from .permutations import ReplicaShape
 from .weingarten import HAAR, gaussian
 
-# version of each subcommand's CSV and JSON mirror format: the batched Born
-# sweep, then the isometry gate draws moved the last bits of sample and
-# histogram files (3), the orbit-space contraction those of contract files (2);
-# the column-only gate stream draws new gates for sample and histogram (4) and
-# oracle files (3, after the isometry gate draws at 2); staircase gates drawn
-# only on the rank their input bond carries change them again (5 and 4); the
-# oracle evaluated on stacks of realizations sums in a new order (oracle 5);
-# tall Haar gates by Cholesky-QR move in their last bits, and the sample and
-# histogram config hash loses EnsembleConfig.n (all three 6); the config they
-# hash records the resolved glued N_B and, for histograms, a fixed k_max (7);
-# the draw-major Born sweep in chunks of up to 256 draws moves the last bits of
-# Born probabilities, post-states and forced-mode chunk sums (sample and
-# histogram 8); forced mode sums its pair moments in one mean, not per chunk,
-# and its --pair-mode pooled really pools (sample 9); chains held as runs,
-# long runs applied by binary powering, and the log scale summed exactly by
-# math.fsum move the last bits of contract files (3); chains read between
-# all-ones vectors, their boundary weights being their end sites, rescale
-# one more step and so split the same value into another mantissa and log
-# scale (contract 4)
+# version of each subcommand's CSV and JSON mirror format: bump a subcommand's
+# number whenever its data bytes change, and say why in CHANGES.md
 SCHEMA = {"predict": 1, "contract": 4, "oracle": 6, "sample": 9, "histogram": 8}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
@@ -117,13 +100,7 @@ def _circuit_fields(args) -> dict:
 
 def config_dict(config: estimator.EnsembleConfig) -> dict:
     """The resolved sampling configuration that sample and histogram files hash."""
-    out = asdict(config)
-    out["kind"] = {
-        "kind": config.kind.kind,
-        "variance": config.kind.variance,
-        "variance_b": config.kind.variance_b,
-    }
-    return out
+    return asdict(config)
 
 
 def _hash(doc: dict) -> str:

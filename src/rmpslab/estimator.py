@@ -111,10 +111,10 @@ def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
     (at most MAX_POOLED_DRAWS of them, which ``EnsembleConfig`` checks).
     """
     rng = mps.stream(config.seed, r)
-    state, layout = mps.build(config, rng)
-    chunk = mps.chunk_draws(state, config.d_a)
+    state = mps.build(config, rng)
+    chunk = mps.chunk_draws(state)
     if config.sampling_mode == "born":
-        sampler, scale = mps.BornSampler(state, layout), config.d_a
+        sampler, scale = mps.BornSampler(state), config.d_a
 
         def draw(count: int) -> np.ndarray:
             return sampler.sample_batch(rng, count).post_states
@@ -124,7 +124,7 @@ def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
 
         def draw(count: int) -> np.ndarray:
             z = rng.integers(0, dims, size=(count, dims.size))
-            return mps._project_batch(state, layout, z)
+            return mps._project_batch(state, z)
 
     n = config.pairs_per_state
     if config.pair_mode == "pooled":

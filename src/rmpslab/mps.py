@@ -5,7 +5,8 @@ validated once at construction, and owns what follows: D_A, the measured-site
 dimensions, the gate shapes and their normal budget.  The builders, gate
 draws and dense oracle take a ``Circuit``.
 
-Two builders produce (state, layout) pairs (``build`` picks by setup):
+Two builders produce an ``MpsState`` whose roles mark each site kept (A) or
+measured (B) (``build`` picks by setup):
 
 * ``build_staircase``: sequential gates from U(d chi) acting on (physical,
   auxiliary) pairs; sites 1..N_A are kept (region A), the remaining
@@ -349,11 +350,18 @@ def draw_glued_gates(
 
 @dataclass
 class MpsState:
-    """Chain of (left bond, physical, right bond) tensors."""
+    """Chain of (left bond, physical, right bond) tensors, one role per site:
+    'A' kept, 'B' measured."""
 
     tensors: list[np.ndarray]
+    roles: tuple[str, ...]
 
     def __post_init__(self):
+        if len(self.roles) != len(self.tensors) or not set(self.roles) <= {"A", "B"}:
+            raise ShapeMismatchError(
+                f"need one role 'A' or 'B' per site, got {self.roles!r} for "
+                f"{len(self.tensors)} sites"
+            )
         for i in range(len(self.tensors) - 1):
             if self.tensors[i].shape[2] != self.tensors[i + 1].shape[0]:
                 raise ShapeMismatchError(
@@ -365,24 +373,21 @@ class MpsState:
     def phys_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tensors)
 
-
-@dataclass(frozen=True)
-class RegionLayout:
-    """Per-site role tags: 'A' kept, 'B' measured."""
-
-    site_roles: tuple[str, ...]
+    @property
+    def d_a(self) -> int:
+        """Dimension D_A of the kept region."""
+        return prod(p for p, role in zip(self.phys_dims, self.roles) if role == "A")
 
 
-def build(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
+def build(circuit: Circuit, rng: np.random.Generator) -> MpsState:
     """The MPS of one realization of the circuit, drawn from rng."""
     if circuit.setup == "staircase":
         return build_staircase(circuit, rng)
     return build_glued(circuit, rng)
 
 
-def build_staircase(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
+def build_staircase(circuit: Circuit, rng: np.random.Generator) -> MpsState:
     """Sequential random MPS on N_A + N_B sites (last site = exposed chi-leg)."""
-    rng = rng if rng is not None else stream(0)
     d, chi = circuit.d, circuit.chi
     gates = [g[0] for g in draw_staircase_gates(circuit, normals(rng))]
     # gate rows (z, b): outgoing physical and auxiliary, which becomes the
@@ -391,13 +396,11 @@ def build_staircase(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]
         np.ascontiguousarray(g.reshape(d, -1, g.shape[1]).transpose(2, 0, 1)) for g in gates
     ]
     tensors.append(np.eye(chi, dtype=complex).reshape(chi, chi, 1))
-    roles = ("A",) * circuit.n_a + ("B",) * circuit.n_b
-    return MpsState(tensors), RegionLayout(roles)
+    return MpsState(tensors, ("A",) * circuit.n_a + ("B",) * circuit.n_b)
 
 
-def build_glued(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
+def build_glued(circuit: Circuit, rng: np.random.Generator) -> MpsState:
     """Glued shallow-circuit MPS: B A B ... A B with chi^2-dimensional B sites."""
-    rng = rng if rng is not None else stream(0)
     d, chi = circuit.d, circuit.chi
     blocks, glues = draw_glued_gates(circuit, normals(rng))
     blocks, glues = [v[0] for v in blocks], [r[0] for r in glues]
@@ -412,17 +415,10 @@ def build_glued(circuit: Circuit, rng=None) -> tuple[MpsState, RegionLayout]:
     tensors = [glues[0].reshape(1, chi2, chi)]
     for v, glue in zip(blocks, middle + [right]):
         tensors += [np.ascontiguousarray(v.reshape(d, chi, chi).transpose(1, 0, 2)), glue]
-    roles = ("B",) + ("A", "B") * circuit.n_a
-    return MpsState(tensors), RegionLayout(roles)
+    return MpsState(tensors, ("B",) + ("A", "B") * circuit.n_a)
 
 
-def region_a_dim(state: MpsState, layout: RegionLayout) -> int:
-    return prod(
-        d for d, role in zip(state.phys_dims, layout.site_roles) if role == "A"
-    )
-
-
-def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) -> np.ndarray:
+def _project_batch(state: MpsState, outcomes: np.ndarray) -> np.ndarray:
     """(count, D_A) unnormalized post-measurement amplitudes on region A, one
     row per row of a (count, N_B) array of in-range outcome strings (left to
     right over the B sites); a row's squared norm is its Born probability
@@ -435,7 +431,7 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
     entries unless one row does.
     """
     width, d_a = 1, 1
-    for t, role in zip(state.tensors, layout.site_roles):
+    for t, role in zip(state.tensors, state.roles):
         l, p, r = t.shape
         if role == "B":
             width = max(width, l * r, d_a * r)
@@ -449,7 +445,7 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
         count = len(rows)
         acc = np.ones((count, 1, 1), dtype=complex)  # (draw, open A index, current bond)
         j = 0
-        for t, role in zip(state.tensors, layout.site_roles):
+        for t, role in zip(state.tensors, state.roles):
             if role == "B":
                 acc = acc @ t.transpose(1, 0, 2)[rows[:, j]]
                 j += 1
@@ -459,13 +455,13 @@ def _project_batch(state: MpsState, layout: RegionLayout, outcomes: np.ndarray) 
     return out
 
 
-def chunk_draws(state: MpsState, d_a: int) -> int:
+def chunk_draws(state: MpsState) -> int:
     """Draws per chunk of the estimator's sampling core, Born sweeps and
     forced projections alike: at most MAX_SAMPLER_DRAWS, fewer where one
     draw's widest row (the region-A vector or a site's bond x physical slice)
     times the draw count would pass CHUNK_ENTRIES complex entries.
     """
-    width = max([d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]])
+    width = max([state.d_a] + [t.shape[0] * t.shape[1] for t in state.tensors[:-1]])
     return _chunk_rows(width, MAX_SAMPLER_DRAWS)
 
 
@@ -519,9 +515,10 @@ class BornSampler:
     successive single draws do.
     """
 
-    def __init__(self, state: MpsState, layout: RegionLayout):
-        if len(state.tensors) != len(layout.site_roles):
-            raise ShapeMismatchError("layout does not match state length")
+    def __init__(self, state: MpsState):
+        roles = state.roles
+        if "B" not in roles:
+            raise PreconditionError("born sampling needs at least one measured (B) site")
         tensors = state.tensors
         # contiguous per-site views for the sweep
         self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
@@ -547,13 +544,9 @@ class BornSampler:
             raise PreconditionError(
                 f"born sampling needs a normalized state; <psi|psi> = {nsq!r}"
             )
-        d_a = region_a_dim(state, layout)
-        if d_a > MAX_POST_DIM:
-            raise SizeLimitError(f"region-A dimension {d_a} exceeds cap {MAX_POST_DIM}")
+        if state.d_a > MAX_POST_DIM:
+            raise SizeLimitError(f"region-A dimension {state.d_a} exceeds cap {MAX_POST_DIM}")
         self.state = state
-        self.layout = layout
-        self.d_a = d_a
-        roles = layout.site_roles
         b_sites = [i for i, r in enumerate(roles) if r == "B"]
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]
@@ -597,8 +590,7 @@ class BornSampler:
         """count independent Born draws from one right-to-left sweep."""
         if count < 1:
             raise ValueError(f"need count >= 1, got {count}")
-        tensors = self.state.tensors
-        roles = self.layout.site_roles
+        tensors, roles = self.state.tensors, self.state.roles
         n = len(tensors)
         # row c holds draw c's uniforms; column s serves the s-th B site of
         # the sweep, which is the s-th B site from the right
@@ -667,7 +659,7 @@ class BornSampler:
         if rho is None:
             amp = vec @ self._region_a_map
         else:
-            amp = _project_batch(self.state, self.layout, outcomes)
+            amp = _project_batch(self.state, outcomes)
         amp /= np.sqrt(np.vecdot(amp, amp).real)[:, None]
         return MeasurementBatch(outcomes, prob, amp)
 

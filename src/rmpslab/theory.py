@@ -36,6 +36,20 @@ from .weingarten import HAAR, EnsembleKind
 _REL_TOL = 1e-14
 
 
+def _series(term) -> float:
+    """sum_(j >= 0) term(j), stopped at the first term that is below the one
+    before it and at or below _REL_TOL of the partial sum (so past the peak);
+    raises RuntimeError past 100,000 terms."""
+    total, prev = 0.0, np.inf
+    for j in range(100001):
+        t = term(j)
+        total += t
+        if t < prev and t <= _REL_TOL * total:
+            return total
+        prev = t
+    raise RuntimeError("series failed to converge within 100,000 terms")
+
+
 def _check_d(d: int) -> None:
     """Refuse a local dimension below 2: the closed forms hold for d >= 2."""
     if d < 2:
@@ -69,8 +83,8 @@ def scaling_variable(setup: str, kind: EnsembleKind, d: int, chi: float, n_a: in
 def setup1_ratio(k: int, x: float, d: int) -> float:
     """Staircase frame-potential ratio: the discrete confined-wall sum.
 
-    ((d-1)/d) sum_j d^(-j) (1 + x d/(d-1) + x j)^k, truncated once the next
-    term falls below 1e-14 of the partial sum (past the term peak).  This is
+    ((d-1)/d) sum_j d^(-j) (1 + x d/(d-1) + x j)^k, truncated once a term
+    falls below 1e-14 of the partial sum (past the term peak).  This is
     the D_A, chi -> infinity limit at fixed x; it leaves out the finite-D Haar
     factor D_A^k / (D_A)_k (see the module docstring).
     """
@@ -78,19 +92,7 @@ def setup1_ratio(k: int, x: float, d: int) -> float:
         raise ValueError(f"need k >= 1 and x >= 0; got k={k}, x={x}")
     _check_d(d)
     base = 1.0 + x * d / (d - 1)
-    total = 0.0
-    prev = np.inf
-    j = 0
-    while True:
-        term = d ** (-float(j)) * (base + x * j) ** k
-        total += term
-        if term < prev and term < _REL_TOL * total:
-            break
-        prev = term
-        j += 1
-        if j > 100000:
-            raise RuntimeError("setup1_ratio series failed to converge")
-    return (d - 1) / d * total
+    return (d - 1) / d * _series(lambda j: d ** (-float(j)) * (base + x * j) ** k)
 
 
 def setup1_pdf(u: float, x: float, d: int) -> float:
@@ -104,18 +106,13 @@ def setup1_pdf(u: float, x: float, d: int) -> float:
     if u < 0 or x < 0:
         raise ValueError(f"need u >= 0 and x >= 0; got u={u}, x={x}")
     _check_d(d)
-    total = 0.0
-    j = 0
-    while True:
-        z = 1.0 + x * d / (d - 1) + x * j
-        term = d ** (-float(j)) * math.exp(-u / z) / z
-        total += term
-        if term < _REL_TOL * (total if total > 0 else 1.0) and j >= 1:
-            break
-        j += 1
-        if j > 100000:
-            break
-    return (d - 1) / d * total
+    base = 1.0 + x * d / (d - 1)
+
+    def term(j: int) -> float:
+        z = base + x * j
+        return d ** (-float(j)) * math.exp(-u / z) / z
+
+    return (d - 1) / d * _series(term)
 
 
 def setup2_ratio(k: int, x: float, d: int) -> float:
@@ -206,22 +203,13 @@ def f_alpha(alpha: int, d: int, mode: str = "closed") -> float:
     if not 0 <= alpha <= 6:
         raise ValueError(f"alpha must be in [0, 6], got {alpha}")
     _check_d(d)
-    if mode == "closed":
-        if alpha == 0:
-            return 1.0
-        total = 1.0
-        j = 1
-        while True:
-            term = d ** (-float(j)) * (1.0 + j * (d - 1.0) / d) ** alpha
-            total += term
-            if term < _REL_TOL * total and j > alpha:
-                break
-            j += 1
-        return (d / (d - 1.0)) ** (alpha - 1) * total
-    if mode != "direct":
+    if mode not in ("closed", "direct"):
         raise ValueError(f"mode must be 'direct' or 'closed', got {mode!r}")
     if alpha == 0:
         return 1.0
+    if mode == "closed":
+        series = _series(lambda j: d ** (-float(j)) * (1.0 + j * (d - 1.0) / d) ** alpha)
+        return (d / (d - 1.0)) ** (alpha - 1) * series
     if alpha > _DIRECT_ALPHA_CAP:
         raise SizeLimitError(
             f"direct lattice sum capped at alpha <= {_DIRECT_ALPHA_CAP} "

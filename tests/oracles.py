@@ -210,14 +210,14 @@ def sample(sampler: mps.BornSampler, rng) -> MeasurementRecord:
     )
 
 
-def born_sample(state: mps.MpsState, layout: mps.RegionLayout, rng) -> MeasurementRecord:
+def born_sample(state: mps.MpsState, rng) -> MeasurementRecord:
     """Draw one outcome string with its exact Born probability and post-state."""
-    return sample(mps.BornSampler(state, layout), rng)
+    return sample(mps.BornSampler(state), rng)
 
 
-def born_probability(state: mps.MpsState, layout: mps.RegionLayout, outcomes) -> float:
+def born_probability(state: mps.MpsState, outcomes) -> float:
     """Exact Born probability of a given outcome string (normalized states)."""
-    amp = mps._project_batch(state, layout, np.array([outcomes]))[0]
+    amp = mps._project_batch(state, np.array([outcomes]))[0]
     return float(np.vdot(amp, amp).real)
 
 

@@ -170,14 +170,14 @@ def test_pair_overlaps_stream_contract(sampling_mode, pair_mode):
     cfg = tiny_born_config(pairs_per_state=n, sampling_mode=sampling_mode, pair_mode=pair_mode)
     count = 2 * n if pair_mode == "independent" else n
     rng = mps.stream(cfg.seed, r)
-    state, layout = mps.build(cfg, rng)
-    assert mps.chunk_draws(state, cfg.d_a) < count
+    state = mps.build(cfg, rng)
+    assert mps.chunk_draws(state) < count
     if sampling_mode == "born":
-        draws = mps.BornSampler(state, layout).sample_batch(rng, count).post_states
+        draws = mps.BornSampler(state).sample_batch(rng, count).post_states
         scale = cfg.d_a
     else:
         z = rng.integers(0, cfg.outcome_dims, size=(count, cfg.n_b))
-        draws = mps._project_batch(state, layout, z)
+        draws = mps._project_batch(state, z)
         scale = 1
     if pair_mode == "independent":
         want = np.abs(np.vecdot(draws[0::2], draws[1::2])) ** 2
@@ -219,9 +219,8 @@ def test_forced_all_zero_outcomes_product_state():
 
     e0 = np.zeros((1, 2, 1), dtype=complex)
     e0[0, 0, 0] = 1.0
-    state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
-    layout = mps.RegionLayout(("A", "B", "B"))
-    amp, other = mps._project_batch(state, layout, np.array([(0, 0), (1, 0)]))
+    state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()], ("A", "B", "B"))
+    amp, other = mps._project_batch(state, np.array([(0, 0), (1, 0)]))
     assert abs(oracles.overlap(amp, amp)) == pytest.approx(1.0)
     assert np.linalg.norm(other) == 0.0
 

@@ -253,9 +253,9 @@ def test_stream_rejects_negative_key(name):
 
 
 def test_build_staircase_structure():
-    state, layout = mps.build_staircase(mps.Circuit("staircase", 3, 2, 4, 4), mps.stream(1))
+    state = mps.build_staircase(mps.Circuit("staircase", 3, 2, 4, 4), mps.stream(1))
     assert state.phys_dims == (2, 2, 2, 2, 2, 2, 4)
-    assert layout.site_roles == ("A",) * 3 + ("B",) * 4
+    assert state.roles == ("A",) * 3 + ("B",) * 4
     # the bond right of site j carries rank min(d^(j+1), chi)
     bonds = [min(2 ** (j + 1), 4) for j in range(6)]
     assert [t.shape for t in state.tensors] == list(
@@ -266,9 +266,9 @@ def test_build_staircase_structure():
 
 def test_build_glued_structure():
     circuit = mps.Circuit("glued", 3, 2, 2)
-    state, layout = mps.build_glued(circuit, mps.stream(2))
+    state = mps.build_glued(circuit, mps.stream(2))
     assert state.phys_dims == (4, 2, 4, 2, 4, 2, 4)
-    assert layout.site_roles == ("B", "A", "B", "A", "B", "A", "B")
+    assert state.roles == ("B", "A", "B", "A", "B", "A", "B")
     assert circuit.n_b == 4
     assert oracles.norm_squared(state) == pytest.approx(1.0, abs=1e-10)
 
@@ -297,11 +297,11 @@ def test_circuit_spec():
     assert {type(v) for v in (staircase.n_a, staircase.d, staircase.chi, staircase.n_b)} == {int}
     assert type(mps.Circuit("glued", np.int64(2), 3, 2).n_b) is int
     for circuit in (glued, staircase):
-        state, layout = mps.build(circuit)
-        dims = tuple(p for p, role in zip(state.phys_dims, layout.site_roles) if role == "B")
+        state = mps.build(circuit, mps.stream(0))
+        dims = tuple(p for p, role in zip(state.phys_dims, state.roles) if role == "B")
         assert dims == circuit.outcome_dims
         assert circuit.outcome_cardinality == math.prod(dims)
-        assert circuit.d_a == mps.region_a_dim(state, layout)
+        assert circuit.d_a == state.d_a
     # a fractional size is refused at construction, not truncated or left to
     # fail inside a draw
     for bad in (dict(n_b=2.5), dict(n_a=1.5), dict(d=2.0), dict(chi=4.5)):
@@ -353,15 +353,15 @@ def test_mps_matches_oracle_per_outcome(setup, kwargs):
     seed = 11
     circuit = mps.Circuit(setup, **kwargs)
     kind = circuit.kind
-    state, layout = mps.build(circuit, mps.stream(seed))
+    state = mps.build(circuit, mps.stream(seed))
     amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0]
     p = np.vecdot(amps, amps, axis=0).real
     norm = 1.0 if kind.is_haar else oracles.norm_squared(state)
     assert p.sum() == pytest.approx(norm, abs=1e-12)
     outcomes = np.array(list(np.ndindex(circuit.outcome_dims)))
-    assert np.abs(mps._project_batch(state, layout, outcomes) - amps.T).max() < 1e-12
+    assert np.abs(mps._project_batch(state, outcomes) - amps.T).max() < 1e-12
     for zt, pz in zip(outcomes, p):
-        assert oracles.born_probability(state, layout, zt) == pytest.approx(pz, abs=1e-12)
+        assert oracles.born_probability(state, zt) == pytest.approx(pz, abs=1e-12)
 
 
 # the batched-oracle tests: a staircase whose gates are rotated onto their
@@ -375,10 +375,10 @@ ORACLE_BATCH_CASES = [
 
 def mps_amplitudes(circuit, rng):
     """(D_A, D_B) projections of every outcome string onto the MPS of the circuit."""
-    state, layout = mps.build(circuit, rng)
-    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
+    state = mps.build(circuit, rng)
+    dims = [t.shape[1] for t, role in zip(state.tensors, state.roles) if role == "B"]
     outcomes = np.array(list(itertools.product(*map(range, dims))))
-    return mps._project_batch(state, layout, outcomes).T
+    return mps._project_batch(state, outcomes).T
 
 
 @pytest.mark.parametrize(
@@ -433,39 +433,57 @@ def test_project_batch_keeps_its_memory_bound(chi):
     # gathered 256 x 256 B tensor alone is CHUNK_ENTRIES entries, so rows go one
     # by one; at chi = 32 the 64 rows go in two groups.  Either way the peak
     # stays near one CHUNK_ENTRIES block and the rows are the one-draw ones
-    state, layout = mps.build_staircase(mps.Circuit("staircase", 6, 2, chi, 14), mps.stream(5))
-    dims = [t.shape[1] for t, role in zip(state.tensors, layout.site_roles) if role == "B"]
+    state = mps.build_staircase(mps.Circuit("staircase", 6, 2, chi, 14), mps.stream(5))
+    dims = [t.shape[1] for t, role in zip(state.tensors, state.roles) if role == "B"]
     outcomes = mps.stream(6).integers(0, dims, size=(64, len(dims)))
     tracemalloc.start()
     try:
-        amps = mps._project_batch(state, layout, outcomes)
+        amps = mps._project_batch(state, outcomes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * mps.CHUNK_ENTRIES * 16
     for i in (0, 1, 31, 32, 63):
-        assert np.array_equal(amps[i], mps._project_batch(state, layout, outcomes[i : i + 1])[0])
+        assert np.array_equal(amps[i], mps._project_batch(state, outcomes[i : i + 1])[0])
 
 
 def test_born_product_state_deterministic():
     # |00...0> measured in its own basis: all-zero outcomes with probability 1
     e0 = np.zeros((1, 2, 1), dtype=complex)
     e0[0, 0, 0] = 1.0
-    state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()])
-    layout = mps.RegionLayout(("A", "B", "B"))
-    rec = oracles.born_sample(state, layout, mps.stream(0))
+    state = mps.MpsState([e0.copy(), e0.copy(), e0.copy()], ("A", "B", "B"))
+    rec = oracles.born_sample(state, mps.stream(0))
     assert rec.outcomes == (0, 0)
     assert rec.probability == pytest.approx(1.0)
     assert np.allclose(rec.post_state, [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "roles", [("A", "B"), ("A", "B", "B", "B"), ("A", "X", "B")],
+    ids=["one-short", "one-long", "unknown-role"],
+)
+def test_mps_state_refuses_roles_that_do_not_fit(roles):
+    # the state checks its roles against its tensors, so no consumer meets a
+    # state one site short or long, or a site neither kept nor measured
+    e0 = np.zeros((1, 2, 1), dtype=complex)
+    with pytest.raises(ShapeMismatchError, match="one role 'A' or 'B' per site"):
+        mps.MpsState([e0, e0, e0], roles)
+
+
+def test_born_refuses_a_state_with_no_measured_site():
+    e0 = np.zeros((1, 2, 1), dtype=complex)
+    e0[0, 0, 0] = 1.0
+    with pytest.raises(PreconditionError, match="measured"):
+        mps.BornSampler(mps.MpsState([e0, e0], ("A", "A")))
+
+
 def test_born_probabilities_and_frequencies():
     circuit = mps.Circuit("staircase", 2, 2, 2, 2)
-    state, layout = mps.build_staircase(circuit, mps.stream(11))
+    state = mps.build_staircase(circuit, mps.stream(11))
     amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(11)))[0]
     exact = dict(zip(np.ndindex(circuit.outcome_dims), np.vecdot(amps, amps, axis=0).real))
-    sampler = mps.BornSampler(state, layout)
-    chunk = mps.chunk_draws(state, circuit.d_a)
+    sampler = mps.BornSampler(state)
+    chunk = mps.chunk_draws(state)
     rng = mps.stream(123, 5)
     n = 100_000
     # a batch consumes the stream exactly as successive single draws do
@@ -483,9 +501,9 @@ def test_born_probabilities_and_frequencies():
 
 def test_born_post_state_matches_oracle_column():
     circuit = mps.Circuit("glued", 2, 2, 2)
-    state, layout = mps.build_glued(circuit, mps.stream(13))
+    state = mps.build_glued(circuit, mps.stream(13))
     amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(13)))[0]
-    sampler = mps.BornSampler(state, layout)
+    sampler = mps.BornSampler(state)
     rng = mps.stream(77, 1)
     for _ in range(25):
         rec = oracles.sample(sampler, rng)
@@ -508,11 +526,11 @@ BATCH_IDS = ["staircase", "glued", "staircase-chi16"]
 
 def batch_case(circuit, seed):
     """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
-    state, layout = mps.build(circuit, mps.stream(seed))
+    state = mps.build(circuit, mps.stream(seed))
     amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0].T
     p = np.vecdot(amps, amps).real
     exact = dict(zip(np.ndindex(circuit.outcome_dims), zip(p, amps / np.sqrt(p)[:, None])))
-    return mps.BornSampler(state, layout), exact
+    return mps.BornSampler(state), exact
 
 
 @pytest.mark.parametrize("case", BATCH_CASES, ids=BATCH_IDS)
@@ -523,9 +541,9 @@ def test_sample_batch_matches_successive_draws(case):
     sampler, exact = batch_case(circuit, seed)
     rng_batch, rng_single = mps.stream(5, 2), mps.stream(5, 2)
     batch = sampler.sample_batch(rng_batch, n)
-    assert batch.outcomes.shape == (n, sampler.layout.site_roles.count("B"))
+    assert batch.outcomes.shape == (n, sampler.state.roles.count("B"))
     assert batch.probabilities.shape == (n,)
-    assert batch.post_states.shape == (n, sampler.d_a)
+    assert batch.post_states.shape == (n, sampler.state.d_a)
     for i in range(n):
         rec = oracles.sample(sampler, rng_single)
         assert tuple(batch.outcomes[i]) == rec.outcomes
@@ -543,7 +561,7 @@ def test_sample_batch_split_matches_whole(case):
     # of all n does; at n = 300 the split crosses the 256-draw chunk boundary
     circuit, seed, n = case
     sampler, _ = batch_case(circuit, seed)
-    chunk = mps.chunk_draws(sampler.state, circuit.d_a)
+    chunk = mps.chunk_draws(sampler.state)
     bounds = sorted({0, 13, min(n, 13 + chunk), n})
     rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
     parts = [sampler.sample_batch(rng_split, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
@@ -570,7 +588,7 @@ def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match
     # traced kernel) breaks that agreement, zeroing it leaves no mass
     circuit, seed, _ = case
     sampler, _ = batch_case(circuit, seed)
-    site = [i for i, role in enumerate(sampler.layout.site_roles) if role == "B"][-2]
+    site = [i for i, role in enumerate(sampler.state.roles) if role == "B"][-2]
     env = sampler._left if circuit.setup == "staircase" else sampler._kernel
     env[site] = env[site] * scale
     with pytest.raises(error, match=match):
@@ -584,16 +602,16 @@ def test_chunk_draws_bounds():
     assert (mps.MAX_SAMPLER_DRAWS, mps.MAX_CHUNK_DRAWS) == (256, 64)
     for chi, want in ((32, 256), (256, 128)):
         circuit = mps.Circuit("staircase", 6, 2, chi, 14)
-        state, _ = mps.build(circuit, mps.stream(5))
-        assert mps.chunk_draws(state, circuit.d_a) == want
+        state = mps.build(circuit, mps.stream(5))
+        assert mps.chunk_draws(state) == want
     glued = mps.Circuit("glued", 6, 2, 3)
-    assert mps.chunk_draws(mps.build(glued)[0], glued.d_a) == 256
+    assert mps.chunk_draws(mps.build(glued, mps.stream(0))) == 256
     stacks = mps._oracle_blocks(mps.Circuit("staircase", 2, 2, 2, 2), 0, range(100))
     assert [len(amps) for amps in stacks] == [64, 36]
 
 
 def test_sample_batch_kept_sites_at_both_ends():
-    # a layout whose rightmost site is kept starts the sweep in density mode;
+    # a state whose rightmost site is kept starts the sweep in density mode;
     # each draw's weight and post-state must match its exact projection
     rng = np.random.default_rng(3)
     roles = ("A", "B", "A", "B", "A")
@@ -603,30 +621,29 @@ def test_sample_batch_kept_sites_at_both_ends():
         + 1j * rng.standard_normal((bonds[i], 2, bonds[i + 1]))
         for i in range(len(roles))
     ]
-    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors)))
-    state = mps.MpsState(tensors)
-    layout = mps.RegionLayout(roles)
-    batch = mps.BornSampler(state, layout).sample_batch(mps.stream(4), 30)
-    amps = mps._project_batch(state, layout, batch.outcomes)
+    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors, roles)))
+    state = mps.MpsState(tensors, roles)
+    batch = mps.BornSampler(state).sample_batch(mps.stream(4), 30)
+    amps = mps._project_batch(state, batch.outcomes)
     for outcome, p, post, amp in zip(*batch, amps):
-        assert p == pytest.approx(oracles.born_probability(state, layout, outcome), abs=1e-12)
+        assert p == pytest.approx(oracles.born_probability(state, outcome), abs=1e-12)
         assert np.abs(post - amp / np.linalg.norm(amp)).max() < 1e-12
 
 
 def test_born_rejects_unnormalized():
-    state, layout = mps.build_staircase(mps.Circuit("staircase", 2, 2, 2, 2, gaussian()),
-                                        mps.stream(3))
+    state = mps.build_staircase(mps.Circuit("staircase", 2, 2, 2, 2, gaussian()),
+                                mps.stream(3))
     with pytest.raises(PreconditionError):
-        oracles.born_sample(state, layout, mps.stream(0))
+        oracles.born_sample(state, mps.stream(0))
 
 
 def test_gaussian_states_not_renormalized():
     circuit = mps.Circuit("staircase", 2, 2, 2, 2, gaussian())
-    state, layout = mps.build_staircase(circuit, mps.stream(3))
+    state = mps.build_staircase(circuit, mps.stream(3))
     nsq = oracles.norm_squared(state)
     assert abs(nsq - 1.0) > 1e-8  # generically unnormalized
     outcomes = np.ndindex(circuit.outcome_dims)
-    total = sum(oracles.born_probability(state, layout, z) for z in outcomes)
+    total = sum(oracles.born_probability(state, z) for z in outcomes)
     assert total == pytest.approx(nsq, abs=1e-10)
 
 

@@ -54,6 +54,15 @@ def test_setup1_pdf_properties():
         assert mk == pytest.approx(math.factorial(k) * th.setup1_ratio(k, 1.0, 2), rel=1e-6)
 
 
+def test_series_stops_past_the_peak_or_raises():
+    # a series whose terms have all underflowed to 0 is 0, not a non-falling
+    # series: the staircase density far out in u; one that never falls raises
+    assert th.setup1_pdf(1000.0, 0.0, 2) == 0.0
+    assert th.setup1_pdf(1e4, 1.0, 2) == 0.0
+    with pytest.raises(RuntimeError, match="100,000 terms"):
+        th._series(lambda j: 1.0)
+
+
 def test_setup2_ratio_values():
     assert th.setup2_ratio(1, 0.0, 2) == pytest.approx(1.0)
     assert th.setup2_ratio(1, 0.1, 2) == pytest.approx(math.exp(0.15), rel=1e-14)
