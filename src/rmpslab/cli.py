@@ -46,7 +46,7 @@ from .weingarten import HAAR, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: bump a subcommand's
 # number whenever its data bytes change, and say why in CHANGES.md
-SCHEMA = {"predict": 1, "contract": 4, "oracle": 6, "sample": 9, "histogram": 8}
+SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 10, "histogram": 9}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -170,6 +170,8 @@ def cmd_predict(args) -> int:
         if args.u is not None:
             us = [args.u]
         else:
+            if not 0.0 <= args.umax < math.inf:
+                raise ValueError(f"need a finite u_max (--umax) >= 0, got {args.umax}")
             us = list(np.linspace(0.0, args.umax, args.points))
         for x in xs:
             for u in us:

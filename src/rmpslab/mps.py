@@ -37,10 +37,12 @@ Tensor conventions (fixed so runs are reproducible per seed):
   exact, and no entry is drawn that the circuit does not use.  A block at
   least twice as tall as wide (every staircase gate, the glued blocks and
   edge glues) is factored by Cholesky-QR, which is accurate for such a
-  well-conditioned block and built from matrix products; a square one (the
-  glued middle glues) keeps the Householder QR.  A Cholesky-QR gate's
-  memory is already (column, row) order, which is the (left bond, physical,
-  right bond) order of a staircase MPS tensor.
+  well-conditioned block: its Gram matrix is one real product of the
+  normals with themselves, of which BLAS forms one triangle (syrk), and Q
+  is one blocked triangular solve against the Cholesky factor.  A square
+  block (the glued middle glues) keeps the Householder QR.  A Cholesky-QR
+  gate's memory is already (column, row) order, which is the (left bond,
+  physical, right bond) order of a staircase MPS tensor.
 * Staircase bonds carry the rank a sequentially generated MPS can have: the
   bond right of site j has dimension min(d^(j+1), chi) (Schön et al., PRL
   95, 110503, 2005).  Gate j is drawn on its input bond's rank only, and
@@ -172,46 +174,63 @@ def _gate_columns(
 
     A tall block (q >= 2 ncols) is factored by Cholesky-QR: G^H G = L L^H
     with L lower triangular and its diagonal positive, so R = L^H and
-    Q = G L^-H, from BLAS-3 products only.  Its loss of orthogonality grows
-    as kappa(G)^2 eps (Yamamoto et al., ETNA 44, 306, 2015), and a tall
-    Ginibre block is well conditioned (kappa <~ 5.8 at q = 2 ncols, the
-    Marchenko-Pastur edges).  The gate is returned as a transposed view of
-    Q^T = conj(L^-1) G^T, so each gate's memory runs over (column, row): for a
+    Q = G L^-H.  Its loss of orthogonality grows as kappa(G)^2 eps (Yamamoto
+    et al., ETNA 44, 306, 2015), and a tall Ginibre block is well conditioned
+    (kappa <~ 5.8 at q = 2 ncols, the Marchenko-Pastur edges).  The Gram
+    matrix conj(G^H G) comes from one real product of the block's real view
+    with itself (``_conj_gram``, one triangle), its Cholesky factor is
+    conj(L), and Q^T = conj(L)^-1 G^T is one blocked triangular solve
+    (``_tril_solve``).  The gate is returned as the transposed view of that
+    solve's output, so each gate's memory runs over (column, row): for a
     staircase gate that is already the (left bond, physical, right bond)
     order of its MPS tensor.  A square block is ill conditioned (kappa ~ q,
     with a heavy tail) and keeps the Householder QR with each column divided
     by the phase of its R diagonal entry.
     """
     draws = source(2 * q * ncols)
-    block = draws.reshape(len(draws), q, 2 * ncols).view(complex)
+    real = draws.reshape(len(draws), q, 2 * ncols)
+    block = real.view(complex)
     if not kind.is_haar:
         block *= np.sqrt(kind.gate_variance(q, glue) / 2.0)
         return block
     if q >= 2 * ncols:
         # G^T conj(G) = conj(L) conj(L)^H, so its Cholesky factor is conj(L)
-        low = np.linalg.cholesky(block.mT @ block.conj())
-        return (_tril_inverse(low) @ block.mT).mT
+        low = np.linalg.cholesky(_conj_gram(real))
+        return _tril_solve(low, block.mT).mT
     qmat, rmat = np.linalg.qr(block)
     diag = np.diagonal(rmat, axis1=-2, axis2=-1)
     qmat /= (diag / np.abs(diag))[:, None, :]
     return qmat
 
 
-def _tril_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a (count, n, n) stack of lower-triangular matrices, by the
-    2 x 2 block recursion [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
-    down to blocks of 32 or fewer (numpy has no triangular solve, and a full
-    ``inv`` costs several times the products)."""
+def _conj_gram(real: np.ndarray) -> np.ndarray:
+    """G^T conj(G) for the (count, q, n) complex stack G = X + iY whose
+    (count, q, 2n) real view (columns x_0, y_0, x_1, y_1, ...) is real.
+
+    G^T conj(G) = X^T X + Y^T Y + i (Y^T X - X^T Y), and the four terms are
+    the interleaved quarter-blocks of P = real^T real.  numpy runs a buffer
+    times its own transpose as syrk, so P costs one triangle and no conj()
+    copy is made; the result is exactly Hermitian."""
+    sq = real.mT @ real
+    gram = np.empty((len(real), sq.shape[-1] // 2, sq.shape[-1] // 2), complex)
+    np.add(sq[:, ::2, ::2], sq[:, 1::2, 1::2], out=gram.real)
+    np.subtract(sq[:, 1::2, ::2], sq[:, ::2, 1::2], out=gram.imag)
+    return gram
+
+
+def _tril_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """low^-1 rhs for a (count, n, n) stack of lower-triangular low and a
+    (count, n, m) stack rhs, as one C-contiguous (count, n, m) array.
+
+    Blocked forward substitution (numpy has no triangular solve): each block
+    row of at most 32 subtracts the rows already solved in one product, then
+    takes the inverse of its diagonal block, so ``inv`` only sees 32 x 32."""
+    out = np.empty(rhs.shape, np.result_type(low, rhs))
     n = low.shape[-1]
-    if n <= 32:
-        return np.tril(np.linalg.inv(low))
-    h = n // 2
-    a_inv = _tril_inverse(low[:, :h, :h])
-    d_inv = _tril_inverse(low[:, h:, h:])
-    out = np.zeros_like(low)
-    out[:, :h, :h] = a_inv
-    out[:, h:, h:] = d_inv
-    out[:, h:, :h] = -(d_inv @ (low[:, h:, :h] @ a_inv))
+    for lo in range(0, n, 32):
+        hi = min(lo + 32, n)
+        rows = rhs[:, lo:hi] - low[:, lo:hi, :lo] @ out[:, :lo] if lo else rhs[:, :hi]
+        np.matmul(np.tril(np.linalg.inv(low[:, lo:hi, lo:hi])), rows, out=out[:, lo:hi])
     return out
 
 
@@ -695,9 +714,9 @@ def _frame_potentials(amps: np.ndarray, pairs) -> np.ndarray:
                 w[:, :, j] = 1.0
             else:
                 np.power(p, float(n), out=w[:, :, j], where=p > 0)
-        o2 = np.abs(ov)
+        o2 = np.square(ov.real)
+        o2 += np.square(ov.imag)
         del ov, p  # free the complex block before the powers of |ov|^2
-        o2 *= o2
         o2k = o2
         for k in range(1, ks.max(initial=0) + 1):
             if k > 1:

@@ -50,6 +50,13 @@ def _series(term) -> float:
     raise RuntimeError("series failed to converge within 100,000 terms")
 
 
+def _check_finite(**values: float) -> None:
+    """Refuse an x or u that is negative, infinite or NaN."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"need a finite {name} >= 0, got {name}={value}")
+
+
 def _check_d(d: int) -> None:
     """Refuse a local dimension below 2: the closed forms hold for d >= 2."""
     if d < 2:
@@ -88,8 +95,9 @@ def setup1_ratio(k: int, x: float, d: int) -> float:
     the D_A, chi -> infinity limit at fixed x; it leaves out the finite-D Haar
     factor D_A^k / (D_A)_k (see the module docstring).
     """
-    if k < 1 or x < 0:
-        raise ValueError(f"need k >= 1 and x >= 0; got k={k}, x={x}")
+    if k < 1:
+        raise ValueError(f"moment order k must be >= 1, got {k}")
+    _check_finite(x=x)
     _check_d(d)
     base = 1.0 + x * d / (d - 1)
     return (d - 1) / d * _series(lambda j: d ** (-float(j)) * (base + x * j) ** k)
@@ -103,8 +111,7 @@ def setup1_pdf(u: float, x: float, d: int) -> float:
     This is the D_A, chi -> infinity limit at fixed x; at finite D_A the
     overlap density vanishes for u > D_A (see the module docstring).
     """
-    if u < 0 or x < 0:
-        raise ValueError(f"need u >= 0 and x >= 0; got u={u}, x={x}")
+    _check_finite(u=u, x=x)
     _check_d(d)
     base = 1.0 + x * d / (d - 1)
 
@@ -117,8 +124,9 @@ def setup1_pdf(u: float, x: float, d: int) -> float:
 
 def setup2_ratio(k: int, x: float, d: int) -> float:
     """Glued-circuit frame-potential ratio: exp(x k (d - 1 - 1/d) + x k^2)."""
-    if k < 1 or x < 0:
-        raise ValueError(f"need k >= 1 and x >= 0; got k={k}, x={x}")
+    if k < 1:
+        raise ValueError(f"moment order k must be >= 1, got {k}")
+    _check_finite(x=x)
     _check_d(d)
     return math.exp(x * k * (d - 1.0 - 1.0 / d) + x * k * k)
 
@@ -149,8 +157,7 @@ def setup2_generalized_ratio(k: int, n: float, x: float, d: int) -> float:
 
     At n = 1-k (m = 2) this collapses exactly to ``setup2_ratio``.
     """
-    if x < 0:
-        raise ValueError(f"need x >= 0, got {x}")
+    _check_finite(x=x)
     if n < 0 and n != 1 - k:
         raise ValueError(f"replica number must be >= 0 or exactly 1-k, got n={n}")
     return math.exp(x * setup2_excitation_exponent(k, n, d))
@@ -163,8 +170,7 @@ def setup2_pdf(u: float, x: float, d: int) -> float:
     with mu = x (d^2 - d - 1)/d and s = sqrt(2 x), evaluated by Gauss-Hermite
     quadrature (64 nodes, 128 for x > 1).  x = 0 degenerates to exp(-u).
     """
-    if u < 0 or x < 0:
-        raise ValueError(f"need u >= 0 and x >= 0; got u={u}, x={x}")
+    _check_finite(u=u, x=x)
     _check_d(d)
     if x == 0:
         return math.exp(-u)

@@ -25,6 +25,7 @@ the tests hold the dense references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,10 +54,9 @@ class EnsembleKind:
         if self.kind not in ("haar", "gaussian"):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.variance is not None and self.variance <= 0:
-                raise ValueError("gaussian variance must be positive")
-            if self.variance_b is not None and self.variance_b <= 0:
-                raise ValueError("gaussian variance must be positive")
+            for var in (self.variance, self.variance_b):
+                if var is not None and not 0.0 < var < math.inf:
+                    raise ValueError(f"gaussian variance must be positive and finite, got {var}")
 
     @property
     def is_haar(self) -> bool:

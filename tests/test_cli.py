@@ -65,12 +65,12 @@ SCHEMA_CASES = {
     "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
     "contract": (4, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
                         "--k", "2", "--n", "1"]),
-    "oracle": (6, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "oracle": (7, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (9, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
-                      "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
-                      "--seed", "5", "--threads", "1"]),
-    "histogram": (8, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "sample": (10, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+                       "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
+                       "--seed", "5", "--threads", "1"]),
+    "histogram": (9, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -107,11 +107,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=9 seed=11 config=")
+    assert lines[0].startswith("# schema=10 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 9
+    assert doc["schema"] == 10
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -176,7 +176,7 @@ def test_oracle_rows(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     # evaluating the realizations in stacks moved the oracle's last digits
-    assert lines[0].startswith("# schema=6 seed=3 config=")
+    assert lines[0].startswith("# schema=7 seed=3 config=")
     assert lines[1] == "k,n,mean,stderr"
     assert len(lines) == 2 + 3  # (1,0), (2,-1), (2,0)
     k1 = float(lines[2].split(",")[2])
@@ -360,6 +360,31 @@ def test_config_without_path_is_an_error_not_a_traceback(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(missing), "predict", "--setup", "staircase")
     assert code == 1
     assert "error:" in err and "missing.cfg" in err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["predict", "--setup", "staircase", "--k", "1", "--x", "inf"], "finite x"),
+        (["predict", "--setup", "staircase", "--pdf", "--x", "nan"], "finite x"),
+        (["predict", "--setup", "staircase", "--pdf", "--umax", "inf"], "--umax"),
+        (["predict", "--setup", "glued", "--x", "nan"], "finite x"),
+        (["predict", "--setup", "glued", "--pdf", "--x", "inf"], "finite x"),
+        (["predict", "--setup", "glued", "--pdf", "--u", "nan"], "finite u"),
+        (["contract", *STAIRCASE, "--k", "1", "--n", "0", "--kind", "gaussian",
+          "--variance", "nan"], "variance"),
+        (["contract", *GLUED, "--k", "1", "--n", "0", "--kind", "gaussian",
+          "--variance-b", "inf"], "variance"),
+    ],
+)
+def test_non_finite_input_is_an_error_not_a_number(argv, word, tmp_path, capsys):
+    # the staircase series used to raise a RuntimeError traceback, the glued
+    # forms and the gaussian chains printed nan and exited 0
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
+    assert not list(tmp_path.iterdir())
 
 
 SAMPLE = ["sample", *STAIRCASE, "--pairs", "4", "--realizations", "2", "--seed", "0",

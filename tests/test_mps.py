@@ -76,6 +76,35 @@ def test_tall_haar_gate_is_the_householder_gate(q, ncols):
         assert np.abs(gate - full).max() <= 1e-14
 
 
+@pytest.mark.parametrize("q, n", [(2, 1), (8, 4), (75, 37), (512, 256)])
+def test_conj_gram_is_the_complex_product(q, n):
+    # the Gram matrix read off one real product equals G^T conj(G), and it
+    # is exactly Hermitian; the blocks are strided rows of one budget, as a
+    # stacked normal source hands them out
+    budget = mps.stream(28, q).standard_normal((3, 2 * q * n + 7))
+    real = budget[:, 7:].reshape(3, q, 2 * n)
+    block = real.view(complex)
+    ref = block.mT @ block.conj()
+    gram = mps._conj_gram(real)
+    assert np.abs(gram - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(gram, gram.mT.conj())
+
+
+@pytest.mark.parametrize("n", [1, 32, 33, 37, 256])
+def test_tril_solve_is_the_triangular_solve(n):
+    # the blocked forward substitution against LAPACK's general solve, with
+    # the Cholesky factors a tall gate produces, for the transposed block the
+    # gates pass and for a contiguous right-hand side
+    rng = mps.stream(29, n)
+    block = rng.standard_normal((3, 2 * n, 2 * n)).view(complex)
+    low = np.linalg.cholesky(mps._conj_gram(block.view(float)))
+    for rhs in (block.mT, np.ascontiguousarray(block.mT)):
+        x = mps._tril_solve(low, rhs)
+        ref = np.linalg.solve(low, rhs)
+        assert x.shape == rhs.shape and x.flags.c_contiguous
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def ginibre_block(q, ncols, rng):
     """The (q, ncols) complex Ginibre block a gate of ncols columns is made from."""
     return rng.standard_normal((q, 2 * ncols)).view(complex)

@@ -185,12 +185,22 @@ BAD_THEORY_CALLS = {
     "haar_frame_potential-da0": (lambda: th.haar_frame_potential(1, 0), "D_A > 0"),
     "scaling_variable-d1": (lambda: th.scaling_variable("staircase", HAAR, 1, 64.0, 6), "d >= 2"),
     "scaling_variable-chi0": (lambda: th.scaling_variable("glued", HAAR, 2, 0.0, 6), "chi > 0"),
+    "setup1_ratio-x_inf": (lambda: th.setup1_ratio(1, math.inf, 2), "finite x"),
+    "setup1_pdf-x_nan": (lambda: th.setup1_pdf(0.5, math.nan, 2), "finite x"),
+    "setup1_pdf-u_inf": (lambda: th.setup1_pdf(math.inf, 0.3, 2), "finite u"),
+    "setup2_ratio-x_nan": (lambda: th.setup2_ratio(1, math.nan, 2), "finite x"),
+    "setup2_generalized_ratio-x_inf": (
+        lambda: th.setup2_generalized_ratio(1, 0, math.inf, 2), "finite x"
+    ),
+    "setup2_pdf-x_inf": (lambda: th.setup2_pdf(0.5, math.inf, 2), "finite x"),
+    "setup2_pdf-u_nan": (lambda: th.setup2_pdf(math.nan, 0.3, 2), "finite u"),
 }
 
 
 @pytest.mark.parametrize("call,match", BAD_THEORY_CALLS.values(), ids=BAD_THEORY_CALLS.keys())
 def test_closed_forms_refuse_bad_sizes(call, match):
     # d = 1 used to give a ZeroDivisionError or a quiet number in most of
-    # these, chi = 0 a math domain error
+    # these, chi = 0 a math domain error; an infinite or NaN x or u a
+    # RuntimeError from the staircase series or a quiet nan from the glued forms
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,5 +1,7 @@
 """Gram/Weingarten matrix tests: inverse identities, sum rules, bond kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,10 @@ def test_ensemble_kind_validation():
         wg.EnsembleKind("unitary")
     with pytest.raises(ValueError):
         wg.gaussian(-1.0)
+    # NaN passes a "<= 0" test, and an infinite variance makes every gate inf
+    for variances in ((math.nan, None), (math.inf, None), (None, math.nan), (None, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            wg.gaussian(*variances)
     assert wg.HAAR.is_haar
     assert not wg.gaussian().is_haar
 
