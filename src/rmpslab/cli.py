@@ -21,7 +21,8 @@ Every subcommand but ``predict`` builds one ``mps.Circuit`` from its flags
 file (--config).
 Integer flags below their floor (``FLOORS``) and circuit flags the run would
 ignore (``_check_applicable``) are errors, reported before any work starts.
-Bad input and failed writes exit 1 with an ``error:`` line.
+Bad input, failed writes and a run out of memory exit 1 with an ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .weingarten import HAAR, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: bump a subcommand's
 # number whenever its data bytes change, and say why in CHANGES.md
-SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 10, "histogram": 9}
+SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 11, "histogram": 10}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -199,7 +200,7 @@ def cmd_contract(args) -> int:
     lead_log = theory.leading_order_log(
         shape, args.d, float(args.chi), args.na, circuit.n_b, args.setup, circuit.kind
     )
-    ratio_to_leading = value.sign * math.exp(value.log - lead_log)
+    ratio_to_leading = replica.ChainValue(value.sign, value.log - lead_log).value
     print(f"F({args.k},{args.n}) mantissa={value.mantissa!r} log_scale={value.log_scale!r}")
     print(f"value={value.value!r}")
     print(f"ratio_to_leading_order={ratio_to_leading!r}")
@@ -428,6 +429,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SizeLimitError, ShapeMismatchError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

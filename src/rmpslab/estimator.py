@@ -108,13 +108,17 @@ def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
     Both modes draw in chunks of ``mps.chunk_draws``.  independent: pair i is
     draws (2i, 2i + 1), in chunks of whole pairs, so at most one chunk is
     held.  pooled: all pairs i < j among pairs_per_state draws, held at once
-    (at most MAX_POOLED_DRAWS of them, which ``EnsembleConfig`` checks).
+    (at most MAX_POOLED_DRAWS of them, which ``EnsembleConfig`` checks).  The
+    Born sampler is told those draws per state, from which it picks its
+    set-up (``mps.BornSampler``).
     """
     rng = mps.stream(config.seed, r)
     state = mps.build(config, rng)
     chunk = mps.chunk_draws(state)
+    n = config.pairs_per_state
     if config.sampling_mode == "born":
-        sampler, scale = mps.BornSampler(state), config.d_a
+        draws = n if config.pair_mode == "pooled" else 2 * n
+        sampler, scale = mps.BornSampler(state, draws), config.d_a
 
         def draw(count: int) -> np.ndarray:
             return sampler.sample_batch(rng, count).post_states
@@ -126,7 +130,6 @@ def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
             z = rng.integers(0, dims, size=(count, dims.size))
             return mps._project_batch(state, z)
 
-    n = config.pairs_per_state
     if config.pair_mode == "pooled":
         posts = np.concatenate([draw(min(chunk, n - lo)) for lo in range(0, n, chunk)])
         u = scale * np.abs(posts.conj() @ posts.T) ** 2

@@ -93,6 +93,11 @@ _ORACLE_MAX_OUTCOMES = 4096
 MAX_CHUNK_DRAWS = 64
 MAX_SAMPLER_DRAWS = 256
 CHUNK_ENTRIES = 2**16
+# the Born sampler's vector mode takes the left-canonical set-up from this
+# many draws per state, and at least CANON_DRAWS_PER_BOND per unit of region
+# B's largest bond (see BornSampler)
+CANON_MIN_DRAWS = 256
+CANON_DRAWS_PER_BOND = 8
 
 
 def _check_key(seed: int, realization: int) -> None:
@@ -194,13 +199,21 @@ def _gate_columns(
         block *= np.sqrt(kind.gate_variance(q, glue) / 2.0)
         return block
     if q >= 2 * ncols:
-        # G^T conj(G) = conj(L) conj(L)^H, so its Cholesky factor is conj(L)
-        low = np.linalg.cholesky(_conj_gram(real))
-        return _tril_solve(low, block.mT).mT
+        return _cholesky_qr(block)[1].mT
     qmat, rmat = np.linalg.qr(block)
     diag = np.diagonal(rmat, axis1=-2, axis2=-1)
     qmat /= (diag / np.abs(diag))[:, None, :]
     return qmat
+
+
+def _cholesky_qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(conj(L), Q^T) of the Cholesky-QR G = Q L^H of each block G of a
+    (count, rows, n) complex stack: G^H G = L L^H with L lower
+    triangular, so G^T conj(G) = conj(L) conj(L)^H and Q^T = conj(L)^-1 G^T.
+    The stack's last axis must be contiguous; Q^T is C-contiguous, and
+    R = L^H is conj(L)^T."""
+    low = np.linalg.cholesky(_conj_gram(block.view(float)))
+    return low, _tril_solve(low, block.mT)
 
 
 def _conj_gram(real: np.ndarray) -> np.ndarray:
@@ -503,44 +516,105 @@ class MeasurementBatch(NamedTuple):
     post_states: np.ndarray
 
 
-class BornSampler:
-    """Reusable Born-rule sampler for one fixed state.
+def _check_norm(nsq: float) -> None:
+    if not abs(nsq - 1.0) <= NORM_TOL:  # a NaN norm is refused too
+        raise PreconditionError(f"born sampling needs a normalized state; <psi|psi> = {nsq!r}")
 
-    Per-state work: traced left environments for every site (as F^H F of
-    the thin left factor F while F has no more rows than columns), the
-    rightmost site's marginal (the same for every draw), the traced kernels
-    and by-outcome copies of the B sites met in density mode and, when no
-    kept site lies right of the first B site (staircase), the dense
-    region-A map.
+
+class BornSampler:
+    """Reusable Born-rule sampler for one fixed state, told how many draws
+    per state its caller will take (``draws``, 0 when unknown).
 
     ``sample_batch`` sweeps the B sites right to left once for a chunk of
     draws, carrying one projected right side per draw: a vector while no
-    kept site lies to the right (staircase), a density otherwise (glued).
-    Every step is a batched matrix product over the chunk (BLAS-3), and
-    sampling right to left keeps the staircase cost at O(N chi^2) per draw
-    instead of the O(N chi^3) of a left-to-right sweep.  Both modes run
-    draw-major: the vectors are a (draw, bond) matrix, so each B site takes
-    two plain products (the candidates, then their quadratic form with the
-    traced left density, over the contiguous bond axis after one regrouping
-    copy) and row-wise cumulative sums; the densities are a (draw, bond,
-    bond) stack.  Memory grows with the chunk: a vector-mode site holds three
+    kept site lies to the right (vector mode: the staircase), a density
+    otherwise (density mode: glued).  Every step is a batched matrix product
+    over the chunk (BLAS-3), and sampling right to left keeps the staircase
+    cost at O(N chi^2) per draw instead of the O(N chi^3) of a left-to-right
+    sweep.  Both modes run draw-major: the vectors are a (draw, bond) matrix
+    and the densities a (draw, bond, bond) stack, and each B site draws its
+    outcome from row-wise cumulative sums of its marginals.  The rightmost
+    site's marginal is the same for every draw and is set up once.
+
+    Density mode keeps the traced left environment of every site (as F^H F
+    of the thin left factor F while F has no more rows than columns), and
+    the traced kernels and by-outcome copies of the B sites left of a kept
+    site.  Vector mode has two set-ups, and one sweep serves both:
+
+    * Environment form: the same traced left environments and the dense
+      region-A map.  Each B site takes two products per draw, the candidates
+      t v regrouped draw-major by one copy, then their quadratic form with
+      the environment.
+    * Left-canonical form (canonical forms: Schollwöck, Ann. Phys. 326, 96,
+      2011), taken from max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND x region
+      B's largest bond) draws per state.  Region B is brought into the left-
+      canonical gauge by Cholesky-QR (``_canonical_setup``), so every left
+      environment is the identity: each B site takes one product per draw,
+      whose candidates come out draw-major, and each marginal is their
+      squared norm (perfect sampling: Ferris and Vidal, PRB 85, 165146,
+      2012).  A singular bond Gram, which only a hand-built state has, keeps
+      the environment form.  From one stream both forms draw the same
+      outcomes, with weights and post-states equal to rounding.
+
+    The rule is measured: time of the canonical over the environment form,
+    one staircase state at N_A = 6, N_B = 14 through
+    ``estimator._pair_overlaps`` (build included), one BLAS thread, medians
+    of 6 (chi = 256) to 21 alternating runs:
+
+        draws per state      64     128    256    512    1024   2048
+        chi = 8             1.15   1.10   1.02   0.96   0.83   0.77
+        chi = 32            1.18   1.01   1.00   0.88   0.78   0.63
+        chi = 256           1.16    -     1.06   0.93   0.87   0.73
+
+    The canonical set-up costs several times the environments', set by
+    per-call overhead at chi <= 32 and by the d chi^3 products at chi =
+    256, and the sweep wins it back from about 256 to 512 draws.  So
+    CANON_MIN_DRAWS = 256 holds at small chi, and CANON_DRAWS_PER_BOND = 8
+    keeps chi = 256 on the environment form below 2,048 draws, where the
+    gain is under about 15 % and the memory cost is highest.  Memory: the
+    canonical operands (d r^2 per B site, for bond r) take the place of the
+    environments (r^2 per site): 0.46 MB against 0.25 MB at chi = 32, and
+    24 MB against 13 MB at chi = 256.
+
+    Memory also grows with the chunk: a vector-mode site holds up to three
     arrays of count x d chi complex entries (the candidates, their
-    draw-major copy and the half product), and the post-states take
-    count x D_A.  Callers take ``chunk_draws`` draws per batch (at most
-    MAX_SAMPLER_DRAWS = 256), which keeps each near 2^16 entries.
+    draw-major copy and the half product; the canonical form holds only the
+    first), and the post-states take count x D_A.  Callers take
+    ``chunk_draws`` draws per batch (at most MAX_SAMPLER_DRAWS = 256), which
+    keeps each near 2^16 entries.
 
     The uniforms are drawn as ``rng.random((count, N_B))``, draw-major and
     in sweep order, so a batch consumes the stream exactly as ``count``
     successive single draws do.
     """
 
-    def __init__(self, state: MpsState):
+    def __init__(self, state: MpsState, draws: int = 0):
         roles = state.roles
         if "B" not in roles:
             raise PreconditionError("born sampling needs at least one measured (B) site")
+        if state.d_a > MAX_POST_DIM:
+            raise SizeLimitError(f"region-A dimension {state.d_a} exceeds cap {MAX_POST_DIM}")
+        self.state = state
         tensors = state.tensors
+        b_sites = [i for i, r in enumerate(roles) if r == "B"]
+        self._n_b = len(b_sites)
+        self._first_b = b_sites[0]
+        last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
         # contiguous per-site views for the sweep
         self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
+        # vector mode's left-canonical operands by B site, once the draws pay for them
+        self._canon = None
+        bond = max(tensors[i].shape[0] for i in b_sites)
+        if last_a < self._first_b and draws >= max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND * bond):
+            try:
+                self._canonical_setup()
+            except np.linalg.LinAlgError:
+                pass  # a rank-deficient bond: the environment form instead
+        if self._canon is None:
+            self._environment_setup(last_a, b_sites)
+
+    def _environment_setup(self, last_a: int, b_sites: list[int]) -> None:
+        tensors, roles = self.state.tensors, self.state.roles
         # left environments with everything to the left traced out; index
         # convention: env[bra bond, ket bond].  The one past the last site is
         # <psi|psi>, so the norm check costs no extra sweep.  While the left
@@ -558,18 +632,7 @@ class BornSampler:
                 continue
             lt = (self._left[-1] @ t.reshape(t.shape[0], -1)).reshape(flat.shape)
             self._left.append(flat.conj().T @ lt)
-        nsq = float(self._left.pop().real[0, 0])
-        if abs(nsq - 1.0) > NORM_TOL:
-            raise PreconditionError(
-                f"born sampling needs a normalized state; <psi|psi> = {nsq!r}"
-            )
-        if state.d_a > MAX_POST_DIM:
-            raise SizeLimitError(f"region-A dimension {state.d_a} exceeds cap {MAX_POST_DIM}")
-        self.state = state
-        b_sites = [i for i, r in enumerate(roles) if r == "B"]
-        self._n_b = len(b_sites)
-        self._first_b = b_sites[0]
-        last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
+        _check_norm(float(self._left.pop().real[0, 0]))
         # A sites met in density mode: conj(t) as a (physical x right, left)
         # matrix; the rightmost A site is met in vector mode
         self._conj_pr = {
@@ -605,6 +668,36 @@ class BornSampler:
                 acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
             self._region_a_map = np.ascontiguousarray(acc.T)  # (bond at the A|B cut, D_A)
 
+    def _canonical_setup(self) -> None:
+        """Region B in the left-canonical gauge (vector mode); a singular Gram
+        raises LinAlgError before any attribute is set.
+
+        Cholesky-QR bond by bond (``_cholesky_qr``, as for the tall gates),
+        Y = Q R with Q^H Q = 1: at the cut Y is the region-A map F, whose Q^T
+        is the stored map, and at each B site Y is R t of the R left of it,
+        with rows (outcome, left bond), so that its Q^T is the sweep's
+        (right bond) x (outcome, left bond) operand."""
+        tensors = self.state.tensors
+        fac = np.ones((1, 1), dtype=complex)
+        for t in tensors[: self._first_b]:
+            fac = (fac @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+        low, qt = _cholesky_qr(fac[None])
+        region_a_map = qt[0]  # (bond at the A|B cut, D_A)
+        canon = {}
+        for i in range(self._first_b, len(tensors) - 1):
+            t = tensors[i]
+            y = (low[0].T @ t.transpose(1, 0, 2)).reshape(-1, t.shape[2])
+            low, qt = _cholesky_qr(y[None])
+            canon[i] = qt[0]
+        # the rightmost site's candidates R t by outcome, (R t)^T = t^T R^T,
+        # a contiguous row each; their squared norms sum to the last Gram,
+        # <psi|psi>
+        cand = tensors[-1][:, :, 0].T @ low[0]
+        q = np.vecdot(cand.view(float), cand.view(float))
+        _check_norm(float(q.sum()))
+        self._region_a_map, self._canon = region_a_map, canon
+        self._last = (cand, q, np.cumsum(q), q.sum())
+
     def sample_batch(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
         """count independent Born draws from one right-to-left sweep."""
         if count < 1:
@@ -634,16 +727,21 @@ class BornSampler:
                     mass_prev = q[z]
                     vec = cand[z]
                 else:
-                    if rho is None:
+                    if rho is not None:
+                        q = np.maximum((rho.reshape(count, -1) @ self._kernel[i]).real, 0.0)
+                    elif self._canon is None:
                         # cand[c, p, l] = sum_r t[l, p, r] v[c, r], regrouped
                         # draw-major by one copy, then the quadratic form with
                         # the traced left density over the contiguous bond axis
                         cand = (vec @ self._flat[i].T).reshape(count, l, p).transpose(0, 2, 1)
                         cand = cand.reshape(count * p, l)
                         q = np.vecdot(cand, cand @ self._left[i].T).real.reshape(count, p)
+                        q = np.maximum(q, 0.0)
                     else:
-                        q = (rho.reshape(count, -1) @ self._kernel[i]).real
-                    q = np.maximum(q, 0.0)
+                        # left-canonical operands give the candidates
+                        # draw-major, and each marginal is their squared norm
+                        cand = (vec @ self._canon[i]).reshape(count * p, l)
+                        q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
                     # the row-wise cumsum's last entry is the sequential sum
                     cum = q.cumsum(axis=1)
                     total = cum[:, -1]

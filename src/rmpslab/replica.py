@@ -77,7 +77,11 @@ class ChainValue:
 
     @property
     def value(self) -> float:
-        return self.mantissa * math.exp(self.log_scale)
+        """The scalar as a float: +-inf past the float range, 0 below it."""
+        try:
+            return self.mantissa * math.exp(self.log_scale)
+        except OverflowError:
+            return math.copysign(math.inf, self.mantissa) if self.mantissa else 0.0
 
     @property
     def log(self) -> float:

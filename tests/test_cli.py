@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmpslab import cli, estimator
+from rmpslab import cli, estimator, mps
 
 
 def run_cli(capsys, *argv):
@@ -67,10 +67,10 @@ SCHEMA_CASES = {
                         "--k", "2", "--n", "1"]),
     "oracle": (7, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (10, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (11, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                        "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                        "--seed", "5", "--threads", "1"]),
-    "histogram": (9, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (10, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -107,11 +107,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=10 seed=11 config=")
+    assert lines[0].startswith("# schema=11 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 10
+    assert doc["schema"] == 11
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -164,6 +164,24 @@ def test_sample_byte_determinism(tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv.json").read_bytes() == (tmp_path / "b.csv.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sample", "histogram"])
+def test_canonical_sampler_files_are_byte_stable(command, tmp_path, capsys):
+    # 150 independent pairs are 300 draws per state, past CANON_MIN_DRAWS and
+    # CANON_DRAWS_PER_BOND x the largest bond (2), so the sampler takes the
+    # left-canonical form; its files are the same across runs and worker counts
+    extra = ["--k", "2"] if command == "sample" else ["--bins", "6", "--umax", "5"]
+    args = [command, "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+            "--chi", "2", *extra, "--pairs", "150", "--realizations", "6", "--seed", "4"]
+    assert 2 * 150 >= max(mps.CANON_MIN_DRAWS, mps.CANON_DRAWS_PER_BOND * 2)
+    outs = []
+    for i, threads in enumerate(("1", "2", "1")):
+        out = tmp_path / f"{i}.csv"
+        assert run_cli(capsys, *args, "--threads", threads, "--out", str(out))[0] == 0
+        outs.append((out.read_bytes(), (tmp_path / f"{i}.csv.json").read_bytes()))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][0].startswith(f"# schema={cli.SCHEMA[command]} seed=4 ".encode())
 
 
 def test_oracle_rows(tmp_path, capsys):
@@ -310,6 +328,48 @@ def test_contract_bad_chi_is_an_error_not_a_traceback(capsys):
     assert code == 1
     assert "error:" in err and "chi" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--setup", "glued", "--na", "100000000", "--chi", "4"],
+        ["--setup", "staircase", "--na", "100000", "--nb", "2", "--chi", "4"],
+        ["--setup", "staircase", "--na", "2", "--nb", "100000", "--chi", "4",
+         "--kind", "gaussian", "--variance", "10"],
+    ],
+    ids=["glued", "staircase", "gaussian"],
+)
+def test_contract_ratio_past_the_float_range_is_inf(argv, tmp_path, capsys):
+    # F contracts fine on its log scale, and F / F_LO passes the float range:
+    # the ratio column reads inf instead of an OverflowError traceback (and
+    # the printed value of the gaussian F, exp(881880), reads inf too)
+    out = tmp_path / "c.csv"
+    code, stdout, err = run_cli(capsys, "contract", *argv, "--k", "1", "--n", "0",
+                                "--out", str(out))
+    assert code == 0 and err == ""
+    assert "ratio_to_leading_order=inf" in stdout
+    row = out.read_text().strip().split("\n")[-1].split(",")
+    mantissa, log_scale, ratio = (float(v) for v in row[2:])
+    assert math.isfinite(mantissa) and math.isfinite(log_scale)
+    assert ratio == math.inf
+
+
+def test_memory_error_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    # a state too large to allocate (the exposed leg's eye(chi) at chi = 10^5
+    # needs 149 GiB) exits 1 with one error: line
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(estimator.mps, "build", too_large)
+    code, _, err = run_cli(capsys, "sample", "--setup", "staircase", "--na", "2", "--chi",
+                           "100000", "--pairs", "2", "--realizations", "2", "--seed", "1",
+                           "--threads", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+    assert "149. GiB" in lines[0]
+    assert not list(tmp_path.iterdir())
 
 
 GLUED = ["--setup", "glued", "--na", "2", "--d", "2", "--chi", "2"]

@@ -542,32 +542,42 @@ def test_born_post_state_matches_oracle_column():
         assert np.linalg.norm(rec.post_state) == pytest.approx(1.0, abs=1e-10)
 
 
-# (circuit, seed, draws) of the states the batched-sweep tests draw from: a
-# vector-mode (staircase) and a density-mode (glued) sweep, and a chi = 16
-# staircase sampled past one MAX_SAMPLER_DRAWS chunk
-BATCH_CASES = [
-    (mps.Circuit("staircase", 3, 2, 4, 4), 17, 40),
-    (mps.Circuit("glued", 3, 2, 2), 18, 40),
-    (mps.Circuit("staircase", 2, 2, 16, 4), 19, 300),
-]
-BATCH_IDS = ["staircase", "glued", "staircase-chi16"]
+# a draw count per state past the canonical threshold of every state built here
+CANONICAL = 10**6
+# (circuit, seed, draws, form) of the states the batched-sweep tests draw
+# from: a vector-mode (staircase) and a density-mode (glued) sweep, and a chi =
+# 16 staircase sampled past one MAX_SAMPLER_DRAWS chunk.  The form is the
+# draws per state the sampler is told of: 0 keeps the environment form, and
+# the staircases rerun with CANONICAL in the left-canonical one
+STAIRCASE_4 = mps.Circuit("staircase", 3, 2, 4, 4)
+STAIRCASE_16 = mps.Circuit("staircase", 2, 2, 16, 4)
+BATCH_CASES = {
+    "staircase": (STAIRCASE_4, 17, 40, 0),
+    "glued": (mps.Circuit("glued", 3, 2, 2), 18, 40, 0),
+    "staircase-chi16": (STAIRCASE_16, 19, 300, 0),
+    "staircase-canonical": (STAIRCASE_4, 17, 40, CANONICAL),
+    "staircase-chi16-canonical": (STAIRCASE_16, 19, 300, CANONICAL),
+}
+CASE_IDS = list(BATCH_CASES)
 
 
-def batch_case(circuit, seed):
+def batch_case(circuit, seed, form):
     """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
     state = mps.build(circuit, mps.stream(seed))
     amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0].T
     p = np.vecdot(amps, amps).real
     exact = dict(zip(np.ndindex(circuit.outcome_dims), zip(p, amps / np.sqrt(p)[:, None])))
-    return mps.BornSampler(state), exact
+    sampler = mps.BornSampler(state, form)
+    assert (sampler._canon is not None) == (form > 0)
+    return sampler, exact
 
 
-@pytest.mark.parametrize("case", BATCH_CASES, ids=BATCH_IDS)
+@pytest.mark.parametrize("case", BATCH_CASES.values(), ids=CASE_IDS)
 def test_sample_batch_matches_successive_draws(case):
     # one batched sweep consumes the stream as n single draws do and returns
     # the same draws, each equal to the oracle's outcome weight and post-state
-    circuit, seed, n = case
-    sampler, exact = batch_case(circuit, seed)
+    circuit, seed, n, form = case
+    sampler, exact = batch_case(circuit, seed, form)
     rng_batch, rng_single = mps.stream(5, 2), mps.stream(5, 2)
     batch = sampler.sample_batch(rng_batch, n)
     assert batch.outcomes.shape == (n, sampler.state.roles.count("B"))
@@ -584,12 +594,12 @@ def test_sample_batch_matches_successive_draws(case):
     assert rng_batch.random() == rng_single.random()
 
 
-@pytest.mark.parametrize("case", BATCH_CASES, ids=BATCH_IDS)
+@pytest.mark.parametrize("case", BATCH_CASES.values(), ids=CASE_IDS)
 def test_sample_batch_split_matches_whole(case):
     # batches of 13, then one whole chunk, then the rest draw what one batch
     # of all n does; at n = 300 the split crosses the 256-draw chunk boundary
-    circuit, seed, n = case
-    sampler, _ = batch_case(circuit, seed)
+    circuit, seed, n, form = case
+    sampler, _ = batch_case(circuit, seed, form)
     chunk = mps.chunk_draws(sampler.state)
     bounds = sorted({0, 13, min(n, 13 + chunk), n})
     rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
@@ -602,7 +612,10 @@ def test_sample_batch_split_matches_whole(case):
     assert rng_split.random() == rng_whole.random()
 
 
-@pytest.mark.parametrize("case", BATCH_CASES[:2], ids=BATCH_IDS[:2])
+GUARD_CASES = ["staircase", "glued", "staircase-canonical"]
+
+
+@pytest.mark.parametrize("case", [BATCH_CASES[c] for c in GUARD_CASES], ids=GUARD_CASES)
 @pytest.mark.parametrize(
     "scale,error,match",
     [
@@ -612,16 +625,81 @@ def test_sample_batch_split_matches_whole(case):
 )
 def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match):
     # the second B site of the sweep is the first whose marginal is checked
-    # against the mass drawn at its right neighbour: scaling the environment
-    # it reads (vector mode: the traced left density; density mode: the
-    # traced kernel) breaks that agreement, zeroing it leaves no mass
-    circuit, seed, _ = case
-    sampler, _ = batch_case(circuit, seed)
+    # against the mass drawn at its right neighbour: scaling the operand it
+    # reads (vector mode: the traced left density, or the left-canonical
+    # tensor; density mode: the traced kernel) breaks that agreement, zeroing
+    # it leaves no mass
+    circuit, seed, _, form = case
+    sampler, _ = batch_case(circuit, seed, form)
     site = [i for i, role in enumerate(sampler.state.roles) if role == "B"][-2]
-    env = sampler._left if circuit.setup == "staircase" else sampler._kernel
+    if form:
+        env = sampler._canon
+    else:
+        env = sampler._left if circuit.setup == "staircase" else sampler._kernel
     env[site] = env[site] * scale
     with pytest.raises(error, match=match):
         sampler.sample_batch(mps.stream(0), 8)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        mps.Circuit("staircase", 2, 2, 8, 3),
+        mps.Circuit("staircase", 4, 2, 4, 3),
+        mps.Circuit("staircase", 2, 3, 4, 3),
+        mps.Circuit("staircase", 3, 2, 4, 1),
+    ],
+    ids=["d_a-below-chi", "d_a-above-chi", "d3", "n_b1"],
+)
+def test_canonical_and_environment_forms_draw_alike(circuit):
+    # the two vector-mode set-ups describe one distribution: from one stream
+    # they draw the same outcomes, and their weights and post-states agree to
+    # rounding
+    state = mps.build(circuit, mps.stream(21))
+    env, canon = mps.BornSampler(state), mps.BornSampler(state, CANONICAL)
+    assert env._canon is None and canon._canon is not None
+    rng_env, rng_canon = mps.stream(8, 1), mps.stream(8, 1)
+    a, b = env.sample_batch(rng_env, 200), canon.sample_batch(rng_canon, 200)
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.abs(a.probabilities - b.probabilities).max() <= 1e-12 * a.probabilities.max()
+    assert np.abs(a.post_states - b.post_states).max() < 1e-12
+    assert rng_env.random() == rng_canon.random()
+
+
+def test_canonical_form_rule():
+    # the canonical form from CANON_MIN_DRAWS = 256 draws per state, and from
+    # CANON_DRAWS_PER_BOND = 8 per unit of region B's largest bond: 256 at
+    # bonds 8 and 32, 2,048 at bond 256.  So the staircase-draws benchmark
+    # shape (2,000 draws, bond 32) takes it, and the staircase-states shape
+    # (20 draws, bond 256) and criterion 3 (500 draws) keep the environments
+    assert (mps.CANON_MIN_DRAWS, mps.CANON_DRAWS_PER_BOND) == (256, 8)
+    for chi in (8, 32):
+        state = mps.build(mps.Circuit("staircase", 6, 2, chi, 14), mps.stream(1))
+        for draws, canonical in ((2000, True), (256, True), (255, False), (0, False)):
+            assert (mps.BornSampler(state, draws)._canon is not None) == canonical
+    states_shape = mps.build(mps.Circuit("staircase", 6, 2, 256, 14), mps.stream(1))
+    for draws, canonical in ((20, False), (500, False), (2047, False), (2048, True)):
+        assert (mps.BornSampler(states_shape, draws)._canon is not None) == canonical
+    # a kept site right of a measured one (density mode) never takes it
+    glued = mps.build(mps.Circuit("glued", 2, 2, 2), mps.stream(1))
+    assert mps.BornSampler(glued, CANONICAL)._canon is None
+
+
+def test_singular_cut_keeps_the_environment_form():
+    # a hand-built state whose second cut direction carries nothing has a
+    # singular Gram at the cut, so no Cholesky factor: the sampler falls back
+    # to the environment form and still draws exact Born weights
+    rng = np.random.default_rng(5)
+    shapes = [(1, 2, 2), (2, 2, 2), (2, 3, 1)]
+    tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    tensors[0][:, :, 1] = 0.0
+    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors, ("A", "B", "B"))))
+    state = mps.MpsState(tensors, ("A", "B", "B"))
+    sampler = mps.BornSampler(state, CANONICAL)
+    assert sampler._canon is None
+    batch = sampler.sample_batch(mps.stream(2), 30)
+    for outcome, p in zip(batch.outcomes, batch.probabilities):
+        assert p == pytest.approx(oracles.born_probability(state, outcome), abs=1e-12)
 
 
 def test_chunk_draws_bounds():
@@ -660,10 +738,20 @@ def test_sample_batch_kept_sites_at_both_ends():
 
 
 def test_born_rejects_unnormalized():
+    # both vector-mode set-ups check <psi|psi>: the environment form at its
+    # last environment, the left-canonical form at its last Gram
     state = mps.build_staircase(mps.Circuit("staircase", 2, 2, 2, 2, gaussian()),
                                 mps.stream(3))
     with pytest.raises(PreconditionError):
         oracles.born_sample(state, mps.stream(0))
+    with pytest.raises(PreconditionError, match="normalized"):
+        mps.BornSampler(state, CANONICAL)
+    # a NaN entry makes <psi|psi> NaN, which no comparison with 1 passes
+    state = mps.build_staircase(mps.Circuit("staircase", 2, 2, 2, 2), mps.stream(3))
+    state.tensors[-2][0, 0, 0] = np.nan
+    for draws in (0, CANONICAL):
+        with pytest.raises(PreconditionError, match="nan"):
+            mps.BornSampler(state, draws)
 
 
 def test_gaussian_states_not_renormalized():
