@@ -19,8 +19,9 @@ Every subcommand but ``predict`` builds one ``mps.Circuit`` from its flags
 (``_circuit_fields``); sample and histogram extend it to an
 ``EnsembleConfig``.  Flags override an optional plain-text key=value config
 file (--config).
-Integer flags below their floor (``FLOORS``) and circuit flags the run would
-ignore (``_check_applicable``) are errors, reported before any work starts.
+Integer flags below their floor (``FLOORS``), circuit flags the run would
+ignore (``_check_applicable``) and an ``--out`` in a directory that does not
+exist (``_check_out``) are errors, reported before any work starts.
 Bad input, failed writes and a run out of memory exit 1 with an ``error:``
 line.
 """
@@ -47,7 +48,7 @@ from .weingarten import HAAR, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: bump a subcommand's
 # number whenever its data bytes change, and say why in CHANGES.md
-SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 11, "histogram": 10}
+SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 12, "histogram": 11}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -87,6 +88,13 @@ def _check_applicable(args) -> None:
         raise ValueError("oracle draws haar gates only; --kind gaussian does not apply")
     if args.setup == "staircase" and args.variance_b is not None:
         raise ValueError("--variance-b applies to --setup glued only (the glue gates)")
+
+
+def _check_out(args) -> None:
+    """Reject an --out whose directory does not exist before any work starts."""
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"cannot write {out!r}: its directory does not exist")
 
 
 def _circuit_fields(args) -> dict:
@@ -426,6 +434,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_floors(args)
         _check_applicable(args)
+        _check_out(args)
         return args.func(args)
     except (SizeLimitError, ShapeMismatchError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

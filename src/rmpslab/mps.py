@@ -61,6 +61,14 @@ realization per row.  The builders pass ``normals(rng)``, one stream drawn
 gate by gate.  The gate shapes have one home (``Circuit.gate_shapes``), so
 ``Circuit.normal_budget`` is exactly the count a one-stream build consumes.
 
+``BornSampler`` draws Born-rule measurements of region B from one state,
+a batch of draws per sweep.  A staircase built with Haar gates is
+right-canonical as built (each B tensor an isometry from its left bond), so
+after a certificate of that gauge it is sampled left to right with no
+environment at all; told of enough draws per state, the sampler brings region
+B into the left-canonical gauge instead, whose sweep is cheaper.  Any other
+state (glued, Gaussian, hand-built) keeps traced left environments.
+
 The dense oracle rebuilds the same circuits by dense gate application (an
 independent code path sharing only the drawn gates) and enumerates the
 projected ensemble exhaustively.  ``oracle_frame_potentials`` runs it on
@@ -97,7 +105,7 @@ CHUNK_ENTRIES = 2**16
 # many draws per state, and at least CANON_DRAWS_PER_BOND per unit of region
 # B's largest bond (see BornSampler)
 CANON_MIN_DRAWS = 256
-CANON_DRAWS_PER_BOND = 8
+CANON_DRAWS_PER_BOND = 4
 
 
 def _check_key(seed: int, realization: int) -> None:
@@ -523,72 +531,92 @@ def _check_norm(nsq: float) -> None:
 
 class BornSampler:
     """Reusable Born-rule sampler for one fixed state, told how many draws
-    per state its caller will take (``draws``, 0 when unknown).
+    per state its caller will take (``draws``, an integer >= 0; 0 when
+    unknown).
 
-    ``sample_batch`` sweeps the B sites right to left once for a chunk of
-    draws, carrying one projected right side per draw: a vector while no
-    kept site lies to the right (vector mode: the staircase), a density
-    otherwise (density mode: glued).  Every step is a batched matrix product
-    over the chunk (BLAS-3), and sampling right to left keeps the staircase
-    cost at O(N chi^2) per draw instead of the O(N chi^3) of a left-to-right
-    sweep.  Both modes run draw-major: the vectors are a (draw, bond) matrix
-    and the densities a (draw, bond, bond) stack, and each B site draws its
-    outcome from row-wise cumulative sums of its marginals.  The rightmost
-    site's marginal is the same for every draw and is set up once.
+    ``sample_batch`` sweeps region B once for a chunk of draws, carrying one
+    projected side per draw: a vector while no kept site lies right of a
+    measured one (vector mode: the staircase), a density otherwise (density
+    mode: glued).  Every step is a batched matrix product over the chunk
+    (BLAS-3), so a staircase draw costs O(N chi^2), not the O(N chi^3) of
+    carrying a density.  The sweeps run draw-major: the vectors are a (draw,
+    bond) matrix and the densities a (draw, bond, bond) stack, and each B
+    site draws its outcome from row-wise cumulative sums of its marginals.
 
-    Density mode keeps the traced left environment of every site (as F^H F
-    of the thin left factor F while F has no more rows than columns), and
-    the traced kernels and by-outcome copies of the B sites left of a kept
-    site.  Vector mode has two set-ups, and one sweep serves both:
+    ``form`` names the set-up, one of three:
 
-    * Environment form: the same traced left environments and the dense
-      region-A map.  Each B site takes two products per draw, the candidates
-      t v regrouped draw-major by one copy, then their quadratic form with
-      the environment.
-    * Left-canonical form (canonical forms: Schollwöck, Ann. Phys. 326, 96,
-      2011), taken from max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND x region
-      B's largest bond) draws per state.  Region B is brought into the left-
-      canonical gauge by Cholesky-QR (``_canonical_setup``), so every left
-      environment is the identity: each B site takes one product per draw,
-      whose candidates come out draw-major, and each marginal is their
-      squared norm (perfect sampling: Ferris and Vidal, PRB 85, 165146,
-      2012).  A singular bond Gram, which only a hand-built state has, keeps
-      the environment form.  From one stream both forms draw the same
-      outcomes, with weights and post-states equal to rounding.
+    * "environment": the sweep runs right to left, and the rightmost site's
+      marginal, the same for every draw, is set up once (as in the
+      left-canonical form).  Every site keeps
+      its traced left environment (as F^H F of the thin left factor F while
+      F has no more rows than columns).  Density mode also keeps the traced
+      kernels and by-outcome copies of the B sites left of a kept site, and
+      vector mode the dense region-A map.  A vector-mode B site takes two
+      products per draw: the candidates t v, regrouped draw-major by one
+      copy, then their quadratic form with the environment.  Density mode
+      always takes this form; vector mode takes it for a state below the
+      threshold that fails the right-canonical certificate, and for one past
+      it with a singular bond Gram.
+    * "left-canonical" (canonical forms: Schollwöck, Ann. Phys. 326, 96,
+      2011), from max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND x region B's
+      largest bond) draws per state in vector mode.  Region B is brought
+      into the left-canonical gauge by Cholesky-QR (``_canonical_setup``),
+      so every left environment is the identity.  The sweep runs right to
+      left: each B site takes one product per draw, whose candidates come out
+      draw-major, and each marginal is their squared norm.  A singular bond
+      Gram, which only a hand-built state has, keeps the environment form.
+    * "right-canonical", vector mode below that threshold.  A sequentially
+      generated state (one isometry per site: Schön et al., PRL 95, 110503,
+      2005) is already right-canonical, so it is sampled left to right with
+      no environment at all (perfect sampling: Ferris and Vidal, PRB 85,
+      165146, 2012).  The set-up certifies the gauge and stores the region-A
+      map F with the cumulative sums of its row masses
+      (``_right_canonical_setup``); every Haar staircase passes, and a state
+      that fails takes the environment form.  A draw picks a kept string z_A
+      from F's row masses, sweeps region B left to right with one product per
+      site (v T, each marginal a squared norm), drops z_A, and forms its
+      amplitude F v_R from one right-to-left pass over its outcomes (l r per
+      site).
 
-    The rule is measured: time of the canonical over the environment form,
-    one staircase state at N_A = 6, N_B = 14 through
-    ``estimator._pair_overlaps`` (build included), one BLAS thread, medians
-    of 6 (chi = 256) to 21 alternating runs:
+    The left-canonical form has the cheapest sweep (d r^2 per site per draw,
+    for bond r, against (d + 1) r^2 here and 2 d r^2 for the environments),
+    and the dearest set-up.  The threshold is measured: time of the
+    left-canonical over the right-canonical form, one staircase state at
+    N_A = 6, N_B = 14 through ``estimator._pair_overlaps`` (build included),
+    one BLAS thread, medians of 5 (chi = 256) to 21 alternating runs:
 
         draws per state      64     128    256    512    1024   2048
-        chi = 8             1.15   1.10   1.02   0.96   0.83   0.77
-        chi = 32            1.18   1.01   1.00   0.88   0.78   0.63
-        chi = 256           1.16    -     1.06   0.93   0.87   0.73
+        chi = 8             1.00   1.03   0.92   0.79   0.69   0.64
+        chi = 32            1.13   1.10   1.00   0.87   0.76   0.68
+        chi = 64              -    1.20   1.12   1.10   0.81     -
+        chi = 128             -    1.27   1.17   1.01   0.85   0.77
+        chi = 256           1.31     -    1.26   1.12   0.99   0.82
 
-    The canonical set-up costs several times the environments', set by
-    per-call overhead at chi <= 32 and by the d chi^3 products at chi =
-    256, and the sweep wins it back from about 256 to 512 draws.  So
-    CANON_MIN_DRAWS = 256 holds at small chi, and CANON_DRAWS_PER_BOND = 8
-    keeps chi = 256 on the environment form below 2,048 draws, where the
-    gain is under about 15 % and the memory cost is highest.  Memory: the
-    canonical operands (d r^2 per B site, for bond r) take the place of the
-    environments (r^2 per site): 0.46 MB against 0.25 MB at chi = 32, and
-    24 MB against 13 MB at chi = 256.
+    So CANON_MIN_DRAWS = 256 holds at chi <= 32, and CANON_DRAWS_PER_BOND =
+    4 moves the switch to 512 draws at chi = 128 and 1,024 at chi = 256.
+    Set-up at chi = 8 / 32 / 256: environment 0.26 / 0.76 / 97 ms,
+    right-canonical 0.34 / 0.71 / 47 ms (mostly the certificate),
+    left-canonical 0.87 / 2.8 / 161 ms.  Memory: the right-canonical form
+    stores only F (D_A x r), the environments take r^2 per site and the
+    left-canonical operands d r^2 per site: 13 and 24 MB at chi = 256.
 
     Memory also grows with the chunk: a vector-mode site holds up to three
     arrays of count x d chi complex entries (the candidates, their
-    draw-major copy and the half product; the canonical form holds only the
+    draw-major copy and the half product; the canonical forms hold only the
     first), and the post-states take count x D_A.  Callers take
     ``chunk_draws`` draws per batch (at most MAX_SAMPLER_DRAWS = 256), which
     keeps each near 2^16 entries.
 
-    The uniforms are drawn as ``rng.random((count, N_B))``, draw-major and
-    in sweep order, so a batch consumes the stream exactly as ``count``
-    successive single draws do.
+    The uniforms are drawn draw-major, so a batch consumes the stream
+    exactly as ``count`` successive single draws do: ``rng.random((count,
+    N_B))`` in sweep order for the right-to-left forms, and ``rng.random((
+    count, N_B + 1))`` for the right-canonical form, whose column 0 draws
+    z_A.  The forms draw alike in law, not from one stream.
     """
 
     def __init__(self, state: MpsState, draws: int = 0):
+        if not isinstance(draws, numbers.Integral) or draws < 0:
+            raise ValueError(f"draws per state must be an integer >= 0, got {draws!r}")
         roles = state.roles
         if "B" not in roles:
             raise PreconditionError("born sampling needs at least one measured (B) site")
@@ -600,21 +628,32 @@ class BornSampler:
         self._n_b = len(b_sites)
         self._first_b = b_sites[0]
         last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
-        # contiguous per-site views for the sweep
-        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
-        # vector mode's left-canonical operands by B site, once the draws pay for them
-        self._canon = None
-        bond = max(tensors[i].shape[0] for i in b_sites)
-        if last_a < self._first_b and draws >= max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND * bond):
-            try:
-                self._canonical_setup()
-            except np.linalg.LinAlgError:
-                pass  # a rank-deficient bond: the environment form instead
-        if self._canon is None:
+        self.form = "environment"
+        self._canon = None  # the left-canonical operands by B site
+        if last_a < self._first_b:
+            bond = max(tensors[i].shape[0] for i in b_sites)
+            if draws >= max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND * bond):
+                try:
+                    self._canonical_setup()
+                except np.linalg.LinAlgError:
+                    pass  # a rank-deficient bond: the environment form instead
+            else:
+                self._right_canonical_setup()
+        if self.form == "environment":
             self._environment_setup(last_a, b_sites)
+
+    def _region_a_factor(self) -> np.ndarray:
+        """The region-A map F: the kept sites contracted into a (D_A, bond at
+        the A|B cut) matrix (vector mode)."""
+        acc = np.ones((1, 1), dtype=complex)
+        for t in self.state.tensors[: self._first_b]:
+            acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+        return acc
 
     def _environment_setup(self, last_a: int, b_sites: list[int]) -> None:
         tensors, roles = self.state.tensors, self.state.roles
+        # contiguous per-site views for the sweep
+        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
         # left environments with everything to the left traced out; index
         # convention: env[bra bond, ket bond].  The one past the last site is
         # <psi|psi>, so the norm check costs no extra sweep.  While the left
@@ -661,12 +700,9 @@ class BornSampler:
             q = np.clip(q, 0.0, None)
             # by outcome, so a draw's next vector is one contiguous row
             self._last = (np.ascontiguousarray(cand.T), q, np.cumsum(q), q.sum())
-        self._region_a_map = None
         if last_a < self._first_b:
-            acc = np.ones((1, 1), dtype=complex)
-            for t in tensors[: self._first_b]:
-                acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
-            self._region_a_map = np.ascontiguousarray(acc.T)  # (bond at the A|B cut, D_A)
+            # (bond at the A|B cut, D_A)
+            self._region_a_map = np.ascontiguousarray(self._region_a_factor().T)
 
     def _canonical_setup(self) -> None:
         """Region B in the left-canonical gauge (vector mode); a singular Gram
@@ -678,10 +714,7 @@ class BornSampler:
         with rows (outcome, left bond), so that its Q^T is the sweep's
         (right bond) x (outcome, left bond) operand."""
         tensors = self.state.tensors
-        fac = np.ones((1, 1), dtype=complex)
-        for t in tensors[: self._first_b]:
-            fac = (fac @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
-        low, qt = _cholesky_qr(fac[None])
+        low, qt = _cholesky_qr(self._region_a_factor()[None])
         region_a_map = qt[0]  # (bond at the A|B cut, D_A)
         canon = {}
         for i in range(self._first_b, len(tensors) - 1):
@@ -695,13 +728,40 @@ class BornSampler:
         cand = tensors[-1][:, :, 0].T @ low[0]
         q = np.vecdot(cand.view(float), cand.view(float))
         _check_norm(float(q.sum()))
-        self._region_a_map, self._canon = region_a_map, canon
+        self.form, self._region_a_map, self._canon = "left-canonical", region_a_map, canon
         self._last = (cand, q, np.cumsum(q), q.sum())
 
+    def _right_canonical_setup(self) -> None:
+        """Keep region B in the gauge a sequential build leaves it in, when the
+        state certifies it (vector mode); otherwise set nothing.
+
+        Each B tensor T, as an (l, p r) matrix, has T T^H = 1, with the
+        rightmost site's right bond of 1, so every right environment of region
+        B is the identity and <psi|psi> = ||F||^2 for the region-A map F.  The
+        certificate | ||F||^2 - 1 | + ||F||^2 sum_T ||T T^H - 1||_F <= NORM_TOL
+        bounds |<psi|psi> - 1| as the environment form's check does (to first
+        order in the defects), so a state that
+        fails it (Gaussian, gauge-transformed, hand-built, NaN) takes the
+        environment form and meets that check there.  Each T T^H is one
+        one-triangle real Gram (``_conj_gram``) of the (p r, l) transpose."""
+        defect = 0.0
+        for t in self.state.tensors[self._first_b :]:
+            l = t.shape[0]
+            gram = _conj_gram(np.ascontiguousarray(t.reshape(l, -1).T).view(float)[None])[0]
+            gram.flat[:: l + 1] -= 1.0
+            defect += float(np.linalg.norm(gram))
+        kept = self._region_a_factor()
+        cum = np.cumsum(np.vecdot(kept.view(float), kept.view(float)))
+        nsq = float(cum[-1])
+        if abs(nsq - 1.0) + nsq * defect <= NORM_TOL:
+            self.form, self._kept, self._kept_cum = "right-canonical", kept, cum
+
     def sample_batch(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
-        """count independent Born draws from one right-to-left sweep."""
+        """count independent Born draws from one sweep."""
         if count < 1:
             raise ValueError(f"need count >= 1, got {count}")
+        if self.form == "right-canonical":
+            return self._sample_left_to_right(rng, count)
         tensors, roles = self.state.tensors, self.state.roles
         n = len(tensors)
         # row c holds draw c's uniforms; column s serves the s-th B site of
@@ -742,23 +802,7 @@ class BornSampler:
                         # draw-major, and each marginal is their squared norm
                         cand = (vec @ self._canon[i]).reshape(count * p, l)
                         q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
-                    # the row-wise cumsum's last entry is the sequential sum
-                    cum = q.cumsum(axis=1)
-                    total = cum[:, -1]
-                    if (total <= 0.0).any():
-                        raise PreconditionError("vanishing marginal mass during Born sweep")
-                    if mass_prev is not None:
-                        bad = np.abs(total - mass_prev) > 1e-6 * np.maximum(mass_prev, 1e-300)
-                        if bad.any():
-                            c = int(np.argmax(bad))
-                            raise RuntimeError(
-                                f"Born sweep inconsistency at site {i}: "
-                                f"{total[c]} vs {mass_prev[c]}"
-                            )
-                    # per row: the searchsorted(cumsum(q), u total, "right")
-                    # index capped at p - 1, which is the count of the first
-                    # p - 1 cumulative masses at or below u total
-                    z = (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1)
+                    z, total = _draw_outcomes(q, u, mass_prev, i)
                     mass_prev = q[draws, z]
                     if rho is None:
                         vec = cand[draws * p + z]
@@ -779,6 +823,71 @@ class BornSampler:
             amp = _project_batch(self.state, outcomes)
         amp /= np.sqrt(np.vecdot(amp, amp).real)[:, None]
         return MeasurementBatch(outcomes, prob, amp)
+
+    def _sample_left_to_right(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
+        """The right-canonical sweep: a kept string z_A drawn from F's row
+        masses opens one left-to-right pass over region B, where each marginal
+        is the squared norm of the candidates v T; z_A is then dropped, and
+        one right-to-left pass over the drawn outcomes forms each draw's
+        v_R = T^(z_1) ... T^(z_N_B) 1 and its amplitude F v_R."""
+        tensors = self.state.tensors[self._first_b :]
+        # row c holds draw c's uniforms: column 0 draws z_A, column s + 1
+        # serves the s-th B site from the left
+        uniforms = rng.random((count, self._n_b + 1))
+        outcomes = np.empty((count, self._n_b), dtype=np.intp)
+        draws = np.arange(count)
+        cum = self._kept_cum
+        z = np.minimum(cum.searchsorted(uniforms[:, 0] * cum[-1], side="right"), len(cum) - 1)
+        vec = self._kept[z]  # (draw, bond): the joint mass so far is its squared norm
+        mass_prev = np.vecdot(vec.view(float), vec.view(float))
+        for s, t in enumerate(tensors):
+            l, p, r = t.shape
+            cand = (vec @ t.reshape(l, p * r)).reshape(count * p, r)
+            q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
+            z, _ = _draw_outcomes(q, uniforms[:, s + 1], mass_prev, self._first_b + s)
+            mass_prev = q[draws, z]
+            vec = cand[draws * p + z]
+            outcomes[:, s] = z
+        # the rightmost site has a right bond of 1, so its v_R is a gathered
+        # column; each site left of it maps the draws of one outcome at a
+        # time through its strided (l, r) slice
+        vec = tensors[-1][:, outcomes[:, -1], 0].T
+        for s in range(self._n_b - 2, -1, -1):
+            t, z = tensors[s], outcomes[:, s]
+            nxt = np.empty((count, t.shape[0]), dtype=complex)
+            for p in range(t.shape[1]):
+                rows = np.flatnonzero(z == p)
+                if rows.size:
+                    nxt[rows] = vec[rows] @ t[:, p, :].T
+            vec = nxt
+        amp = vec @ self._kept.T
+        prob = np.vecdot(amp, amp).real
+        amp /= np.sqrt(prob)[:, None]
+        return MeasurementBatch(outcomes, prob, amp)
+
+
+def _draw_outcomes(
+    q: np.ndarray, u: np.ndarray, mass_prev: np.ndarray | None, site: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome, total mass) per row of a (draw, outcome) marginal q, from a
+    uniform per row; the total must be positive and, where the mass drawn
+    before it is known, agree with it to 1e-6 relative."""
+    # the row-wise cumsum's last entry is the sequential sum
+    cum = q.cumsum(axis=1)
+    total = cum[:, -1]
+    if (total <= 0.0).any():
+        raise PreconditionError("vanishing marginal mass during Born sweep")
+    if mass_prev is not None:
+        bad = np.abs(total - mass_prev) > 1e-6 * np.maximum(mass_prev, 1e-300)
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise RuntimeError(
+                f"Born sweep inconsistency at site {site}: {total[c]} vs {mass_prev[c]}"
+            )
+    # per row: the searchsorted(cumsum(q), u total, "right") index capped at
+    # p - 1, which is the count of the first p - 1 cumulative masses at or
+    # below u total
+    return (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1), total
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,10 @@ SCHEMA_CASES = {
                         "--k", "2", "--n", "1"]),
     "oracle": (7, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (11, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (12, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                        "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                        "--seed", "5", "--threads", "1"]),
-    "histogram": (10, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (11, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -107,11 +107,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=11 seed=11 config=")
+    assert lines[0].startswith("# schema=12 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 11
+    assert doc["schema"] == 12
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -320,6 +320,25 @@ def test_failed_write_is_an_error_and_leaves_no_file(command, blocked, tmp_path,
     assert repr(str(out) + (blocked or "")) in err
     assert ".tmp" not in err
     assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_FAILURE_ARGS))
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+    command, tmp_path, capsys, monkeypatch
+):
+    # the directory is checked before any state is built or chain contracted,
+    # so the run prints no result line and writes nothing
+    def refuse(*_):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(mps, "build", refuse)
+    monkeypatch.setattr(cli.replica, "frame_potential_chain", refuse)
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, *WRITE_FAILURE_ARGS[command], "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and repr(str(out)) in err
+    assert "k=" not in stdout and "mantissa" not in stdout
+    assert not (tmp_path / "missing").exists()
 
 
 def test_contract_bad_chi_is_an_error_not_a_traceback(capsys):

@@ -173,7 +173,8 @@ def test_pair_overlaps_stream_contract(sampling_mode, pair_mode):
     state = mps.build(cfg, rng)
     assert mps.chunk_draws(state) < count
     if sampling_mode == "born":
-        draws = mps.BornSampler(state).sample_batch(rng, count).post_states
+        # told of the draws per state _pair_overlaps takes, so the same form
+        draws = mps.BornSampler(state, count).sample_batch(rng, count).post_states
         scale = cfg.d_a
     else:
         z = rng.integers(0, cfg.outcome_dims, size=(count, cfg.n_b))

@@ -544,32 +544,56 @@ def test_born_post_state_matches_oracle_column():
 
 # a draw count per state past the canonical threshold of every state built here
 CANONICAL = 10**6
+
+
+def gauge_transformed(state: mps.MpsState) -> mps.MpsState:
+    """The same state with X X^-1 inserted on the bond left of its first B
+    site, X = diag(0.5 .. 2): the amplitudes are unchanged, but the first B
+    tensor is no longer right-canonical, so a sampler told of fewer draws than
+    the canonical threshold takes the environment form."""
+    i = state.roles.index("B")
+    x = np.linspace(0.5, 2.0, state.tensors[i].shape[0])
+    tensors = list(state.tensors)
+    tensors[i - 1] = tensors[i - 1] * x
+    tensors[i] = tensors[i] / x[:, None, None]
+    return mps.MpsState(tensors, state.roles)
+
+
 # (circuit, seed, draws, form) of the states the batched-sweep tests draw
 # from: a vector-mode (staircase) and a density-mode (glued) sweep, and a chi =
 # 16 staircase sampled past one MAX_SAMPLER_DRAWS chunk.  The form is the
-# draws per state the sampler is told of: 0 keeps the environment form, and
-# the staircases rerun with CANONICAL in the left-canonical one
+# sampler's set-up: the staircases take the environment form through a
+# gauge-transformed copy of the state, the left-canonical form when told of
+# CANONICAL draws, and the right-canonical form as built
 STAIRCASE_4 = mps.Circuit("staircase", 3, 2, 4, 4)
 STAIRCASE_16 = mps.Circuit("staircase", 2, 2, 16, 4)
 BATCH_CASES = {
-    "staircase": (STAIRCASE_4, 17, 40, 0),
-    "glued": (mps.Circuit("glued", 3, 2, 2), 18, 40, 0),
-    "staircase-chi16": (STAIRCASE_16, 19, 300, 0),
-    "staircase-canonical": (STAIRCASE_4, 17, 40, CANONICAL),
-    "staircase-chi16-canonical": (STAIRCASE_16, 19, 300, CANONICAL),
+    "staircase": (STAIRCASE_4, 17, 40, "environment"),
+    "glued": (mps.Circuit("glued", 3, 2, 2), 18, 40, "environment"),
+    "staircase-chi16": (STAIRCASE_16, 19, 300, "environment"),
+    "staircase-canonical": (STAIRCASE_4, 17, 40, "left-canonical"),
+    "staircase-chi16-canonical": (STAIRCASE_16, 19, 300, "left-canonical"),
+    "staircase-right-canonical": (STAIRCASE_4, 17, 40, "right-canonical"),
+    "staircase-chi16-right-canonical": (STAIRCASE_16, 19, 300, "right-canonical"),
 }
 CASE_IDS = list(BATCH_CASES)
+
+
+def exact_draws(circuit, seed):
+    """The oracle's Born weight and normalized post-state by outcome string."""
+    amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0].T
+    p = np.vecdot(amps, amps).real
+    return dict(zip(np.ndindex(circuit.outcome_dims), zip(p, amps / np.sqrt(p)[:, None])))
 
 
 def batch_case(circuit, seed, form):
     """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
     state = mps.build(circuit, mps.stream(seed))
-    amps = mps._dense_amplitudes(circuit, mps.normals(mps.stream(seed)))[0].T
-    p = np.vecdot(amps, amps).real
-    exact = dict(zip(np.ndindex(circuit.outcome_dims), zip(p, amps / np.sqrt(p)[:, None])))
-    sampler = mps.BornSampler(state, form)
-    assert (sampler._canon is not None) == (form > 0)
-    return sampler, exact
+    if circuit.setup == "staircase" and form == "environment":
+        state = gauge_transformed(state)
+    sampler = mps.BornSampler(state, CANONICAL if form == "left-canonical" else 0)
+    assert sampler.form == form
+    return sampler, exact_draws(circuit, seed)
 
 
 @pytest.mark.parametrize("case", BATCH_CASES.values(), ids=CASE_IDS)
@@ -612,7 +636,7 @@ def test_sample_batch_split_matches_whole(case):
     assert rng_split.random() == rng_whole.random()
 
 
-GUARD_CASES = ["staircase", "glued", "staircase-canonical"]
+GUARD_CASES = ["staircase", "glued", "staircase-canonical", "staircase-right-canonical"]
 
 
 @pytest.mark.parametrize("case", [BATCH_CASES[c] for c in GUARD_CASES], ids=GUARD_CASES)
@@ -624,15 +648,19 @@ GUARD_CASES = ["staircase", "glued", "staircase-canonical"]
     ],
 )
 def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match):
-    # the second B site of the sweep is the first whose marginal is checked
+    # the right-to-left forms check the second B site of the sweep first
     # against the mass drawn at its right neighbour: scaling the operand it
     # reads (vector mode: the traced left density, or the left-canonical
     # tensor; density mode: the traced kernel) breaks that agreement, zeroing
-    # it leaves no mass
+    # it leaves no mass.  The right-canonical form checks every B site
+    # against the mass drawn left of it, so scaling the same site's tensor
+    # trips it too
     circuit, seed, _, form = case
     sampler, _ = batch_case(circuit, seed, form)
     site = [i for i, role in enumerate(sampler.state.roles) if role == "B"][-2]
-    if form:
+    if form == "right-canonical":
+        env = sampler.state.tensors
+    elif form == "left-canonical":
         env = sampler._canon
     else:
         env = sampler._left if circuit.setup == "staircase" else sampler._kernel
@@ -641,23 +669,26 @@ def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match
         sampler.sample_batch(mps.stream(0), 8)
 
 
-@pytest.mark.parametrize(
-    "circuit",
-    [
-        mps.Circuit("staircase", 2, 2, 8, 3),
-        mps.Circuit("staircase", 4, 2, 4, 3),
-        mps.Circuit("staircase", 2, 3, 4, 3),
-        mps.Circuit("staircase", 3, 2, 4, 1),
-    ],
-    ids=["d_a-below-chi", "d_a-above-chi", "d3", "n_b1"],
-)
+# vector-mode shapes where the forms must agree: D_A below and above chi, d =
+# 3, and a single measured site
+FORM_CIRCUITS = [
+    mps.Circuit("staircase", 2, 2, 8, 3),
+    mps.Circuit("staircase", 4, 2, 4, 3),
+    mps.Circuit("staircase", 2, 3, 4, 3),
+    mps.Circuit("staircase", 3, 2, 4, 1),
+]
+FORM_IDS = ["d_a-below-chi", "d_a-above-chi", "d3", "n_b1"]
+
+
+@pytest.mark.parametrize("circuit", FORM_CIRCUITS, ids=FORM_IDS)
 def test_canonical_and_environment_forms_draw_alike(circuit):
-    # the two vector-mode set-ups describe one distribution: from one stream
-    # they draw the same outcomes, and their weights and post-states agree to
-    # rounding
+    # the two right-to-left vector-mode set-ups describe one distribution:
+    # from one stream they draw the same outcomes, and their weights and
+    # post-states agree to rounding.  The environment form samples a
+    # gauge-transformed copy of the state, which has the same amplitudes
     state = mps.build(circuit, mps.stream(21))
-    env, canon = mps.BornSampler(state), mps.BornSampler(state, CANONICAL)
-    assert env._canon is None and canon._canon is not None
+    env, canon = mps.BornSampler(gauge_transformed(state)), mps.BornSampler(state, CANONICAL)
+    assert (env.form, canon.form) == ("environment", "left-canonical")
     rng_env, rng_canon = mps.stream(8, 1), mps.stream(8, 1)
     a, b = env.sample_batch(rng_env, 200), canon.sample_batch(rng_canon, 200)
     assert np.array_equal(a.outcomes, b.outcomes)
@@ -666,23 +697,92 @@ def test_canonical_and_environment_forms_draw_alike(circuit):
     assert rng_env.random() == rng_canon.random()
 
 
+@pytest.mark.parametrize("circuit", FORM_CIRCUITS, ids=FORM_IDS)
+def test_right_canonical_form_matches_enumeration(circuit):
+    # each draw's weight and post-state are the oracle's for its outcome, and
+    # the outcomes follow the exact Born distribution (20,000 draws)
+    state = mps.build(circuit, mps.stream(21))
+    sampler = mps.BornSampler(state)
+    assert sampler.form == "right-canonical"
+    exact = exact_draws(circuit, 21)
+    rng, chunk, n = mps.stream(8, 1), mps.chunk_draws(state), 20_000
+    counts = dict.fromkeys(exact, 0)
+    for lo in range(0, n, chunk):
+        batch = sampler.sample_batch(rng, min(chunk, n - lo))
+        for outcome, p, post in zip(*batch):
+            p_exact, post_exact = exact[tuple(outcome.tolist())]
+            assert abs(p - p_exact) < 1e-12
+            assert np.abs(post - post_exact).max() < 1e-10
+            counts[tuple(outcome.tolist())] += 1
+    observed = np.array(list(counts.values()))
+    expected = n * np.array([p for p, _ in exact.values()])
+    _, pvalue = stats.chisquare(observed, expected)
+    assert pvalue > 0.001
+
+
+def hand_built_staircase(seed: int) -> mps.MpsState:
+    """A normalized state with random tensors in the staircase's A B B layout."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 2, 2), (2, 2, 2), (2, 3, 1)]
+    tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors, ("A", "B", "B"))))
+    return mps.MpsState(tensors, ("A", "B", "B"))
+
+
+def test_right_canonical_form_choice():
+    # a staircase the builder made with Haar gates certifies its gauge; a
+    # normalized Gaussian, a gauge-transformed and a hand-built state do not,
+    # and take the environment form, as density mode (glued) always does
+    for circuit in FORM_CIRCUITS:
+        state = mps.build(circuit, mps.stream(4))
+        assert mps.BornSampler(state).form == "right-canonical"
+        assert mps.BornSampler(gauge_transformed(state)).form == "environment"
+    gauss = mps.build(mps.Circuit("staircase", 2, 2, 4, 3, gaussian()), mps.stream(4))
+    gauss.tensors[0] = gauss.tensors[0] / np.sqrt(oracles.norm_squared(gauss))
+    assert abs(oracles.norm_squared(gauss) - 1.0) < 1e-12
+    assert mps.BornSampler(gauss).form == "environment"
+    assert mps.BornSampler(hand_built_staircase(5)).form == "environment"
+    glued = mps.build(mps.Circuit("glued", 2, 2, 2), mps.stream(4))
+    assert mps.BornSampler(glued).form == "environment"
+
+
+def test_right_canonical_certificate_is_as_strict_as_the_norm_check():
+    # one B tensor scaled by 1 + 1e-7 moves <psi|psi> by 2e-7, past NORM_TOL:
+    # the certificate fails, and the environment form refuses the state
+    state = mps.build(mps.Circuit("staircase", 2, 2, 4, 3), mps.stream(4))
+    state.tensors[3] = state.tensors[3] * (1 + 1e-7)
+    with pytest.raises(PreconditionError, match="normalized"):
+        mps.BornSampler(state)
+
+
+@pytest.mark.parametrize("draws", [None, -5, 2.5, "300"])
+def test_born_sampler_refuses_a_draw_count_that_is_not_a_count(draws):
+    state = mps.build(mps.Circuit("staircase", 2, 2, 2, 2), mps.stream(0))
+    with pytest.raises(ValueError, match="draws per state"):
+        mps.BornSampler(state, draws)
+    assert mps.BornSampler(state, np.int64(300)).form == "left-canonical"
+
+
 def test_canonical_form_rule():
-    # the canonical form from CANON_MIN_DRAWS = 256 draws per state, and from
-    # CANON_DRAWS_PER_BOND = 8 per unit of region B's largest bond: 256 at
-    # bonds 8 and 32, 2,048 at bond 256.  So the staircase-draws benchmark
-    # shape (2,000 draws, bond 32) takes it, and the staircase-states shape
-    # (20 draws, bond 256) and criterion 3 (500 draws) keep the environments
-    assert (mps.CANON_MIN_DRAWS, mps.CANON_DRAWS_PER_BOND) == (256, 8)
+    # the left-canonical form from CANON_MIN_DRAWS = 256 draws per state, and
+    # from CANON_DRAWS_PER_BOND = 4 per unit of region B's largest bond: 256
+    # at bonds 8 and 32, 1,024 at bond 256; below it the right-canonical form.
+    # So the staircase-draws benchmark shape (2,000 draws, bond 32) takes the
+    # left-canonical form, and the staircase-states shape (20 draws, bond
+    # 256) and criterion 3 (500 draws) the right-canonical one
+    assert (mps.CANON_MIN_DRAWS, mps.CANON_DRAWS_PER_BOND) == (256, 4)
     for chi in (8, 32):
         state = mps.build(mps.Circuit("staircase", 6, 2, chi, 14), mps.stream(1))
         for draws, canonical in ((2000, True), (256, True), (255, False), (0, False)):
-            assert (mps.BornSampler(state, draws)._canon is not None) == canonical
+            form = mps.BornSampler(state, draws).form
+            assert form == ("left-canonical" if canonical else "right-canonical")
     states_shape = mps.build(mps.Circuit("staircase", 6, 2, 256, 14), mps.stream(1))
-    for draws, canonical in ((20, False), (500, False), (2047, False), (2048, True)):
-        assert (mps.BornSampler(states_shape, draws)._canon is not None) == canonical
-    # a kept site right of a measured one (density mode) never takes it
+    for draws, canonical in ((20, False), (500, False), (1023, False), (1024, True)):
+        form = mps.BornSampler(states_shape, draws).form
+        assert form == ("left-canonical" if canonical else "right-canonical")
+    # a kept site right of a measured one (density mode) never takes either
     glued = mps.build(mps.Circuit("glued", 2, 2, 2), mps.stream(1))
-    assert mps.BornSampler(glued, CANONICAL)._canon is None
+    assert mps.BornSampler(glued, CANONICAL).form == "environment"
 
 
 def test_singular_cut_keeps_the_environment_form():
