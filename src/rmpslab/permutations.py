@@ -6,6 +6,14 @@ canonical index of a permutation is the lexicographic rank of its word, so
 index 0 is always the identity.  All m!-indexed vectors elsewhere in the
 package follow this order.
 
+Words are ranked through two half tables (``_half_tables``): the words that
+share their first h = m // 2 letters fill one block of (m - h)! consecutive
+indices, so a rank is the block's start, looked up from the first h letters,
+plus the offset inside the block, looked up from the last m - h letters.
+Each table has at most m^(m - h) entries (4,096 at m = 8), and both lookup
+codes come from one float32 matrix product, exact because every code is an
+integer below 2^24.
+
 The replica degree of freedom is an element of S_m with m = 2(n+k) copies of
 the state: replicas [0, n+k) form group 1 and [n+k, m) form group 2.
 Enumeration is capped at m <= ``MAX_ENUM_M`` = 8.
@@ -20,6 +28,7 @@ kernel acting on invariant vectors reduces to an (orbits x orbits) matrix
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,36 +136,64 @@ def inverse_array(m: int) -> np.ndarray:
     return inv
 
 
-def _prefix_weights(m: int) -> np.ndarray:
-    """Base-m place values of a word's first m - 1 letters (the last is implied)."""
-    weights = np.zeros(m)
-    weights[: m - 1] = float(m) ** np.arange(m - 2, -1, -1)
-    return weights
-
-
 @lru_cache(maxsize=None)
-def _prefix_index(m: int) -> np.ndarray:
-    """Table from the prefix code of a word to its canonical index.
+def _half_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, front, back): the two half tables that rank a word.
 
-    The code reads the first m - 1 letters as base-m digits, so it grows with
-    lexicographic order and the table has m^(m-1) entries (2.1M uint16 at
-    m = 8, whose 40,320 indices fit in 16 bits).
+    Lexicographic order sorts by the first h = m // 2 letters first, and each
+    such prefix is followed by every arrangement of the other m - h letters:
+    the words sharing a prefix fill one block of (m - h)! consecutive
+    indices.  Inside the block those arrangements sort as the arrangements
+    of their relative order do, so a word's offset is the rank of the
+    relative order of its last m - h letters.  Reading each part's letters
+    as base-m digits, rank = front[code of the first h letters] + back[code
+    of the last m - h letters]; each table has at most m^(m - h) entries
+    (4,096 at m = 8, against m^(m-1) for one table over the prefix of m - 1
+    letters).
+
+    weights is the (m, 2) float32 matrix with words @ weights = both codes.
+    Every product and partial sum is an integer below m^(m - h) < 2^24,
+    which float32 represents exactly, so the codes are exact in any
+    summation order.
     """
     _check_enum_m(m)
-    p = perm_array(m)
-    table = np.zeros(m ** (m - 1), dtype=np.uint16)
-    table[(p @ _prefix_weights(m)).astype(np.intp)] = np.arange(p.shape[0])
-    table.flags.writeable = False
-    return table
+    h = m // 2
+    weights = np.zeros((m, 2), dtype=np.float32)
+    weights[:h, 0] = float(m) ** np.arange(h - 1, -1, -1)
+    weights[h:, 1] = float(m) ** np.arange(m - h - 1, -1, -1)
+    words = perm_array(m)
+    codes = (words.astype(np.float32) @ weights).astype(np.intp)
+    index = np.arange(words.shape[0])
+    offset = index % math.factorial(m - h)
+    front = np.zeros(m**h, dtype=np.intp)
+    back = np.zeros(m ** (m - h), dtype=np.intp)
+    front[codes[:, 0]] = index - offset
+    back[codes[:, 1]] = offset
+    for arr in (weights, front, back):
+        arr.flags.writeable = False
+    return weights, front, back
+
+
+def _rank_codes(m: int, codes: np.ndarray) -> np.ndarray:
+    """Canonical indices from (N, 2) float half-table codes."""
+    _, front, back = _half_tables(m)
+    codes = codes.astype(np.intp)
+    return front[codes[:, 0]] + back[codes[:, 1]]
 
 
 def rank_words(words: np.ndarray) -> np.ndarray:
     """Vectorized lexicographic rank of permutation words (m <= 8).
 
-    words: (N, m) integer array, each row a permutation of [0, m).
+    words: (N, m) integer array, each row a permutation of [0, m).  The words
+    sharing their first h = m // 2 letters fill one block of (m - h)!
+    consecutive ranks, so the rank is the block's start, front[code of the
+    first half], plus the offset, back[code of the second half]
+    (``_half_tables``).  Both codes come from one float32 (N, m) @ (m, 2)
+    product, exact because every code is an integer below 2^24.
     """
     m = words.shape[1]
-    return _prefix_index(m)[(words @ _prefix_weights(m)).astype(np.intp)].astype(np.intp)
+    weights = _half_tables(m)[0]
+    return _rank_codes(m, np.asarray(words, dtype=np.float32) @ weights)
 
 
 @lru_cache(maxsize=None)
@@ -192,9 +229,11 @@ def distances_from(m: int, sigma: Perm) -> np.ndarray:
     """Vector of d(sigma_j, sigma) over all group elements j (works up to m=8)."""
     if len(sigma) != m:
         raise ShapeMismatchError(f"distances_from: sigma has size {len(sigma)}, expected {m}")
-    # d(p, sigma) = m - cycles(p . sigma^{-1}) and (p . sigma^{-1})[x] = p[sigma^{-1}[x]]
-    words = perm_array(m)[:, np.argsort(sigma)]
-    return distance_to_identity(m)[rank_words(words)]
+    # d(p, sigma) = m - cycles(p . sigma^{-1}); (p . sigma^{-1})[x] = p[sigma^{-1}[x]],
+    # so its codes sum_x w[x] p[sigma^{-1}[x]] = sum_i w[sigma[i]] p[i]
+    weights = _half_tables(m)[0][list(sigma)]
+    codes = perm_array(m).astype(np.float32) @ weights
+    return distance_to_identity(m)[_rank_codes(m, codes)]
 
 
 @lru_cache(maxsize=None)
@@ -257,33 +296,38 @@ def class_representatives(m: int) -> tuple[int, ...]:
     return tuple(reps)
 
 
-@lru_cache(maxsize=None)
-def _quotient_codes(m: int) -> np.ndarray:
-    """(m!, m) matrix Q with Q[t] @ word(s) = prefix code of s . sigma_t^{-1}.
-
-    (s . t^{-1})[j] = s[t^{-1}[j]], so the code sum_j w[j] s[t^{-1}[j]] equals
-    sum_i w[t[i]] s[i]: the codes of s against every t are one matrix-vector
-    product.
-    """
-    return _prefix_weights(m)[perm_array(m)]
+# rows per product in ``_class_counts``: wide enough for BLAS-3, while the
+# (m!, 2 rows) float32 codes stay at 2.6 MB at m = 8
+_COUNT_CHUNK = 8
 
 
 def _class_counts(m: int, rows, label: np.ndarray, n_labels: int) -> np.ndarray:
     """counts[c, a, b] = #{t : label[t] = b, class(sigma_(rows[a]) . sigma_t^{-1}) = c}.
 
-    Built one row at a time (one m!-vector of classes per row), so no
-    (rows x m!) table is ever held.  Counts are at most m! <= 8!, which fits
-    uint16.
+    s . t^{-1} is the inverse of t . s^{-1}, so both lie in one class, and
+    (t . s^{-1})[x] = t[s^{-1}[x]] has the codes sum_i w[s[i]] t[i]: the
+    codes of every t against a chunk of rows are one (m!, m) @ (m, 2 rows)
+    product.  Classes are formed one m!-vector per row, so no (rows x m!)
+    table is ever held.  Counts are at most m! <= 8!, which fits uint16.
     """
     class_of, _, types = conjugacy_classes(m)
     n_cls = len(types)
-    codes, index, words = _quotient_codes(m), _prefix_index(m), perm_array(m)
-    out = np.empty((n_cls, len(rows), n_labels), dtype=np.uint16)
-    for a, row in enumerate(rows):
-        cls = class_of[index[(codes @ words[row]).astype(np.intp)]].astype(np.intp)
-        out[:, a, :] = np.bincount(cls * n_labels + label, minlength=n_cls * n_labels).reshape(
-            n_cls, n_labels
-        )
+    words = perm_array(m)
+    weights = _half_tables(m)[0]
+    floats = words.astype(np.float32)
+    # the class times n_labels, so one gather and one add give the bincount key
+    class_key = class_of.astype(np.intp) * n_labels
+    rows = np.asarray(rows, dtype=np.intp)
+    out = np.empty((n_cls, rows.size, n_labels), dtype=np.uint16)
+    for lo in range(0, rows.size, _COUNT_CHUNK):
+        chunk = rows[lo : lo + _COUNT_CHUNK]
+        codes = floats @ weights[words[chunk]].transpose(1, 0, 2).reshape(m, -1)
+        for j in range(chunk.size):
+            key = class_key[_rank_codes(m, codes[:, 2 * j : 2 * j + 2])]
+            key += label
+            out[:, lo + j, :] = np.bincount(key, minlength=n_cls * n_labels).reshape(
+                n_cls, n_labels
+            )
     out.flags.writeable = False
     return out
 
@@ -357,12 +401,13 @@ def symmetry_maps(shape: ReplicaShape) -> list[np.ndarray]:
             g[j], g[j + 1] = j + 1, j
             gens.append(g)
     gens.append(np.arange(m, dtype=np.int8)[::-1])
-    words, index, weights = perm_array(m), _prefix_index(m), _prefix_weights(m)
+    words, weights = perm_array(m), _half_tables(m)[0]
     maps = []
     for g in gens:
         h_inv = sig_a[g[sig_a]]
-        # (g sigma h)[j] = g[sigma[h[j]]], whose prefix code is g[sigma] @ weights[h^-1]
-        maps.append(index[(np.take(g, words) @ weights[h_inv]).astype(np.intp)])
+        # (g sigma h)[j] = g[sigma[h[j]]], whose codes are g[sigma] @ weights[h^-1]
+        codes = np.take(g, words).astype(np.float32) @ weights[h_inv]
+        maps.append(_rank_codes(m, codes))
     maps.append(rank_words(inverse_array(m)))
     return maps
 

@@ -98,8 +98,10 @@ class ChainValue:
 def site_weight_A(shape: ReplicaShape, d: int) -> np.ndarray:
     """Onsite weight in region A: d^(m - dist(sigma, overlap pairing))."""
     check_circuit(1, d)
-    sig_a = pg.overlap_permutation(shape)
-    return float(d) ** (shape.m - pg.distances_from(shape.m, sig_a).astype(np.float64))
+    m = shape.m
+    # d^(m - dist) read from the m + 1 possible distances
+    powers = float(d) ** np.arange(m, -1, -1.0)
+    return powers[pg.distances_from(m, pg.overlap_permutation(shape))]
 
 
 def site_weight_B_staircase(shape: ReplicaShape, d: int) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,9 +167,52 @@ def test_distances_from_matches_pairwise():
         assert vec[i] == oracles.transposition_distance(p, sig)
 
 
-def test_rank_words_roundtrip():
-    words = np.array(oracles.enumerate_group(5), dtype=np.int8)
-    assert np.array_equal(pg.rank_words(words), np.arange(120))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rank_words_roundtrip(m):
+    # m = 1 has an empty front half; m = 3, 5, 7 split unevenly
+    words = np.array(oracles.enumerate_group(m), dtype=np.int8)
+    assert np.array_equal(pg.rank_words(words), np.arange(math.factorial(m)))
+
+
+def test_rank_words_int8_and_int64_agree():
+    rng = np.random.default_rng(5)
+    words = np.array([rng.permutation(8) for _ in range(500)])
+    assert words.dtype == np.int64
+    index = oracles.group_index(8)
+    expected = [index[tuple(w)] for w in words.tolist()]
+    assert pg.rank_words(words).tolist() == expected
+    assert pg.rank_words(words.astype(np.int8)).tolist() == expected
+
+
+# one (m!, m) float32 array at m = 8
+_WORD_FLOATS_BYTES = math.factorial(8) * 8 * 4
+
+_RANKING_MEMORY_SCRIPT = """
+import tracemalloc
+from rmpslab import permutations as pg
+pg.perm_array(8)
+tracemalloc.start()
+pg.rank_words(pg.perm_array(8))
+held = tracemalloc.get_traced_memory()[0]
+pg.orbit_class_counts(pg.ReplicaShape(0, 4))
+largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+print(held, largest)
+"""
+
+
+def test_ranking_tables_stay_small():
+    # a fresh interpreter, so no earlier test has filled the caches: the first
+    # m = 8 ranking keeps only its half tables (an m^(m-1) prefix table would
+    # hold 4.2 MB), and the count table leaves no (m!, m) float array behind
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANKING_MEMORY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    held, largest = map(int, proc.stdout.split())
+    assert held < 500_000
+    assert largest < _WORD_FLOATS_BYTES
 
 
 def test_class_convolution_matrix_matches_dense():
