@@ -48,7 +48,7 @@ from .weingarten import HAAR, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: bump a subcommand's
 # number whenever its data bytes change, and say why in CHANGES.md
-SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 12, "histogram": 11}
+SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 13, "histogram": 12}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -412,16 +412,26 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    (commands,) = [a.choices for a in _parser()._actions if a.dest == "command"]
+    # the store_true flags: a key naming one takes true (the bare flag) or false
+    switches = {f for sub in commands.values() for a in sub._actions
+                if a.nargs == 0 and a.const is True for f in a.option_strings}
     injected = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = f"--{key.replace('_', '-')}"
+        if flag not in switches:
+            injected += [flag, value]
+        elif value.lower() in ("true", "false"):
+            injected += [flag] * (value.lower() == "true")
+        else:
+            raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
     # insert right after the subcommand so explicit flags (later) win
     for i, tok in enumerate(argv):
-        if tok in ("predict", "contract", "sample", "oracle", "histogram"):
+        if tok in commands:
             return argv[: i + 1] + injected + argv[i + 1 :]
     return argv + injected
 

@@ -110,7 +110,9 @@ def _pair_overlaps(config: EnsembleConfig, r: int) -> np.ndarray:
     held.  pooled: all pairs i < j among pairs_per_state draws, held at once
     (at most MAX_POOLED_DRAWS of them, which ``EnsembleConfig`` checks).  The
     Born sampler is told those draws per state, from which it picks its
-    set-up (``mps.BornSampler``).
+    set-up (``mps.BornSampler``).  Forced strings are projected by
+    ``mps._project_batch``, the projection that forms the right-canonical
+    sampler's post-states.
     """
     rng = mps.stream(config.seed, r)
     state = mps.build(config, rng)

@@ -62,12 +62,14 @@ gate by gate.  The gate shapes have one home (``Circuit.gate_shapes``), so
 ``Circuit.normal_budget`` is exactly the count a one-stream build consumes.
 
 ``BornSampler`` draws Born-rule measurements of region B from one state,
-a batch of draws per sweep.  A staircase built with Haar gates is
-right-canonical as built (each B tensor an isometry from its left bond), so
-after a certificate of that gauge it is sampled left to right with no
-environment at all; told of enough draws per state, the sampler brings region
-B into the left-canonical gauge instead, whose sweep is cheaper.  Any other
-state (glued, Gaussian, hand-built) keeps traced left environments.
+a batch of draws per sweep.  It samples left to right in the right-canonical
+gauge, in which no environment is needed: a staircase built with Haar gates
+is in that gauge as built (each site an isometry from its left bond), and any
+other state (glued, hand-built) is brought into it by one LQ pass.  Told of
+enough draws per state, the sampler brings the region B of a staircase into
+the left-canonical gauge instead, whose sweep is cheaper.
+``_project_batch`` is the one projection of outcome strings onto region A,
+for Born post-states and forced draws alike.
 
 The dense oracle rebuilds the same circuits by dense gate application (an
 independent code path sharing only the drawn gates) and enumerates the
@@ -101,9 +103,9 @@ _ORACLE_MAX_OUTCOMES = 4096
 MAX_CHUNK_DRAWS = 64
 MAX_SAMPLER_DRAWS = 256
 CHUNK_ENTRIES = 2**16
-# the Born sampler's vector mode takes the left-canonical set-up from this
-# many draws per state, and at least CANON_DRAWS_PER_BOND per unit of region
-# B's largest bond (see BornSampler)
+# the Born sampler takes the left-canonical set-up from this many draws per
+# state, and at least CANON_DRAWS_PER_BOND per unit of region B's largest
+# bond (see BornSampler)
 CANON_MIN_DRAWS = 256
 CANON_DRAWS_PER_BOND = 4
 
@@ -458,41 +460,91 @@ def build_glued(circuit: Circuit, rng: np.random.Generator) -> MpsState:
     return MpsState(tensors, ("B",) + ("A", "B") * circuit.n_a)
 
 
+def _leading_factor(tensors: list[np.ndarray], first_b: int) -> np.ndarray:
+    """The leading kept run (the sites before the first B site) contracted
+    into a (its D_A, bond at the cut) matrix F; [[1]] when the run is empty."""
+    acc = np.ones((1, 1), dtype=complex)
+    for t in tensors[:first_b]:
+        acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+    return acc
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as one BLAS gemm, also for a single row of a: numpy hands a
+    single row to gemv, whose sums round differently, so that row is doubled
+    and the copy dropped.  A row's product then does not depend on the rows
+    it shares a batch with."""
+    if len(a) == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
+
+
 def _project_batch(state: MpsState, outcomes: np.ndarray) -> np.ndarray:
     """(count, D_A) unnormalized post-measurement amplitudes on region A, one
     row per row of a (count, N_B) array of in-range outcome strings (left to
     right over the B sites); a row's squared norm is its Born probability
     when the state is normalized.
 
-    One left-to-right sweep of batched products per group of rows; returns
-    (count, D_A).  The groups are ``_chunk_rows`` of the widest intermediate
-    of one row (a gathered B tensor, or the open A index times the bond):
-    at most MAX_CHUNK_DRAWS rows, and no group passes CHUNK_ENTRIES complex
+    The sites after the leading kept run are contracted right to left into a
+    (draw, open kept index, bond) stack.  A B site groups the draws by their
+    outcome, and each group is one product with that outcome's (left, right)
+    slice; a kept site is one product for all draws, and opens its physical
+    index in front of those right of it.  The leading run's factor F
+    (``_leading_factor``) multiplies last.  Every product is a gemm
+    (``_gemm``), so a row's amplitude does not depend on the rows projected
+    with it.  The rows go in groups of ``_chunk_rows`` of the widest stack
+    row: at most MAX_SAMPLER_DRAWS, and no group passes CHUNK_ENTRIES complex
     entries unless one row does.
     """
-    width, d_a = 1, 1
-    for t, role in zip(state.tensors, state.roles):
-        l, p, r = t.shape
-        if role == "B":
-            width = max(width, l * r, d_a * r)
-        else:
-            d_a *= p
-            width = max(width, d_a * r)
-    step = _chunk_rows(width)
-    out = np.empty((outcomes.shape[0], d_a), dtype=complex)
+    first_b = state.roles.index("B")
+    kept = _leading_factor(state.tensors, first_b)
+    sites = list(zip(state.tensors, state.roles))[first_b:][::-1]
+    width, opened = state.d_a, 1
+    for t, role in sites:
+        opened *= t.shape[1] if role == "A" else 1
+        width = max(width, opened * t.shape[0])
+    step = _chunk_rows(width, MAX_SAMPLER_DRAWS)
+    out = np.empty((len(outcomes), state.d_a), dtype=complex)
     for lo in range(0, len(out), step):
         rows = outcomes[lo : lo + step]
-        count = len(rows)
-        acc = np.ones((count, 1, 1), dtype=complex)  # (draw, open A index, current bond)
-        j = 0
-        for t, role in zip(state.tensors, state.roles):
-            if role == "B":
-                acc = acc @ t.transpose(1, 0, 2)[rows[:, j]]
-                j += 1
-            else:
-                acc = (acc @ t.reshape(t.shape[0], -1)).reshape(count, -1, t.shape[2])
-        out[lo : lo + count] = acc[:, :, 0]
+        count, j = rows.shape
+        acc = np.ones((count, 1, 1), dtype=complex)
+        for t, role in sites:
+            l, p, r = t.shape
+            if role == "A":
+                acc = _gemm(acc.reshape(-1, r), t.reshape(l * p, r).T).reshape(count, -1, l, p)
+                acc = acc.transpose(0, 3, 1, 2).reshape(count, -1, l)
+                continue
+            j -= 1
+            # the draws by outcome: a stable sort, cut where the outcome changes
+            order = np.argsort(rows[:, j], kind="stable")
+            nxt = np.empty((count, acc.shape[1], l), dtype=complex)
+            for group in np.split(order, np.flatnonzero(np.diff(rows[order, j])) + 1):
+                tz = t[:, rows[group[0], j], :].T
+                nxt[group] = _gemm(acc[group].reshape(-1, r), tz).reshape(len(group), -1, l)
+            acc = nxt
+        amp = _gemm(acc.reshape(-1, acc.shape[2]), kept.T).reshape(count, acc.shape[1], -1)
+        out[lo : lo + count] = amp.transpose(0, 2, 1).reshape(count, -1)
     return out
+
+
+def _right_gauge(
+    sites: list[np.ndarray], kept: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(sites, F) brought into the right-canonical gauge by one right-to-left
+    Householder LQ pass: each site T, as an (l, p r) matrix with the factor
+    from its right absorbed, is L Q by the QR of T^H, keeps Q (Q Q^H = 1) and
+    hands L to its left neighbour; the last L is absorbed into F.  Householder
+    QR needs no full rank, so a singular bond is factored too."""
+    out = list(sites)
+    carry = np.ones((1, 1), dtype=complex)
+    for i in range(len(out) - 1, -1, -1):
+        l, p, r = out[i].shape
+        mat = (out[i].reshape(l * p, r) @ carry).reshape(l, -1)
+        q, low = np.linalg.qr(mat.conj().T)  # mat = low^H q^H
+        out[i] = np.ascontiguousarray(q.conj().T).reshape(-1, p, carry.shape[1])
+        carry = low.conj().T
+    return out, kept @ carry
 
 
 def chunk_draws(state: MpsState) -> int:
@@ -534,56 +586,47 @@ class BornSampler:
     per state its caller will take (``draws``, an integer >= 0; 0 when
     unknown).
 
-    ``sample_batch`` sweeps region B once for a chunk of draws, carrying one
-    projected side per draw: a vector while no kept site lies right of a
-    measured one (vector mode: the staircase), a density otherwise (density
-    mode: glued).  Every step is a batched matrix product over the chunk
-    (BLAS-3), so a staircase draw costs O(N chi^2), not the O(N chi^3) of
-    carrying a density.  The sweeps run draw-major: the vectors are a (draw,
-    bond) matrix and the densities a (draw, bond, bond) stack, and each B
-    site draws its outcome from row-wise cumulative sums of its marginals.
+    ``sample_batch`` sweeps the chain once for a chunk of draws, carrying one
+    (draw, bond) vector per draw; every step is a batched matrix product
+    over the chunk (BLAS-3), so a draw costs O(N chi^2), and each site draws
+    its outcome from row-wise cumulative sums of its marginals.  The leading
+    kept run is the kept sites before the first B site (region A for the
+    staircase, none for the glued layout), contracted into its map F
+    (``_leading_factor``).  ``form`` names the set-up, one of two
+    (canonical forms: Schollwöck, Ann. Phys. 326, 96, 2011):
 
-    ``form`` names the set-up, one of three:
+    * "right-canonical", the general form.  Every site from the first B site
+      on, kept or measured, is an isometry from its left bond (T T^H = 1 for
+      T as an (l, p r) matrix), so every right environment is the identity,
+      <psi|psi> = ||F||^2, and the chain is sampled left to right with no
+      environment at all (perfect sampling: Ferris and Vidal, PRB 85,
+      165146, 2012).  A sequentially generated state (one isometry per site:
+      Schön et al., PRL 95, 110503, 2005) is already in that gauge: the
+      set-up certifies it and takes the tensors as built, which every Haar
+      staircase passes.  Any other state (glued, Gaussian, gauge-transformed,
+      hand-built, rank-deficient) is brought into it by one Householder LQ
+      pass (``_right_gauge``), and the norm check then refuses it if it is
+      not normalized.  A draw picks a kept string of the leading run from F's
+      row masses, then draws every later site from the squared norms of its
+      candidates v T, checking the mass at each site, and keeps only the B
+      outcomes.  Its amplitude comes from ``_project_batch``, the one
+      projection, which forced draws use too.
+    * "left-canonical", from max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND x the
+      largest bond after the cut) draws per state, while no kept site lies
+      right of a measured one (the staircase).  Region B is brought into the
+      left-canonical gauge by Cholesky-QR (``_canonical_setup``), so every
+      left environment is the identity.  The sweep runs right to left: each B
+      site takes one product per draw, whose candidates come out draw-major,
+      and each marginal is their squared norm; the last vector times the
+      stored region-A map is the amplitude.  A singular bond Gram, which only
+      a hand-built state has, takes the right-canonical form instead.
 
-    * "environment": the sweep runs right to left, and the rightmost site's
-      marginal, the same for every draw, is set up once (as in the
-      left-canonical form).  Every site keeps
-      its traced left environment (as F^H F of the thin left factor F while
-      F has no more rows than columns).  Density mode also keeps the traced
-      kernels and by-outcome copies of the B sites left of a kept site, and
-      vector mode the dense region-A map.  A vector-mode B site takes two
-      products per draw: the candidates t v, regrouped draw-major by one
-      copy, then their quadratic form with the environment.  Density mode
-      always takes this form; vector mode takes it for a state below the
-      threshold that fails the right-canonical certificate, and for one past
-      it with a singular bond Gram.
-    * "left-canonical" (canonical forms: Schollwöck, Ann. Phys. 326, 96,
-      2011), from max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND x region B's
-      largest bond) draws per state in vector mode.  Region B is brought
-      into the left-canonical gauge by Cholesky-QR (``_canonical_setup``),
-      so every left environment is the identity.  The sweep runs right to
-      left: each B site takes one product per draw, whose candidates come out
-      draw-major, and each marginal is their squared norm.  A singular bond
-      Gram, which only a hand-built state has, keeps the environment form.
-    * "right-canonical", vector mode below that threshold.  A sequentially
-      generated state (one isometry per site: Schön et al., PRL 95, 110503,
-      2005) is already right-canonical, so it is sampled left to right with
-      no environment at all (perfect sampling: Ferris and Vidal, PRB 85,
-      165146, 2012).  The set-up certifies the gauge and stores the region-A
-      map F with the cumulative sums of its row masses
-      (``_right_canonical_setup``); every Haar staircase passes, and a state
-      that fails takes the environment form.  A draw picks a kept string z_A
-      from F's row masses, sweeps region B left to right with one product per
-      site (v T, each marginal a squared norm), drops z_A, and forms its
-      amplitude F v_R from one right-to-left pass over its outcomes (l r per
-      site).
-
-    The left-canonical form has the cheapest sweep (d r^2 per site per draw,
-    for bond r, against (d + 1) r^2 here and 2 d r^2 for the environments),
-    and the dearest set-up.  The threshold is measured: time of the
-    left-canonical over the right-canonical form, one staircase state at
-    N_A = 6, N_B = 14 through ``estimator._pair_overlaps`` (build included),
-    one BLAS thread, medians of 5 (chi = 256) to 21 alternating runs:
+    The left-canonical form has the cheaper sweep (d r^2 per site per draw,
+    for bond r, against (d + 1) r^2 here with the projection) and the dearer
+    set-up.  The threshold is measured: time of the left-canonical over the
+    right-canonical form, one staircase state at N_A = 6, N_B = 14 through
+    ``estimator._pair_overlaps`` (build included), one BLAS thread, medians
+    of 5 (chi = 256) to 21 alternating runs:
 
         draws per state      64     128    256    512    1024   2048
         chi = 8             1.00   1.03   0.92   0.79   0.69   0.64
@@ -594,24 +637,25 @@ class BornSampler:
 
     So CANON_MIN_DRAWS = 256 holds at chi <= 32, and CANON_DRAWS_PER_BOND =
     4 moves the switch to 512 draws at chi = 128 and 1,024 at chi = 256.
-    Set-up at chi = 8 / 32 / 256: environment 0.26 / 0.76 / 97 ms,
-    right-canonical 0.34 / 0.71 / 47 ms (mostly the certificate),
-    left-canonical 0.87 / 2.8 / 161 ms.  Memory: the right-canonical form
-    stores only F (D_A x r), the environments take r^2 per site and the
-    left-canonical operands d r^2 per site: 13 and 24 MB at chi = 256.
+    Set-up at chi = 8 / 32 / 256: right-canonical 0.34 / 0.71 / 47 ms
+    (mostly the certificate), left-canonical 0.87 / 2.8 / 161 ms.  Memory:
+    the right-canonical form stores F (D_A x r), plus a gauged copy of the
+    sites when it had to gauge them; the left-canonical operands take d r^2
+    per site, 24 MB at chi = 256.
 
-    Memory also grows with the chunk: a vector-mode site holds up to three
-    arrays of count x d chi complex entries (the candidates, their
-    draw-major copy and the half product; the canonical forms hold only the
-    first), and the post-states take count x D_A.  Callers take
-    ``chunk_draws`` draws per batch (at most MAX_SAMPLER_DRAWS = 256), which
-    keeps each near 2^16 entries.
+    Memory also grows with the chunk: a sweep holds the candidates, count x
+    p r complex entries at a site, the projection a (count, open kept index,
+    bond) stack and one group of it, and the post-states count x D_A.
+    Callers take ``chunk_draws`` draws per batch (at most MAX_SAMPLER_DRAWS =
+    256), which keeps each near 2^16 entries.
 
     The uniforms are drawn draw-major, so a batch consumes the stream
     exactly as ``count`` successive single draws do: ``rng.random((count,
-    N_B))`` in sweep order for the right-to-left forms, and ``rng.random((
-    count, N_B + 1))`` for the right-canonical form, whose column 0 draws
-    z_A.  The forms draw alike in law, not from one stream.
+    N_B))`` in sweep order for the left-canonical form, and
+    ``rng.random((count, 1 + S))`` for the right-canonical form, whose
+    column 0 draws the leading run's string and whose column s + 1 the s-th
+    of the S sites after it.  The forms draw alike in law, not from one
+    stream.
     """
 
     def __init__(self, state: MpsState, draws: int = 0):
@@ -623,90 +667,20 @@ class BornSampler:
         if state.d_a > MAX_POST_DIM:
             raise SizeLimitError(f"region-A dimension {state.d_a} exceeds cap {MAX_POST_DIM}")
         self.state = state
-        tensors = state.tensors
-        b_sites = [i for i, r in enumerate(roles) if r == "B"]
-        self._n_b = len(b_sites)
-        self._first_b = b_sites[0]
-        last_a = max((i for i, r in enumerate(roles) if r == "A"), default=-1)
-        self.form = "environment"
-        self._canon = None  # the left-canonical operands by B site
-        if last_a < self._first_b:
-            bond = max(tensors[i].shape[0] for i in b_sites)
+        self._first_b = roles.index("B")
+        if "A" not in roles[self._first_b :]:
+            bond = max(t.shape[0] for t in state.tensors[self._first_b :])
             if draws >= max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND * bond):
                 try:
                     self._canonical_setup()
+                    return
                 except np.linalg.LinAlgError:
-                    pass  # a rank-deficient bond: the environment form instead
-            else:
-                self._right_canonical_setup()
-        if self.form == "environment":
-            self._environment_setup(last_a, b_sites)
-
-    def _region_a_factor(self) -> np.ndarray:
-        """The region-A map F: the kept sites contracted into a (D_A, bond at
-        the A|B cut) matrix (vector mode)."""
-        acc = np.ones((1, 1), dtype=complex)
-        for t in self.state.tensors[: self._first_b]:
-            acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
-        return acc
-
-    def _environment_setup(self, last_a: int, b_sites: list[int]) -> None:
-        tensors, roles = self.state.tensors, self.state.roles
-        # contiguous per-site views for the sweep
-        self._flat = [np.ascontiguousarray(t.reshape(-1, t.shape[2])) for t in tensors]
-        # left environments with everything to the left traced out; index
-        # convention: env[bra bond, ket bond].  The one past the last site is
-        # <psi|psi>, so the norm check costs no extra sweep.  While the left
-        # factor F (the contracted sites as a (physical..., bond) matrix) has
-        # no more rows than columns, env = F^H F is cheaper than the
-        # two-product recurrence on env.
-        self._left = [np.ones((1, 1), dtype=complex)]
-        fac = self._left[0]
-        for t, flat in zip(tensors, self._flat):
-            if fac is not None:
-                fac = (fac @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
-                self._left.append(fac.conj().T @ fac)
-                if fac.shape[0] > fac.shape[1]:
-                    fac = None
-                continue
-            lt = (self._left[-1] @ t.reshape(t.shape[0], -1)).reshape(flat.shape)
-            self._left.append(flat.conj().T @ lt)
-        _check_norm(float(self._left.pop().real[0, 0]))
-        # A sites met in density mode: conj(t) as a (physical x right, left)
-        # matrix; the rightmost A site is met in vector mode
-        self._conj_pr = {
-            i: np.ascontiguousarray(t.conj().reshape(t.shape[0], -1).T)
-            for i, t in enumerate(tensors)
-            if roles[i] == "A" and self._first_b < i < last_a
-        }
-        # B sites in density mode (left of a kept site): marginal
-        # q[p] = sum_rs rho[r, s] K[p, r, s] with
-        # K[p, r, s] = sum_ab left[b, a] t[a, p, r] conj(t[b, p, s]), stored as
-        # a (r s, p) matrix, and t as a stack of (left, right) matrices by outcome
-        self._kernel, self._by_z = {}, {}
-        for i in b_sites:
-            if i < last_a:
-                t = tensors[i]
-                lt = (self._left[i] @ t.reshape(t.shape[0], -1)).reshape(t.shape)
-                k = lt.transpose(1, 2, 0) @ t.conj().transpose(1, 0, 2)
-                self._kernel[i] = np.ascontiguousarray(k.reshape(t.shape[1], -1).T)
-                self._by_z[i] = np.ascontiguousarray(t.transpose(1, 0, 2))
-        # the rightmost site's marginal is the same for every draw
-        self._last = None
-        if roles[-1] == "B":
-            t = tensors[-1]
-            cand = (self._flat[-1] @ np.ones(1, dtype=complex)).reshape(t.shape[0], t.shape[1])
-            q = np.einsum("bp,bp->p", cand.conj(), self._left[-1] @ cand).real
-            q = np.clip(q, 0.0, None)
-            # by outcome, so a draw's next vector is one contiguous row
-            self._last = (np.ascontiguousarray(cand.T), q, np.cumsum(q), q.sum())
-        if last_a < self._first_b:
-            # (bond at the A|B cut, D_A)
-            self._region_a_map = np.ascontiguousarray(self._region_a_factor().T)
+                    pass  # a rank-deficient bond: the right-canonical form instead
+        self._right_canonical_setup()
 
     def _canonical_setup(self) -> None:
-        """Region B in the left-canonical gauge (vector mode); a singular Gram
-        raises LinAlgError before any attribute is set.
+        """Region B in the left-canonical gauge; a singular Gram raises
+        LinAlgError before any attribute is set.
 
         Cholesky-QR bond by bond (``_cholesky_qr``, as for the tall gates),
         Y = Q R with Q^H Q = 1: at the cut Y is the region-A map F, whose Q^T
@@ -714,7 +688,7 @@ class BornSampler:
         with rows (outcome, left bond), so that its Q^T is the sweep's
         (right bond) x (outcome, left bond) operand."""
         tensors = self.state.tensors
-        low, qt = _cholesky_qr(self._region_a_factor()[None])
+        low, qt = _cholesky_qr(_leading_factor(tensors, self._first_b)[None])
         region_a_map = qt[0]  # (bond at the A|B cut, D_A)
         canon = {}
         for i in range(self._first_b, len(tensors) - 1):
@@ -732,29 +706,29 @@ class BornSampler:
         self._last = (cand, q, np.cumsum(q), q.sum())
 
     def _right_canonical_setup(self) -> None:
-        """Keep region B in the gauge a sequential build leaves it in, when the
-        state certifies it (vector mode); otherwise set nothing.
+        """The sites from the first B site on in the right-canonical gauge,
+        with the leading run's map F and the cumulative sums of its row masses.
 
-        Each B tensor T, as an (l, p r) matrix, has T T^H = 1, with the
-        rightmost site's right bond of 1, so every right environment of region
-        B is the identity and <psi|psi> = ||F||^2 for the region-A map F.  The
-        certificate | ||F||^2 - 1 | + ||F||^2 sum_T ||T T^H - 1||_F <= NORM_TOL
-        bounds |<psi|psi> - 1| as the environment form's check does (to first
-        order in the defects), so a state that
-        fails it (Gaussian, gauge-transformed, hand-built, NaN) takes the
-        environment form and meets that check there.  Each T T^H is one
-        one-triangle real Gram (``_conj_gram``) of the (p r, l) transpose."""
+        The certificate | ||F||^2 - 1 | + ||F||^2 sum_T ||T T^H - 1||_F <=
+        NORM_TOL bounds |<psi|psi> - 1| (to first order in the defects), so a
+        state that passes it is sampled as built; each T T^H is one
+        one-triangle real Gram (``_conj_gram``) of the (p r, l) transpose.  A
+        state that fails it (NaN too) is gauged by ``_right_gauge``, after
+        which <psi|psi> = ||F||^2 exactly, and ``_check_norm`` reads it."""
+        sites = self.state.tensors[self._first_b :]
+        kept = _leading_factor(self.state.tensors, self._first_b)
+        cum = np.cumsum(np.vecdot(kept.view(float), kept.view(float)))
         defect = 0.0
-        for t in self.state.tensors[self._first_b :]:
+        for t in sites:
             l = t.shape[0]
             gram = _conj_gram(np.ascontiguousarray(t.reshape(l, -1).T).view(float)[None])[0]
             gram.flat[:: l + 1] -= 1.0
             defect += float(np.linalg.norm(gram))
-        kept = self._region_a_factor()
-        cum = np.cumsum(np.vecdot(kept.view(float), kept.view(float)))
-        nsq = float(cum[-1])
-        if abs(nsq - 1.0) + nsq * defect <= NORM_TOL:
-            self.form, self._kept, self._kept_cum = "right-canonical", kept, cum
+        if not abs(cum[-1] - 1.0) + cum[-1] * defect <= NORM_TOL:
+            sites, kept = _right_gauge(sites, kept)
+            cum = np.cumsum(np.vecdot(kept.view(float), kept.view(float)))
+        _check_norm(float(cum[-1]))
+        self.form, self._sites, self._kept, self._kept_cum = "right-canonical", sites, kept, cum
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
         """count independent Born draws from one sweep."""
@@ -762,128 +736,89 @@ class BornSampler:
             raise ValueError(f"need count >= 1, got {count}")
         if self.form == "right-canonical":
             return self._sample_left_to_right(rng, count)
-        tensors, roles = self.state.tensors, self.state.roles
-        n = len(tensors)
-        # row c holds draw c's uniforms; column s serves the s-th B site of
-        # the sweep, which is the s-th B site from the right
-        uniforms = rng.random((count, self._n_b))
-        outcomes = np.empty((count, self._n_b), dtype=np.intp)
+        return self._sample_right_to_left(rng, count)
+
+    def _sample_right_to_left(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
+        """The left-canonical sweep: the rightmost site's marginal, the same
+        for every draw, is set up once; each site left of it maps the drawn
+        vectors through its operand, and the last vector times the region-A
+        map is the amplitude."""
+        n_b = len(self.state.tensors) - self._first_b
+        # row c holds draw c's uniforms; column s serves the s-th B site from
+        # the right
+        uniforms = rng.random((count, n_b))
+        outcomes = np.empty((count, n_b), dtype=np.intp)
         draws = np.arange(count)
-        prob = 1.0
-        vec = np.ones((count, 1), dtype=complex)  # vector mode: (draw, right bond)
-        rho = None  # density mode: (draw, ket right bond, bra right bond)
-        mass_prev = None
-        s = 0
-        for i in range(n - 1, self._first_b - 1, -1):
-            t = tensors[i]
-            l, p = t.shape[0], t.shape[1]
-            if roles[i] == "B":
-                u = uniforms[:, s]
-                if i == n - 1:
-                    cand, q, cum, total = self._last
-                    if total <= 0.0:
-                        raise PreconditionError("vanishing marginal mass during Born sweep")
-                    z = np.minimum(cum.searchsorted(u * total, side="right"), p - 1)
-                    mass_prev = q[z]
-                    vec = cand[z]
-                else:
-                    if rho is not None:
-                        q = np.maximum((rho.reshape(count, -1) @ self._kernel[i]).real, 0.0)
-                    elif self._canon is None:
-                        # cand[c, p, l] = sum_r t[l, p, r] v[c, r], regrouped
-                        # draw-major by one copy, then the quadratic form with
-                        # the traced left density over the contiguous bond axis
-                        cand = (vec @ self._flat[i].T).reshape(count, l, p).transpose(0, 2, 1)
-                        cand = cand.reshape(count * p, l)
-                        q = np.vecdot(cand, cand @ self._left[i].T).real.reshape(count, p)
-                        q = np.maximum(q, 0.0)
-                    else:
-                        # left-canonical operands give the candidates
-                        # draw-major, and each marginal is their squared norm
-                        cand = (vec @ self._canon[i]).reshape(count * p, l)
-                        q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
-                    z, total = _draw_outcomes(q, u, mass_prev, i)
-                    mass_prev = q[draws, z]
-                    if rho is None:
-                        vec = cand[draws * p + z]
-                    else:
-                        tz = self._by_z[i][z]
-                        rho = tz @ rho @ tz.conj().transpose(0, 2, 1)
-                prob = prob * (mass_prev / total)
-                outcomes[:, -1 - s] = z
-                s += 1
-            elif rho is None:
-                w = (vec @ self._flat[i].T).reshape(count, l, p)
-                rho = w @ w.conj().transpose(0, 2, 1)
-            else:
-                rho = (self._flat[i] @ rho).reshape(count, l, -1) @ self._conj_pr[i]
-        if rho is None:
-            amp = vec @ self._region_a_map
-        else:
-            amp = _project_batch(self.state, outcomes)
+        cand, q, cum, total = self._last
+        z = np.minimum(cum.searchsorted(uniforms[:, 0] * total, side="right"), len(q) - 1)
+        mass_prev = q[z]
+        prob = mass_prev / total
+        vec = cand[z]
+        outcomes[:, -1] = z
+        for s in range(1, n_b):
+            i = len(self.state.tensors) - 1 - s
+            p = self.state.tensors[i].shape[1]
+            # the left-canonical operands give the candidates draw-major, and
+            # each marginal is their squared norm
+            cand = (vec @ self._canon[i]).reshape(count * p, -1)
+            q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
+            z, total = _draw_outcomes(q, uniforms[:, s], mass_prev, i)
+            mass_prev = q[draws, z]
+            prob = prob * (mass_prev / total)
+            vec = cand[draws * p + z]
+            outcomes[:, -1 - s] = z
+        amp = vec @ self._region_a_map
         amp /= np.sqrt(np.vecdot(amp, amp).real)[:, None]
         return MeasurementBatch(outcomes, prob, amp)
 
     def _sample_left_to_right(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
-        """The right-canonical sweep: a kept string z_A drawn from F's row
-        masses opens one left-to-right pass over region B, where each marginal
-        is the squared norm of the candidates v T; z_A is then dropped, and
-        one right-to-left pass over the drawn outcomes forms each draw's
-        v_R = T^(z_1) ... T^(z_N_B) 1 and its amplitude F v_R."""
-        tensors = self.state.tensors[self._first_b :]
-        # row c holds draw c's uniforms: column 0 draws z_A, column s + 1
-        # serves the s-th B site from the left
-        uniforms = rng.random((count, self._n_b + 1))
-        outcomes = np.empty((count, self._n_b), dtype=np.intp)
+        """The right-canonical sweep: a string of the leading run drawn from
+        F's row masses opens one left-to-right pass over the sites after it,
+        where each marginal is the squared norm of the candidates v T; the
+        B outcomes are kept, and ``_project_batch`` forms their amplitudes."""
+        sites = self._sites
+        # row c holds draw c's uniforms: column 0 draws the leading run's
+        # string, column s + 1 serves the s-th site after it
+        uniforms = rng.random((count, len(sites) + 1))
+        picks = np.empty((count, len(sites)), dtype=np.intp)
         draws = np.arange(count)
         cum = self._kept_cum
         z = np.minimum(cum.searchsorted(uniforms[:, 0] * cum[-1], side="right"), len(cum) - 1)
         vec = self._kept[z]  # (draw, bond): the joint mass so far is its squared norm
         mass_prev = np.vecdot(vec.view(float), vec.view(float))
-        for s, t in enumerate(tensors):
+        for s, t in enumerate(sites):
             l, p, r = t.shape
             cand = (vec @ t.reshape(l, p * r)).reshape(count * p, r)
             q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
             z, _ = _draw_outcomes(q, uniforms[:, s + 1], mass_prev, self._first_b + s)
             mass_prev = q[draws, z]
             vec = cand[draws * p + z]
-            outcomes[:, s] = z
-        # the rightmost site has a right bond of 1, so its v_R is a gathered
-        # column; each site left of it maps the draws of one outcome at a
-        # time through its strided (l, r) slice
-        vec = tensors[-1][:, outcomes[:, -1], 0].T
-        for s in range(self._n_b - 2, -1, -1):
-            t, z = tensors[s], outcomes[:, s]
-            nxt = np.empty((count, t.shape[0]), dtype=complex)
-            for p in range(t.shape[1]):
-                rows = np.flatnonzero(z == p)
-                if rows.size:
-                    nxt[rows] = vec[rows] @ t[:, p, :].T
-            vec = nxt
-        amp = vec @ self._kept.T
+            picks[:, s] = z
+        measured = [s for s, role in enumerate(self.state.roles[self._first_b :]) if role == "B"]
+        outcomes = picks[:, measured]
+        amp = _project_batch(self.state, outcomes)
         prob = np.vecdot(amp, amp).real
         amp /= np.sqrt(prob)[:, None]
         return MeasurementBatch(outcomes, prob, amp)
 
 
 def _draw_outcomes(
-    q: np.ndarray, u: np.ndarray, mass_prev: np.ndarray | None, site: int
+    q: np.ndarray, u: np.ndarray, mass_prev: np.ndarray, site: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(outcome, total mass) per row of a (draw, outcome) marginal q, from a
-    uniform per row; the total must be positive and, where the mass drawn
-    before it is known, agree with it to 1e-6 relative."""
+    uniform per row; the total must be positive and agree with the mass
+    drawn before it to 1e-6 relative."""
     # the row-wise cumsum's last entry is the sequential sum
     cum = q.cumsum(axis=1)
     total = cum[:, -1]
     if (total <= 0.0).any():
         raise PreconditionError("vanishing marginal mass during Born sweep")
-    if mass_prev is not None:
-        bad = np.abs(total - mass_prev) > 1e-6 * np.maximum(mass_prev, 1e-300)
-        if bad.any():
-            c = int(np.argmax(bad))
-            raise RuntimeError(
-                f"Born sweep inconsistency at site {site}: {total[c]} vs {mass_prev[c]}"
-            )
+    bad = np.abs(total - mass_prev) > 1e-6 * np.maximum(mass_prev, 1e-300)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise RuntimeError(
+            f"Born sweep inconsistency at site {site}: {total[c]} vs {mass_prev[c]}"
+        )
     # per row: the searchsorted(cumsum(q), u total, "right") index capped at
     # p - 1, which is the count of the first p - 1 cumulative masses at or
     # below u total

@@ -269,7 +269,13 @@ def conjugacy_classes(m: int):
     # the number of points on L-cycles, for each L, is the cycle type; read
     # those counts as base-(m+1) digits
     keys = ((m + 1) ** (_cycle_lengths(m).astype(np.int64) - 1)).sum(axis=1)
-    _, first, key_id = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique by hand, which may import numpy.ma: first is each key's first
+    # element, key_id each element's key in sorted order
+    order = np.argsort(keys, kind="stable")
+    change = np.diff(keys[order], prepend=-1) != 0  # every key is >= 1
+    first = order[np.flatnonzero(change)]
+    key_id = np.empty_like(order)
+    key_id[order] = np.cumsum(change) - 1
     found = [cycle_type(tuple(p)) for p in perm_array(m)[first].tolist()]
     types = sorted(found)
     class_of = np.array([types.index(t) for t in found], dtype=np.int8)[key_id]

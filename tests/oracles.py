@@ -11,9 +11,10 @@ Enumeration follows ``permutations.MAX_ENUM_M``; dense tables stop at
 m = ``MAX_DENSE_M``.
 
 The helpers at the end (a chain's runs written out, one Born draw with its
-record, one outcome's Born probability, a state's norm, a vector overlap, the
-leading order of a frame potential) are thin wrappers over the library that
-only the tests use.
+record, a state's norm, a vector overlap, the leading order of a frame
+potential) are thin wrappers over the library that only the tests use; one
+outcome's projected amplitude and Born probability are contracted by einsum,
+independently of the library's projection.
 """
 
 import itertools
@@ -215,9 +216,23 @@ def born_sample(state: mps.MpsState, rng) -> MeasurementRecord:
     return sample(mps.BornSampler(state), rng)
 
 
+def projected_amplitude(state: mps.MpsState, outcomes) -> np.ndarray:
+    """The unnormalized region-A amplitude of one outcome string: the chain
+    contracted left to right by einsum with each B leg fixed to its outcome
+    and each kept leg left open, the later kept legs the faster."""
+    acc = np.ones((1, 1), dtype=complex)  # (open kept index, bond)
+    fixed = iter(outcomes)
+    for t, role in zip(state.tensors, state.roles):
+        if role == "B":
+            acc = np.einsum("ab,bc->ac", acc, t[:, next(fixed), :])
+        else:
+            acc = np.einsum("ab,bpc->apc", acc, t).reshape(-1, t.shape[2])
+    return acc[:, 0]
+
+
 def born_probability(state: mps.MpsState, outcomes) -> float:
     """Exact Born probability of a given outcome string (normalized states)."""
-    amp = mps._project_batch(state, np.array([outcomes]))[0]
+    amp = projected_amplitude(state, outcomes)
     return float(np.vdot(amp, amp).real)
 
 

@@ -67,10 +67,10 @@ SCHEMA_CASES = {
                         "--k", "2", "--n", "1"]),
     "oracle": (7, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
-    "sample": (12, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+    "sample": (13, 5, ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                        "--chi", "2", "--k", "2", "--pairs", "4", "--realizations", "4",
                        "--seed", "5", "--threads", "1"]),
-    "histogram": (11, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
+    "histogram": (12, 2, ["histogram", "--setup", "staircase", "--na", "2", "--nb", "2",
                          "--d", "2", "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
                          "--realizations", "4", "--seed", "2", "--threads", "1"]),
 }
@@ -107,11 +107,11 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# schema=12 seed=11 config=")
+    assert lines[0].startswith("# schema=13 seed=11 config=")
     assert lines[1] == "k,mean,stderr,ratio,n_samples"
     assert len(lines) == 2 + 2
     doc = json.loads((tmp_path / "m.csv.json").read_text())
-    assert doc["schema"] == 12
+    assert doc["schema"] == 13
     assert doc["config"]["seed"] == 11
     assert doc["config"]["kind"]["kind"] == "haar"
     assert lines[0].endswith(f"config={doc['config_hash']}")
@@ -278,6 +278,33 @@ def test_config_file_precedence(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--config", str(cfg), "predict", "--x", "0")
     assert code == 0
     assert float(out.strip().split("\n")[-1].split("ratio=")[1]) == pytest.approx(1.0)
+
+
+def test_config_file_switches_take_true_or_false(tmp_path, capsys):
+    # a key naming an on/off flag takes true or false: true is the bare flag,
+    # false leaves it off
+    cfg = tmp_path / "run.cfg"
+    predict = ["predict", "--setup", "staircase", "--x", "0", "--u", "1"]
+    for value, flags in (("true", ["--pdf"]), ("False", [])):
+        cfg.write_text(f"pdf={value}\n")
+        assert run_cli(capsys, "--config", str(cfg), *predict) == run_cli(capsys, *predict, *flags)
+    sample = ["sample", "--setup", "staircase", "--na", "2", "--nb", "2", "--chi", "2",
+              "--k", "1", "--pairs", "4", "--realizations", "2", "--seed", "3", "--threads", "1"]
+    cfg.write_text("forced=true\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(capsys, "--config", str(cfg), *sample, "--out", str(a))[0] == 0
+    assert run_cli(capsys, *sample, "--forced", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["yes", "1", ""])
+def test_config_file_switch_with_another_value_is_an_error(value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"setup=staircase\nx=0\npdf={value}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "predict")
+    assert code == 1 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'pdf'" in lines[0]
 
 
 def test_failed_run_leaves_no_partial_files(tmp_path, capsys):

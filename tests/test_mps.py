@@ -458,10 +458,10 @@ def test_oracle_refuses_fractional_order_before_building(monkeypatch):
 
 @pytest.mark.parametrize("chi", [256, 32])
 def test_project_batch_keeps_its_memory_bound(chi):
-    # one forced-mode chunk of the criterion-3 circuit: at chi = 256 one row's
-    # gathered 256 x 256 B tensor alone is CHUNK_ENTRIES entries, so rows go one
-    # by one; at chi = 32 the 64 rows go in two groups.  Either way the peak
-    # stays near one CHUNK_ENTRIES block and the rows are the one-draw ones
+    # one forced-mode chunk of the criterion-3 circuit: the projection holds a
+    # (draw, bond) stack, 64 x 256 entries at chi = 256, and one group of it
+    # per outcome.  The peak stays near one CHUNK_ENTRIES block, and since
+    # every product is a gemm the rows are the one-draw ones bit for bit
     state = mps.build_staircase(mps.Circuit("staircase", 6, 2, chi, 14), mps.stream(5))
     dims = [t.shape[1] for t, role in zip(state.tensors, state.roles) if role == "B"]
     outcomes = mps.stream(6).integers(0, dims, size=(64, len(dims)))
@@ -549,8 +549,8 @@ CANONICAL = 10**6
 def gauge_transformed(state: mps.MpsState) -> mps.MpsState:
     """The same state with X X^-1 inserted on the bond left of its first B
     site, X = diag(0.5 .. 2): the amplitudes are unchanged, but the first B
-    tensor is no longer right-canonical, so a sampler told of fewer draws than
-    the canonical threshold takes the environment form."""
+    tensor is no longer right-canonical, so the right-canonical form has to
+    gauge the sites instead of taking them as built."""
     i = state.roles.index("B")
     x = np.linspace(0.5, 2.0, state.tensors[i].shape[0])
     tensors = list(state.tensors)
@@ -559,22 +559,22 @@ def gauge_transformed(state: mps.MpsState) -> mps.MpsState:
     return mps.MpsState(tensors, state.roles)
 
 
-# (circuit, seed, draws, form) of the states the batched-sweep tests draw
-# from: a vector-mode (staircase) and a density-mode (glued) sweep, and a chi =
-# 16 staircase sampled past one MAX_SAMPLER_DRAWS chunk.  The form is the
-# sampler's set-up: the staircases take the environment form through a
-# gauge-transformed copy of the state, the left-canonical form when told of
-# CANONICAL draws, and the right-canonical form as built
+# (circuit, seed, draws, form, gauge-transformed) of the states the
+# batched-sweep tests draw from: staircases, a glued chain, and a chi = 16
+# staircase sampled past one MAX_SAMPLER_DRAWS chunk.  The form is the
+# sampler's set-up: the staircases take the left-canonical form when told of
+# CANONICAL draws and the right-canonical form otherwise, as built or, for a
+# gauge-transformed copy of the state, gauged; the glued chain is gauged
 STAIRCASE_4 = mps.Circuit("staircase", 3, 2, 4, 4)
 STAIRCASE_16 = mps.Circuit("staircase", 2, 2, 16, 4)
 BATCH_CASES = {
-    "staircase": (STAIRCASE_4, 17, 40, "environment"),
-    "glued": (mps.Circuit("glued", 3, 2, 2), 18, 40, "environment"),
-    "staircase-chi16": (STAIRCASE_16, 19, 300, "environment"),
-    "staircase-canonical": (STAIRCASE_4, 17, 40, "left-canonical"),
-    "staircase-chi16-canonical": (STAIRCASE_16, 19, 300, "left-canonical"),
-    "staircase-right-canonical": (STAIRCASE_4, 17, 40, "right-canonical"),
-    "staircase-chi16-right-canonical": (STAIRCASE_16, 19, 300, "right-canonical"),
+    "staircase": (STAIRCASE_4, 17, 40, "right-canonical", True),
+    "glued": (mps.Circuit("glued", 3, 2, 2), 18, 40, "right-canonical", False),
+    "staircase-chi16": (STAIRCASE_16, 19, 300, "right-canonical", True),
+    "staircase-canonical": (STAIRCASE_4, 17, 40, "left-canonical", False),
+    "staircase-chi16-canonical": (STAIRCASE_16, 19, 300, "left-canonical", False),
+    "staircase-right-canonical": (STAIRCASE_4, 17, 40, "right-canonical", False),
+    "staircase-chi16-right-canonical": (STAIRCASE_16, 19, 300, "right-canonical", False),
 }
 CASE_IDS = list(BATCH_CASES)
 
@@ -586,10 +586,10 @@ def exact_draws(circuit, seed):
     return dict(zip(np.ndindex(circuit.outcome_dims), zip(p, amps / np.sqrt(p)[:, None])))
 
 
-def batch_case(circuit, seed, form):
+def batch_case(circuit, seed, form, transformed):
     """Sampler for the case plus the oracle's normalized posts and Born weights by outcome."""
     state = mps.build(circuit, mps.stream(seed))
-    if circuit.setup == "staircase" and form == "environment":
+    if transformed:
         state = gauge_transformed(state)
     sampler = mps.BornSampler(state, CANONICAL if form == "left-canonical" else 0)
     assert sampler.form == form
@@ -600,8 +600,8 @@ def batch_case(circuit, seed, form):
 def test_sample_batch_matches_successive_draws(case):
     # one batched sweep consumes the stream as n single draws do and returns
     # the same draws, each equal to the oracle's outcome weight and post-state
-    circuit, seed, n, form = case
-    sampler, exact = batch_case(circuit, seed, form)
+    circuit, seed, n, form, transformed = case
+    sampler, exact = batch_case(circuit, seed, form, transformed)
     rng_batch, rng_single = mps.stream(5, 2), mps.stream(5, 2)
     batch = sampler.sample_batch(rng_batch, n)
     assert batch.outcomes.shape == (n, sampler.state.roles.count("B"))
@@ -622,8 +622,8 @@ def test_sample_batch_matches_successive_draws(case):
 def test_sample_batch_split_matches_whole(case):
     # batches of 13, then one whole chunk, then the rest draw what one batch
     # of all n does; at n = 300 the split crosses the 256-draw chunk boundary
-    circuit, seed, n, form = case
-    sampler, _ = batch_case(circuit, seed, form)
+    circuit, seed, n, form, transformed = case
+    sampler, _ = batch_case(circuit, seed, form, transformed)
     chunk = mps.chunk_draws(sampler.state)
     bounds = sorted({0, 13, min(n, 13 + chunk), n})
     rng_split, rng_whole = mps.stream(6, 3), mps.stream(6, 3)
@@ -648,29 +648,26 @@ GUARD_CASES = ["staircase", "glued", "staircase-canonical", "staircase-right-can
     ],
 )
 def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match):
-    # the right-to-left forms check the second B site of the sweep first
+    # the left-canonical form checks the second B site from the right first
     # against the mass drawn at its right neighbour: scaling the operand it
-    # reads (vector mode: the traced left density, or the left-canonical
-    # tensor; density mode: the traced kernel) breaks that agreement, zeroing
-    # it leaves no mass.  The right-canonical form checks every B site
-    # against the mass drawn left of it, so scaling the same site's tensor
-    # trips it too
-    circuit, seed, _, form = case
-    sampler, _ = batch_case(circuit, seed, form)
+    # reads breaks that agreement, zeroing it leaves no mass.  The
+    # right-canonical form checks every site against the mass drawn left of
+    # it, so scaling the same site's tensor, as built or gauged, trips it too
+    circuit, seed, _, form, transformed = case
+    sampler, _ = batch_case(circuit, seed, form, transformed)
     site = [i for i, role in enumerate(sampler.state.roles) if role == "B"][-2]
     if form == "right-canonical":
-        env = sampler.state.tensors
-    elif form == "left-canonical":
-        env = sampler._canon
+        site -= sampler._first_b
+        operands = sampler._sites
     else:
-        env = sampler._left if circuit.setup == "staircase" else sampler._kernel
-    env[site] = env[site] * scale
+        operands = sampler._canon
+    operands[site] = operands[site] * scale
     with pytest.raises(error, match=match):
         sampler.sample_batch(mps.stream(0), 8)
 
 
-# vector-mode shapes where the forms must agree: D_A below and above chi, d =
-# 3, and a single measured site
+# staircase shapes where the forms must agree: D_A below and above chi, d = 3,
+# and a single measured site
 FORM_CIRCUITS = [
     mps.Circuit("staircase", 2, 2, 8, 3),
     mps.Circuit("staircase", 4, 2, 4, 3),
@@ -681,30 +678,71 @@ FORM_IDS = ["d_a-below-chi", "d_a-above-chi", "d3", "n_b1"]
 
 
 @pytest.mark.parametrize("circuit", FORM_CIRCUITS, ids=FORM_IDS)
-def test_canonical_and_environment_forms_draw_alike(circuit):
-    # the two right-to-left vector-mode set-ups describe one distribution:
-    # from one stream they draw the same outcomes, and their weights and
-    # post-states agree to rounding.  The environment form samples a
-    # gauge-transformed copy of the state, which has the same amplitudes
+def test_gauged_and_built_forms_draw_alike(circuit):
+    # a gauge-transformed copy of a staircase has the same amplitudes, and the
+    # right-canonical form gauges it back: from one stream it draws the
+    # outcomes the as-built state draws, and their weights and post-states
+    # agree to rounding
     state = mps.build(circuit, mps.stream(21))
-    env, canon = mps.BornSampler(gauge_transformed(state)), mps.BornSampler(state, CANONICAL)
-    assert (env.form, canon.form) == ("environment", "left-canonical")
-    rng_env, rng_canon = mps.stream(8, 1), mps.stream(8, 1)
-    a, b = env.sample_batch(rng_env, 200), canon.sample_batch(rng_canon, 200)
+    gauged, built = mps.BornSampler(gauge_transformed(state)), mps.BornSampler(state)
+    assert gauged.form == built.form == "right-canonical"
+    assert all(a is b for a, b in zip(built._sites, state.tensors[built._first_b :]))
+    rng_gauged, rng_built = mps.stream(8, 1), mps.stream(8, 1)
+    a, b = gauged.sample_batch(rng_gauged, 200), built.sample_batch(rng_built, 200)
     assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.abs(a.probabilities - b.probabilities).max() <= 1e-12 * a.probabilities.max()
+    assert np.abs(a.probabilities - b.probabilities).max() < 1e-12
     assert np.abs(a.post_states - b.post_states).max() < 1e-12
-    assert rng_env.random() == rng_canon.random()
+    assert rng_gauged.random() == rng_built.random()
 
 
-@pytest.mark.parametrize("circuit", FORM_CIRCUITS, ids=FORM_IDS)
-def test_right_canonical_form_matches_enumeration(circuit):
+def kept_at_both_ends(seed: int) -> mps.MpsState:
+    """A normalized state with random tensors in the A B A B A layout: kept
+    sites before, between and after the measured ones."""
+    rng = np.random.default_rng(seed)
+    roles = ("A", "B", "A", "B", "A")
+    bonds = [1, 3, 3, 3, 3, 1]
+    tensors = [
+        rng.standard_normal((bonds[i], 2, bonds[i + 1]))
+        + 1j * rng.standard_normal((bonds[i], 2, bonds[i + 1]))
+        for i in range(len(roles))
+    ]
+    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors, roles)))
+    return mps.MpsState(tensors, roles)
+
+
+def enumerated_draws(state: mps.MpsState):
+    """The einsum oracle's Born weight and normalized post-state by outcome string."""
+    dims = [t.shape[1] for t, role in zip(state.tensors, state.roles) if role == "B"]
+    out = {}
+    for z in np.ndindex(*dims):
+        amp = oracles.projected_amplitude(state, z)
+        p = float(np.vdot(amp, amp).real)
+        out[z] = (p, amp / np.sqrt(p))
+    return out
+
+
+# the enumeration cases: the staircase shapes, two glued chains and the A B A
+# B A layout, each with its state and exact draws by outcome
+ENUM_CASES = [(c, 21) for c in FORM_CIRCUITS] + [
+    (mps.Circuit("glued", 2, 2, 2), 21),
+    (mps.Circuit("glued", 3, 2, 2), 21),
+    (None, 3),
+]
+ENUM_IDS = FORM_IDS + ["glued-2", "glued-3", "kept-at-both-ends"]
+
+
+@pytest.mark.parametrize("circuit,seed", ENUM_CASES, ids=ENUM_IDS)
+def test_right_canonical_form_matches_enumeration(circuit, seed):
     # each draw's weight and post-state are the oracle's for its outcome, and
     # the outcomes follow the exact Born distribution (20,000 draws)
-    state = mps.build(circuit, mps.stream(21))
+    if circuit is None:
+        state = kept_at_both_ends(seed)
+        exact = enumerated_draws(state)
+    else:
+        state = mps.build(circuit, mps.stream(seed))
+        exact = exact_draws(circuit, seed)
     sampler = mps.BornSampler(state)
     assert sampler.form == "right-canonical"
-    exact = exact_draws(circuit, 21)
     rng, chunk, n = mps.stream(8, 1), mps.chunk_draws(state), 20_000
     counts = dict.fromkeys(exact, 0)
     for lo in range(0, n, chunk):
@@ -730,25 +768,30 @@ def hand_built_staircase(seed: int) -> mps.MpsState:
 
 
 def test_right_canonical_form_choice():
-    # a staircase the builder made with Haar gates certifies its gauge; a
-    # normalized Gaussian, a gauge-transformed and a hand-built state do not,
-    # and take the environment form, as density mode (glued) always does
+    # a staircase the builder made with Haar gates certifies its gauge and is
+    # sampled as built; a gauge-transformed, a normalized Gaussian, a
+    # hand-built and a glued state do not, and are gauged
+    def as_built(sampler):
+        sites = sampler.state.tensors[sampler._first_b :]
+        assert sampler.form == "right-canonical"
+        return all(a is b for a, b in zip(sampler._sites, sites))
+
     for circuit in FORM_CIRCUITS:
         state = mps.build(circuit, mps.stream(4))
-        assert mps.BornSampler(state).form == "right-canonical"
-        assert mps.BornSampler(gauge_transformed(state)).form == "environment"
+        assert as_built(mps.BornSampler(state))
+        assert not as_built(mps.BornSampler(gauge_transformed(state)))
     gauss = mps.build(mps.Circuit("staircase", 2, 2, 4, 3, gaussian()), mps.stream(4))
     gauss.tensors[0] = gauss.tensors[0] / np.sqrt(oracles.norm_squared(gauss))
     assert abs(oracles.norm_squared(gauss) - 1.0) < 1e-12
-    assert mps.BornSampler(gauss).form == "environment"
-    assert mps.BornSampler(hand_built_staircase(5)).form == "environment"
+    assert not as_built(mps.BornSampler(gauss))
+    assert not as_built(mps.BornSampler(hand_built_staircase(5)))
     glued = mps.build(mps.Circuit("glued", 2, 2, 2), mps.stream(4))
-    assert mps.BornSampler(glued).form == "environment"
+    assert not as_built(mps.BornSampler(glued))
 
 
 def test_right_canonical_certificate_is_as_strict_as_the_norm_check():
     # one B tensor scaled by 1 + 1e-7 moves <psi|psi> by 2e-7, past NORM_TOL:
-    # the certificate fails, and the environment form refuses the state
+    # the certificate fails, and the gauged state's norm check refuses it
     state = mps.build(mps.Circuit("staircase", 2, 2, 4, 3), mps.stream(4))
     state.tensors[3] = state.tensors[3] * (1 + 1e-7)
     with pytest.raises(PreconditionError, match="normalized"):
@@ -780,15 +823,16 @@ def test_canonical_form_rule():
     for draws, canonical in ((20, False), (500, False), (1023, False), (1024, True)):
         form = mps.BornSampler(states_shape, draws).form
         assert form == ("left-canonical" if canonical else "right-canonical")
-    # a kept site right of a measured one (density mode) never takes either
+    # a kept site right of a measured one (glued) takes the right-canonical form
     glued = mps.build(mps.Circuit("glued", 2, 2, 2), mps.stream(1))
-    assert mps.BornSampler(glued, CANONICAL).form == "environment"
+    assert mps.BornSampler(glued, CANONICAL).form == "right-canonical"
 
 
-def test_singular_cut_keeps_the_environment_form():
+def test_singular_cut_takes_the_right_canonical_form():
     # a hand-built state whose second cut direction carries nothing has a
     # singular Gram at the cut, so no Cholesky factor: the sampler falls back
-    # to the environment form and still draws exact Born weights
+    # to the right-canonical form, whose Householder gauge needs no full
+    # rank, and still draws exact Born weights
     rng = np.random.default_rng(5)
     shapes = [(1, 2, 2), (2, 2, 2), (2, 3, 1)]
     tensors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
@@ -796,7 +840,7 @@ def test_singular_cut_keeps_the_environment_form():
     tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors, ("A", "B", "B"))))
     state = mps.MpsState(tensors, ("A", "B", "B"))
     sampler = mps.BornSampler(state, CANONICAL)
-    assert sampler._canon is None
+    assert sampler.form == "right-canonical"
     batch = sampler.sample_batch(mps.stream(2), 30)
     for outcome, p in zip(batch.outcomes, batch.probabilities):
         assert p == pytest.approx(oracles.born_probability(state, outcome), abs=1e-12)
@@ -818,28 +862,19 @@ def test_chunk_draws_bounds():
 
 
 def test_sample_batch_kept_sites_at_both_ends():
-    # a state whose rightmost site is kept starts the sweep in density mode;
-    # each draw's weight and post-state must match its exact projection
-    rng = np.random.default_rng(3)
-    roles = ("A", "B", "A", "B", "A")
-    bonds = [1, 3, 3, 3, 3, 1]
-    tensors = [
-        rng.standard_normal((bonds[i], 2, bonds[i + 1]))
-        + 1j * rng.standard_normal((bonds[i], 2, bonds[i + 1]))
-        for i in range(len(roles))
-    ]
-    tensors[0] /= np.sqrt(oracles.norm_squared(mps.MpsState(tensors, roles)))
-    state = mps.MpsState(tensors, roles)
+    # kept sites before, between and after the measured ones: each draw's
+    # weight and post-state must match the einsum oracle's projection
+    state = kept_at_both_ends(3)
     batch = mps.BornSampler(state).sample_batch(mps.stream(4), 30)
-    amps = mps._project_batch(state, batch.outcomes)
-    for outcome, p, post, amp in zip(*batch, amps):
+    for outcome, p, post in zip(*batch):
+        amp = oracles.projected_amplitude(state, outcome)
         assert p == pytest.approx(oracles.born_probability(state, outcome), abs=1e-12)
         assert np.abs(post - amp / np.linalg.norm(amp)).max() < 1e-12
 
 
 def test_born_rejects_unnormalized():
-    # both vector-mode set-ups check <psi|psi>: the environment form at its
-    # last environment, the left-canonical form at its last Gram
+    # both set-ups check <psi|psi>: the right-canonical form as ||F||^2 after
+    # gauging, the left-canonical form at its last Gram
     state = mps.build_staircase(mps.Circuit("staircase", 2, 2, 2, 2, gaussian()),
                                 mps.stream(3))
     with pytest.raises(PreconditionError):

@@ -215,6 +215,38 @@ def test_ranking_tables_stay_small():
     assert largest < _WORD_FLOATS_BYTES
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_conjugacy_classes_are_the_cycle_types(m):
+    # each element's class is its cycle type's rank among the sorted types,
+    # the first element of each class comes first, and sizes count them
+    class_of, sizes, types = pg.conjugacy_classes(m)
+    found = [pg.cycle_type(tuple(p)) for p in pg.perm_array(m).tolist()]
+    assert types == tuple(sorted(set(found)))
+    assert class_of.tolist() == [types.index(t) for t in found]
+    assert sizes.tolist() == [found.count(t) for t in types]
+
+
+_CONTRACT_IMPORTS_SCRIPT = """
+import sys
+from rmpslab import cli
+code = cli.main(["contract", "--setup", "staircase", "--na", "1", "--nb", "2", "--d", "2",
+                 "--chi", "4", "--k", "4", "--n", "0"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_contract_does_not_import_numpy_ma():
+    # numpy.ma adds about 2 MB to a process; a contract run (class tables and
+    # chains at m = 8) never needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_IMPORTS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_class_convolution_matrix_matches_dense():
     rng = np.random.default_rng(1)
     m = 4
