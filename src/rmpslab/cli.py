@@ -22,8 +22,8 @@ file (--config).
 Integer flags below their floor (``FLOORS``), circuit flags the run would
 ignore (``_check_applicable``) and an ``--out`` in a directory that does not
 exist (``_check_out``) are errors, reported before any work starts.
-Bad input, failed writes and a run out of memory exit 1 with an ``error:``
-line.
+Bad input (usage errors too), failed writes and a run out of memory exit 1
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .weingarten import HAAR, gaussian
 
 # version of each subcommand's CSV and JSON mirror format: bump a subcommand's
 # number whenever its data bytes change, and say why in CHANGES.md
-SCHEMA = {"predict": 1, "contract": 4, "oracle": 7, "sample": 13, "histogram": 12}
+SCHEMA = {"predict": 1, "contract": 5, "oracle": 7, "sample": 13, "histogram": 12}
 
 # smallest accepted value of each integer flag, whichever subcommand has it
 FLOORS = {
@@ -324,8 +324,15 @@ def _add_common(p: argparse.ArgumentParser, glued_ok: bool = True) -> None:
                    help="gaussian entry variance (glued glue gates)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError; subcommand parsers take this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rmpslab",
         description="Projected ensembles of random MPS: predictions, exact "
         "replica contractions, and Born-rule sampling.",

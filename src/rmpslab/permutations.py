@@ -254,8 +254,8 @@ def factorized_mask(m: int) -> np.ndarray:
 # Every bond matrix in the replica chain has entries depending only on the
 # conjugacy class of sigma_i . sigma_j^{-1} (Gram matrices only through the
 # cycle count, Weingarten matrices through the full cycle type).  Such a
-# kernel is stored as one value per class and applied on the orbit space of
-# the chain (``reduced_kernel``).
+# kernel is stored as one value per class (built from the character table,
+# ``irrep_table``) and applied on the orbit space (``reduced_kernel``).
 # ---------------------------------------------------------------------------
 
 
@@ -289,84 +289,42 @@ def conjugacy_classes(m: int):
 def class_distance(m: int) -> np.ndarray:
     """Transposition distance to the identity for each conjugacy class."""
     class_of, sizes, types = conjugacy_classes(m)
-    return np.array([m - len(t) for t in types], dtype=np.int8)
-
-
-@lru_cache(maxsize=None)
-def class_representatives(m: int) -> tuple[int, ...]:
-    """Index of the first group element in each conjugacy class."""
-    class_of, _, types = conjugacy_classes(m)
-    reps = []
-    for c in range(len(types)):
-        reps.append(int(np.argmax(class_of == c)))
-    return tuple(reps)
-
-
-# rows per product in ``_class_counts``: wide enough for BLAS-3, while the
-# (m!, 2 rows) float32 codes stay at 2.6 MB at m = 8
-_COUNT_CHUNK = 8
-
-
-def _class_counts(m: int, rows, label: np.ndarray, n_labels: int) -> np.ndarray:
-    """counts[c, a, b] = #{t : label[t] = b, class(sigma_(rows[a]) . sigma_t^{-1}) = c}.
-
-    s . t^{-1} is the inverse of t . s^{-1}, so both lie in one class, and
-    (t . s^{-1})[x] = t[s^{-1}[x]] has the codes sum_i w[s[i]] t[i]: the
-    codes of every t against a chunk of rows are one (m!, m) @ (m, 2 rows)
-    product.  Classes are formed one m!-vector per row, so no (rows x m!)
-    table is ever held.  Counts are at most m! <= 8!, which fits uint16.
-    """
-    class_of, _, types = conjugacy_classes(m)
-    n_cls = len(types)
-    words = perm_array(m)
-    weights = _half_tables(m)[0]
-    floats = words.astype(np.float32)
-    # the class times n_labels, so one gather and one add give the bincount key
-    class_key = class_of.astype(np.intp) * n_labels
-    rows = np.asarray(rows, dtype=np.intp)
-    out = np.empty((n_cls, rows.size, n_labels), dtype=np.uint16)
-    for lo in range(0, rows.size, _COUNT_CHUNK):
-        chunk = rows[lo : lo + _COUNT_CHUNK]
-        codes = floats @ weights[words[chunk]].transpose(1, 0, 2).reshape(m, -1)
-        for j in range(chunk.size):
-            key = class_key[_rank_codes(m, codes[:, 2 * j : 2 * j + 2])]
-            key += label
-            out[:, lo + j, :] = np.bincount(key, minlength=n_cls * n_labels).reshape(
-                n_cls, n_labels
-            )
+    out = np.array([m - len(t) for t in types], dtype=np.int8)
     out.flags.writeable = False
     return out
 
 
-def _contract_counts(counts: np.ndarray, kernel_by_class: np.ndarray) -> np.ndarray:
-    """sum_c f[c] counts[c], accumulated class by class (no float copy of counts)."""
-    kernel_by_class = np.asarray(kernel_by_class, dtype=np.float64)
-    if kernel_by_class.shape != counts.shape[:1]:
-        raise ShapeMismatchError(
-            f"class kernel has shape {kernel_by_class.shape}, expected ({counts.shape[0]},)"
-        )
-    out = np.zeros(counts.shape[1:])
-    for f_c, n_c in zip(kernel_by_class, counts):
-        out += f_c * n_c
-    return out
-
-
 @lru_cache(maxsize=None)
-def class_structure_constants(m: int) -> np.ndarray:
-    """N[e, c', c] = #{b in class c : class(rep_c' . b^{-1}) = e}, once per m."""
-    class_of, _, types = conjugacy_classes(m)
-    return _class_counts(m, class_representatives(m), class_of.astype(np.intp), len(types))
+def irrep_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(characters, contents), one row per irrep of S_m.
 
-
-def class_convolution_matrix(m: int, kernel_by_class: np.ndarray) -> np.ndarray:
-    """Matrix of convolution-by-f restricted to class functions.
-
-    C[c', c] = sum over b in class c of f(rep_{c'} . b^{-1}); acting on class
-    value vectors h it returns the values of the convolution f*h.  This is
-    the compressed (n_classes x n_classes) form of the full m! x m! class
-    kernel, exact because class functions form a commutative subalgebra.
+    Irreps are labelled by the partitions of m, which are the cycle types, so
+    the rows follow ``conjugacy_classes(m)``'s types.  characters[l, c] =
+    dim_l chi_l(class c) / m!, by the Murnaghan-Nakayama rule on beta numbers:
+    removing a rim hook of length r moves one bead of {l_i + len(l) - 1 - i}
+    from b to a free b - r >= 0, with sign (-1)^(beads in between).  contents[l] holds the
+    box contents (column - row) of diagram l.  A central kernel acting on
+    irrep l as e[l] has the class vector e @ characters.
     """
-    return _contract_counts(class_structure_constants(m), kernel_by_class)
+    types = conjugacy_classes(m)[2]
+
+    @lru_cache(maxsize=None)
+    def character(beads: frozenset, parts: tuple) -> int:
+        if not parts:
+            return 1
+        r = parts[0]
+        return sum((-1) ** sum(b - r < c < b for c in beads)
+                   * character(beads - {b} | {b - r}, parts[1:])
+                   for b in beads if b >= r and b - r not in beads)
+
+    beads = [frozenset(row + len(lam) - 1 - i for i, row in enumerate(lam)) for lam in types]
+    chars = np.array([[character(b, mu) for mu in types] for b in beads], dtype=np.float64)
+    chars *= chars[:, :1] / math.factorial(m)  # class 0, the identity, gives dim_l
+    contents = np.array([[j - i for i, row in enumerate(lam) for j in range(row)]
+                         for lam in types], dtype=np.float64)
+    chars.flags.writeable = False
+    contents.flags.writeable = False
+    return chars, contents
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +403,40 @@ def chain_orbits(shape: ReplicaShape) -> ChainOrbits:
     return out
 
 
+# rows per product in ``orbit_class_counts``: wide enough for BLAS-3, while
+# the (m!, 2 rows) float32 codes stay at 2.6 MB at m = 8
+_COUNT_CHUNK = 8
+
+
 @lru_cache(maxsize=None)
 def orbit_class_counts(shape: ReplicaShape) -> np.ndarray:
     """N[c, a, b] = #{tau in orbit b : class(rep_a . tau^{-1}) = c}.
 
-    Built once per shape: one m!-vector of classes per orbit representative.
+    Built once per shape, one m!-vector of classes per orbit representative,
+    so no (orbits x m!) table is ever held.  s . t^{-1} is the inverse of
+    t . s^{-1}, so both lie in one class, and (t . s^{-1})[x] = t[s^{-1}[x]]
+    has the codes sum_i w[s[i]] t[i]: the codes of every t against a chunk
+    of representatives are one (m!, m) @ (m, 2 rows) product.  Counts are at
+    most m! <= 8!, which fits uint16.
     """
-    orbits = chain_orbits(shape)
-    return _class_counts(shape.m, orbits.reps, orbits.label, orbits.reps.size)
+    m, orbits = shape.m, chain_orbits(shape)
+    class_of, _, types = conjugacy_classes(m)
+    n_cls, n_orb = len(types), orbits.reps.size
+    words = perm_array(m)
+    weights = _half_tables(m)[0]
+    floats = words.astype(np.float32)
+    # the class times n_orb, so one gather and one add give the bincount key
+    class_key = class_of.astype(np.intp) * n_orb
+    out = np.empty((n_cls, n_orb, n_orb), dtype=np.uint16)
+    for lo in range(0, n_orb, _COUNT_CHUNK):
+        chunk = orbits.reps[lo : lo + _COUNT_CHUNK]
+        codes = floats @ weights[words[chunk]].transpose(1, 0, 2).reshape(m, -1)
+        for j in range(chunk.size):
+            key = class_key[_rank_codes(m, codes[:, 2 * j : 2 * j + 2])]
+            key += orbits.label
+            out[:, lo + j, :] = np.bincount(key, minlength=n_cls * n_orb).reshape(n_cls, n_orb)
+    out.flags.writeable = False
+    return out
 
 
 def reduced_kernel(shape: ReplicaShape, kernel_by_class: np.ndarray) -> np.ndarray:
@@ -460,4 +444,13 @@ def reduced_kernel(shape: ReplicaShape, kernel_by_class: np.ndarray) -> np.ndarr
 
     For an invariant vector x, (K x)[i] = (K_red @ x[reps])[label[i]].
     """
-    return _contract_counts(orbit_class_counts(shape), kernel_by_class)
+    counts = orbit_class_counts(shape)
+    kernel_by_class = np.asarray(kernel_by_class, dtype=np.float64)
+    if kernel_by_class.shape != counts.shape[:1]:
+        raise ShapeMismatchError(
+            f"class kernel has shape {kernel_by_class.shape}, expected ({counts.shape[0]},)"
+        )
+    out = np.zeros(counts.shape[1:])
+    for f_c, n_c in zip(kernel_by_class, counts):  # no float copy of the counts
+        out += f_c * n_c
+    return out

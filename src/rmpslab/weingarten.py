@@ -7,33 +7,32 @@ a Haar gate from U(q).  The product T(chi, d) = W(d chi) G(chi) is the
 two-site bond ("interaction") kernel of the replica chain.
 
 Two ensembles are supported everywhere, and the one place they differ is the
-gate average (``gate_average_class_vector``): W(q) for exact Haar unitaries,
-varsigma^(2m) times the identity for the i.i.d. complex Gaussian surrogate.
-The Gaussian form is the large-q diagonal limit of W(q).  It is exact for
-Gaussian gates, not an approximation to the Haar kernel entry by entry: the
-dressed glue-site weights of the two kinds agree to 2/q only on factorized
-permutations, while some non-factorized Haar entries are about -q^-4 where
-the Gaussian ones are +q^-3 (subleading by 1/q either way).
+gate average (``gate_average_class_vector``, and the bond kernel built from
+it): W(q) for exact Haar unitaries, varsigma^(2m) times the identity for the
+i.i.d. complex Gaussian surrogate.  The Gaussian form is the large-q diagonal
+limit of W(q).  It is exact for Gaussian gates, not an approximation to the
+Haar kernel entry by entry: the dressed glue-site weights of the two kinds
+agree to 2/q only on factorized permutations, while some non-factorized Haar
+entries are about -q^-4 where the Gaussian ones are +q^-3 (subleading by 1/q
+either way).
 
 Every kernel is a class vector (one value per conjugacy class of the
 relative permutation), valid to m = 8; the replica engine applies them on
-the orbit space of the chain (``permutations.reduced_kernel``).  The class
-algebra they live in is computed once per m
-(``permutations.class_structure_constants``).  No m! x m! matrix is built;
-the tests hold the dense references.
+the orbit space of the chain (``permutations.reduced_kernel``).  The kernels
+are central, so each acts on an irrep of S_m as one scalar, G(q) as the
+product of q + c over the box contents c of its Young diagram and W(q) as
+its inverse or 0 (Collins, IMRN 2003); those scalars times the character
+table (``permutations.irrep_table``) give the class vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import permutations as pg
-
-_EIG_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,28 +103,18 @@ def gram_class_vector(m: int, q: float) -> np.ndarray:
     return float(q) ** (m - pg.class_distance(m).astype(np.float64))
 
 
-@lru_cache(maxsize=None)
-def weingarten_class_vector(m: int, q: float) -> np.ndarray:
-    """Weingarten kernel by conjugacy class, valid up to m = 8.
+def _weingarten_eigenvalues(m: int, q: float) -> np.ndarray:
+    """W(q) on each irrep: 1 / prod(q + c) over its box contents c, or 0 where
+    the product vanishes (the irreps with more than q rows at integer q < m)."""
+    prod = np.prod(q + pg.irrep_table(m)[1], axis=1)
+    return np.divide(1.0, prod, out=np.zeros_like(prod), where=prod != 0)
 
-    The m! x m! Gram matrix is convolution by a class function, so its
-    pseudoinverse lives in the same commutative class algebra.  We build the
-    compressed convolution operator on class functions, symmetrize it with
-    the class sizes, and pseudoinvert the small (n_classes^2) matrix.
-    """
-    _, sizes, _ = pg.conjugacy_classes(m)
-    scale = float(q) ** m
-    conv = pg.class_convolution_matrix(m, gram_class_vector(m, q) / scale)
-    root = np.sqrt(sizes.astype(np.float64))
-    sym = conv * (root[:, None] / root[None, :])
-    vals, vecs = np.linalg.eigh(sym)
-    cut = _EIG_REL_TOL * np.max(np.abs(vals))
-    inv_vals = np.where(np.abs(vals) > cut, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    pinv_sym = (vecs * inv_vals) @ vecs.T
-    # kernel = pinv applied to the delta at the identity, whose class vector
-    # is e_0 (identity class has size one and, by sorted cycle-type
-    # convention, id 0); undo the size symmetrization and the q^m scaling
-    return (pinv_sym * (root[None, :] / root[:, None]))[:, 0] / scale
+
+def weingarten_class_vector(m: int, q: float) -> np.ndarray:
+    """Weingarten kernel by conjugacy class, valid up to m = 8: the
+    Moore-Penrose pseudoinverse of G(q), which acts on each irrep as
+    prod(q + c), exact also at q < m where G(q) is singular."""
+    return _weingarten_eigenvalues(m, q) @ pg.irrep_table(m)[0]
 
 
 def gate_average_class_vector(
@@ -146,10 +135,13 @@ def gate_average_class_vector(
 
 def interaction_class_vector(m: int, chi: float, d: int, kind: EnsembleKind = HAAR) -> np.ndarray:
     """Class-vector form of the bond kernel T(chi, d): the gate average at
-    q = d chi convolved with G(chi).
+    q = d chi times G(chi), so prod(chi + c) W(d chi) on each irrep for haar
+    and varsigma^(2m) G(chi) for gaussian.
 
     As chi -> infinity both kinds tend to d^(-m) times the identity: a strong
     ferromagnetic coupling between neighboring replicas.
     """
-    conv = pg.class_convolution_matrix(m, gram_class_vector(m, chi))
-    return conv @ gate_average_class_vector(m, d * chi, kind)
+    if not kind.is_haar:
+        return kind.gate_variance(d * chi) ** m * gram_class_vector(m, chi)
+    chars, contents = pg.irrep_table(m)
+    return (np.prod(chi + contents, axis=1) * _weingarten_eigenvalues(m, d * chi)) @ chars

@@ -5,8 +5,11 @@ The library works on conjugacy classes and chain orbits and never builds an
 m! x m! table.  These are the independent references it is checked against:
 permutations as tuples in one-line notation (``p[i]`` is the image of ``i``,
 canonical index = lexicographic rank), the dense distance tables, and the
-dense Gram, Weingarten and bond matrices, the last from an eigh
-pseudo-inverse of the dense Gram matrix rather than from the class algebra.
+dense Gram, Weingarten and bond matrices, the Weingarten one from an eigh
+pseudo-inverse of the dense Gram matrix rather than from the library's
+character table.  To m = 8, beyond the dense tables, S_m characters come from
+the rim-hook rule on diagrams (independent of the library's beta numbers),
+and a central class vector is summed from them in exact rationals.
 Enumeration follows ``permutations.MAX_ENUM_M``; dense tables stop at
 m = ``MAX_DENSE_M``.
 
@@ -20,6 +23,7 @@ independently of the library's projection.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -176,6 +180,36 @@ def densify_class_kernel(m: int, kernel_by_class: np.ndarray) -> np.ndarray:
     """Materialize a class kernel as a dense m! x m! matrix (m <= 6)."""
     class_of, _, _ = pg.conjugacy_classes(m)
     return np.asarray(kernel_by_class, dtype=np.float64)[class_of[relative_index_matrix(m)]]
+
+
+@lru_cache(maxsize=None)
+def character(lam: tuple, mu: tuple) -> int:
+    """chi_lam(mu) by the Murnaghan-Nakayama rule on the diagram: for each box
+    whose hook has length mu[0], remove its rim hook (sign (-1)^leg) and recurse."""
+    if not mu:
+        return 1
+    total = 0
+    for i, row in enumerate(lam):
+        for j in range(row):
+            foot = sum(1 for r in lam if r > j) - 1  # the last row of column j
+            if (row - j) + (foot - i) == mu[0]:  # arm + leg + 1
+                rest = (*lam[:i], *(lam[t + 1] - 1 for t in range(i, foot)), j, *lam[foot + 1 :])
+                total += (-1) ** (foot - i) * character(tuple(r for r in rest if r), mu[1:])
+    return total
+
+
+def exact_class_vector(m: int, eigenvalue) -> list[Fraction]:
+    """The central class function acting on irrep lam as eigenvalue(contents of
+    lam), in exact rationals: sum_lam dim_lam chi_lam(class) eigenvalue / m!,
+    one entry per class in the order of ``conjugacy_classes(m)``'s types."""
+    types = pg.conjugacy_classes(m)[2]
+    eig = [eigenvalue([j - i for i, row in enumerate(lam) for j in range(row)]) for lam in types]
+    dims = [character(lam, (1,) * m) for lam in types]
+    return [
+        sum(dim * character(lam, mu) * e for lam, dim, e in zip(types, dims, eig))
+        / math.factorial(m)
+        for mu in types
+    ]
 
 
 def expand_runs(ops: tuple) -> tuple:

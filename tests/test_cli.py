@@ -63,7 +63,7 @@ def test_contract_output_and_determinism(tmp_path, capsys):
 # one small invocation per subcommand, with the schema and seed its files carry
 SCHEMA_CASES = {
     "predict": (1, 0, ["predict", "--setup", "glued", "--pdf", "--x", "0.2", "--points", "5"]),
-    "contract": (4, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
+    "contract": (5, 0, ["contract", "--setup", "glued", "--na", "3", "--d", "2", "--chi", "3",
                         "--k", "2", "--n", "1"]),
     "oracle": (7, 3, ["oracle", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
                       "--chi", "2", "--realizations", "20", "--seed", "3", "--threads", "1"]),
@@ -94,8 +94,12 @@ def test_output_is_schema_tagged_and_byte_stable(command, tmp_path, capsys):
         assert json.loads(mirror_a.read_text())["schema"] == schema
     # the dense and Cayley-walk contraction oracles are not reachable from the
     # command line
-    with pytest.raises(SystemExit):
-        cli.main([*args, "--method", "dense"])
+    files = sorted(tmp_path.iterdir())
+    code, _, err = run_cli(capsys, *args, "--method", "dense")
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--method" in lines[0]
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_csv_and_json_outputs(tmp_path, capsys):
@@ -246,19 +250,57 @@ def test_histogram_default_nb(capsys):
 def test_histogram_has_no_moment_order(tmp_path, capsys):
     # a histogram has no k; the flag is refused instead of being hashed
     out = tmp_path / "hist.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["histogram", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
-                  "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
-                  "--realizations", "4", "--seed", "2", "--threads", "1", "--k", "3",
-                  "--out", str(out)])
-    assert exc.value.code != 0
+    code, _, err = run_cli(
+        capsys, "histogram", "--setup", "staircase", "--na", "2", "--nb", "2", "--d", "2",
+        "--chi", "4", "--bins", "4", "--umax", "4", "--pairs", "4",
+        "--realizations", "4", "--seed", "2", "--threads", "1", "--k", "3",
+        "--out", str(out),
+    )
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--k" in lines[0]
     assert not list(tmp_path.iterdir())
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sample", "--setup", "staircase")
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "required" in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, config, word",
+    [
+        (["predict", "--setup", "glued", "--foo", "1"], None, "--foo"),
+        (["predict", "--setup", "glued", "--k", "two"], None, "--k"),
+        (["predict"], None, "--setup"),
+        ([], None, "command"),
+        (["predict", "--setup", "glued"], "foo=1\n", "--foo"),
+        (["predict", "--setup", "glued"], "forced=true\n", "--forced"),
+    ],
+)
+def test_usage_errors_are_one_error_line(argv, config, word, tmp_path, capsys):
+    # an unknown, missing or malformed flag, on the command line or as a
+    # config key, is bad input like any other: exit 1, no usage dump
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sample", "--setup", "staircase"])
-    assert exc.value.code != 0
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "rmpslab" in capsys.readouterr().out
 
 
 def test_size_cap_exit_code(capsys):

@@ -247,16 +247,34 @@ def test_contract_does_not_import_numpy_ma():
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
-def test_class_convolution_matrix_matches_dense():
-    rng = np.random.default_rng(1)
-    m = 4
-    class_of, _, types = pg.conjugacy_classes(m)
-    f = rng.normal(size=len(types))
-    h = rng.normal(size=len(types))
-    conv = pg.class_convolution_matrix(m, f) @ h
-    dense = f[class_of[oracles.relative_index_matrix(m)]] @ h[class_of]
-    reps = list(pg.class_representatives(m))
-    assert np.abs(conv - dense[reps]).max() < 1e-10 * np.abs(dense).max()
+@pytest.mark.parametrize("m", range(1, 9))
+def test_irrep_table_is_the_character_table(m):
+    # rows in the order of the class types: dim chi / m! from the diagram
+    # rim-hook rule, and each diagram's box contents
+    chars, contents = pg.irrep_table(m)
+    types = pg.conjugacy_classes(m)[2]
+    for lam, row, cont in zip(types, chars, contents):
+        dim = oracles.character(lam, (1,) * m)
+        want = [dim * oracles.character(lam, mu) / math.factorial(m) for mu in types]
+        assert np.abs(row - want).max() < 1e-15
+        assert sorted(cont) == sorted(j - i for i, r in enumerate(lam) for j in range(r))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_character_orthogonality(m):
+    _, sizes, _ = pg.conjugacy_classes(m)
+    table = pg.irrep_table(m)[0]
+    order = math.factorial(m)
+    dims = np.sqrt(table[:, 0] * order)
+    chars = table * order / dims[:, None]
+    assert np.abs(dims - np.rint(dims)).max() < 1e-9
+    assert np.abs(chars - np.rint(chars)).max() < 1e-9
+    dims, chars = np.rint(dims).astype(np.int64), np.rint(chars).astype(np.int64)
+    assert int(dims @ dims) == order
+    # rows: sum over the group of chi_l chi_l' is m! delta; columns: sum over
+    # irreps of chi_l(c) chi_l(c') is the centralizer order m! / |c| delta
+    assert np.array_equal((chars * sizes) @ chars.T, order * np.eye(len(sizes), dtype=np.int64))
+    assert np.array_equal(chars.T @ chars, np.diag(order // sizes))
 
 
 def test_rank_words_matches_word_index_m8():

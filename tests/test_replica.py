@@ -37,7 +37,7 @@ def dense_contract(spec):
     plain sum over the group.
 
     Bonds are the dense matrices built from the eigh pseudo-inverse of the
-    dense Gram matrix, not from the engine's class algebra (m <= 6).
+    dense Gram matrix, not from the engine's character table (m <= 6).
     """
     m, chi = spec.shape.m, float(spec.chi)
     ops = oracles.expand_runs(spec.ops)

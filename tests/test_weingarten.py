@@ -1,11 +1,14 @@
 """Gram/Weingarten matrix tests: inverse identities, sum rules, bond kernels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rmpslab import mps
 from rmpslab import permutations as pg
+from rmpslab import replica as rp
 from rmpslab import weingarten as wg
 
 import oracles
@@ -115,12 +118,47 @@ def test_interaction_row_expansion_bounded():
         prev = row
 
 
-@pytest.mark.parametrize("m,q", [(2, 2.0), (4, 2.0), (4, 8.0), (5, 3.0), (6, 7.0)])
+@pytest.mark.parametrize(
+    "m,q", [(2, 2.0), (4, 2.0), (4, 8.0), (5, 3.0), (6, 2.0), (6, 5.0), (6, 7.0)]
+)
 def test_class_vectors_match_dense(m, q):
     wc = wg.weingarten_class_vector(m, q)
     wd = oracles.weingarten_matrix(m, q)
     dense = oracles.densify_class_kernel(m, wc)
     assert np.abs(dense - wd).max() < 1e-9 * np.abs(wd).max()
+
+
+def _exact_weingarten(m: int, q: int) -> np.ndarray:
+    """W(q) from the character sum in exact rationals: 1 / prod(q + c) on each
+    irrep, 0 on the irreps whose product vanishes."""
+
+    def inverse_product(contents):
+        prod = math.prod(Fraction(q + c) for c in contents)
+        return 1 / prod if prod else Fraction(0)
+
+    return np.array([float(x) for x in oracles.exact_class_vector(m, inverse_product)])
+
+
+@pytest.mark.parametrize("m,q", [(8, 2), (8, 4), (8, 7), (6, 2), (6, 3), (6, 4), (6, 5)])
+def test_weingarten_exact_below_m(m, q):
+    # at q < m the Gram kernel is singular; its pseudo-inverse drops the
+    # irreps with more than q rows exactly, with no eigenvalue cut to round
+    exact = _exact_weingarten(m, q)
+    got = wg.weingarten_class_vector(m, float(q))
+    assert np.abs(got - exact).max() <= 1e-15 * np.abs(exact).max()
+
+
+def test_class_vectors_are_not_shared():
+    # scaling a returned kernel in place leaves every later chain alone, and
+    # the per-m tables behind the kernels cannot be written
+    circuit = mps.Circuit("staircase", 2, 2, 4, 2)
+    before = rp.frame_potential_chain(circuit, 2, 0).log
+    v = wg.weingarten_class_vector(4, 8.0)
+    v *= 2
+    assert rp.frame_potential_chain(circuit, 2, 0).log == before
+    for table in (*pg.irrep_table(4), pg.class_distance(4)):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_class_vector_row_sum_m8():
