@@ -68,6 +68,7 @@ class EnsembleConfig(mps.Circuit):
             object.__setattr__(self, field, int(value))
         if self.k_max < 1 or self.pairs_per_state < 1 or self.realizations < 2:
             raise ValueError("need k_max >= 1, pairs_per_state >= 1, realizations >= 2")
+        mps._check_key(self.seed, self.realizations - 1)
         if self.pair_mode == "pooled" and self.pairs_per_state < 2:
             raise ValueError(
                 f"pooled pairs need pairs_per_state (--pairs) >= 2, got {self.pairs_per_state}"

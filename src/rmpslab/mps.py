@@ -62,12 +62,13 @@ gate by gate.  The gate shapes have one home (``Circuit.gate_shapes``), so
 ``Circuit.normal_budget`` is exactly the count a one-stream build consumes.
 
 ``BornSampler`` draws Born-rule measurements of region B from one state,
-a batch of draws per sweep.  It samples left to right in the right-canonical
+a batch of draws per sweep: one sweep loop, with one uniform layout, fed by
+two set-ups.  The general one sweeps left to right in the right-canonical
 gauge, in which no environment is needed: a staircase built with Haar gates
 is in that gauge as built (each site an isometry from its left bond), and any
 other state (glued, hand-built) is brought into it by one LQ pass.  Told of
 enough draws per state, the sampler brings the region B of a staircase into
-the left-canonical gauge instead, whose sweep is cheaper.
+the left-canonical gauge instead and sweeps it right to left, which is cheaper.
 ``_project_batch`` is the one projection of outcome strings onto region A,
 for Born post-states and forced draws alike.
 
@@ -110,10 +111,11 @@ CANON_MIN_DRAWS = 256
 CANON_DRAWS_PER_BOND = 4
 
 
-def _check_key(seed: int, realization: int) -> None:
-    for name, value in (("seed", seed), ("realization", realization)):
-        if value < 0:
-            raise ValueError(f"stream {name} must be >= 0, got {value}")
+def _check_key(seed: int, *realizations: int) -> None:
+    """Refuse a seed or realization that is not a Philox key word, [0, 2^64)."""
+    for name, value in (("seed", seed), *(("realization", r) for r in realizations)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"stream {name} must be in [0, 2**64), got {value}")
 
 
 def stream(seed: int, realization: int = 0) -> np.random.Generator:
@@ -135,7 +137,7 @@ def stream_normals(seed: int, realizations: range, size: int) -> np.ndarray:
     state ``stream(seed, r)`` starts in; each row is then one
     ``standard_normal`` call.
     """
-    _check_key(seed, min(realizations, default=0))
+    _check_key(seed, *realizations[:1], *realizations[-1:])
     out = np.empty((len(realizations), size))
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
@@ -581,24 +583,37 @@ def _check_norm(nsq: float) -> None:
         raise PreconditionError(f"born sampling needs a normalized state; <psi|psi> = {nsq!r}")
 
 
+class _Sweep(NamedTuple):
+    """What a ``BornSampler`` set-up stores, data only: no closure over the
+    sampler, so a dropped sampler is freed by reference counting alone."""
+
+    first: tuple  # (candidates, masses, cumulative masses, total) of the first pick
+    steps: list  # per step in sweep order: (l, p, r) operand, site its guard names
+    columns: np.ndarray  # the picks that are the B outcomes, left to right
+    region_a_map: np.ndarray | None  # (bond, D_A); None: ``_project_batch``
+
+
 class BornSampler:
     """Reusable Born-rule sampler for one fixed state, told how many draws
     per state its caller will take (``draws``, an integer >= 0; 0 when
     unknown).
 
-    ``sample_batch`` sweeps the chain once for a chunk of draws, carrying one
-    (draw, bond) vector per draw; every step is a batched matrix product
-    over the chunk (BLAS-3), so a draw costs O(N chi^2), and each site draws
-    its outcome from row-wise cumulative sums of its marginals.  The leading
-    kept run is the kept sites before the first B site (region A for the
-    staircase, none for the glued layout), contracted into its map F
-    (``_leading_factor``).  ``form`` names the set-up, one of two
+    One sweep (``sample_batch``) serves both set-ups, which are the only
+    form-specific code: each stores a ``_Sweep``.  A chunk of draws carries
+    one (draw, bond) vector per draw from a first pick whose marginal is the
+    same for every draw; each step is one batched matrix product over the
+    chunk (BLAS-3), so a draw costs O(N chi^2), and picks from row-wise
+    cumulative sums of its marginals.  The Born weight is the squared norm of
+    the amplitude: the last vector times the region-A map, or the projection
+    of the outcomes.  The leading kept run is the kept sites before the first B
+    site (region A for the staircase, none for the glued layout), contracted
+    into its map F (``_leading_factor``).  ``form`` names the set-up
     (canonical forms: Schollwöck, Ann. Phys. 326, 96, 2011):
 
     * "right-canonical", the general form.  Every site from the first B site
       on, kept or measured, is an isometry from its left bond (T T^H = 1 for
       T as an (l, p r) matrix), so every right environment is the identity,
-      <psi|psi> = ||F||^2, and the chain is sampled left to right with no
+      <psi|psi> = ||F||^2, and the chain is swept left to right with no
       environment at all (perfect sampling: Ferris and Vidal, PRB 85,
       165146, 2012).  A sequentially generated state (one isometry per site:
       Schön et al., PRL 95, 110503, 2005) is already in that gauge: the
@@ -606,20 +621,17 @@ class BornSampler:
       staircase passes.  Any other state (glued, Gaussian, gauge-transformed,
       hand-built, rank-deficient) is brought into it by one Householder LQ
       pass (``_right_gauge``), and the norm check then refuses it if it is
-      not normalized.  A draw picks a kept string of the leading run from F's
-      row masses, then draws every later site from the squared norms of its
-      candidates v T, checking the mass at each site, and keeps only the B
-      outcomes.  Its amplitude comes from ``_project_batch``, the one
-      projection, which forced draws use too.
+      not normalized.  The first pick is a kept string of the leading run
+      from F's row masses, every later site is a step, and the B picks are
+      the outcomes, projected by ``_project_batch`` as forced draws are.
     * "left-canonical", from max(CANON_MIN_DRAWS, CANON_DRAWS_PER_BOND x the
       largest bond after the cut) draws per state, while no kept site lies
       right of a measured one (the staircase).  Region B is brought into the
       left-canonical gauge by Cholesky-QR (``_canonical_setup``), so every
-      left environment is the identity.  The sweep runs right to left: each B
-      site takes one product per draw, whose candidates come out draw-major,
-      and each marginal is their squared norm; the last vector times the
-      stored region-A map is the amplitude.  A singular bond Gram, which only
-      a hand-built state has, takes the right-canonical form instead.
+      left environment is the identity.  The sweep runs right to left: the
+      first pick is the rightmost outcome, each B site left of it a step.
+      A singular bond Gram, which only a hand-built state has, takes the
+      right-canonical form instead.
 
     The left-canonical form has the cheaper sweep (d r^2 per site per draw,
     for bond r, against (d + 1) r^2 here with the projection) and the dearer
@@ -644,17 +656,15 @@ class BornSampler:
     per site, 24 MB at chi = 256.
 
     Memory also grows with the chunk: a sweep holds the candidates, count x
-    p r complex entries at a site, the projection a (count, open kept index,
+    p r complex entries at a step, the projection a (count, open kept index,
     bond) stack and one group of it, and the post-states count x D_A.
     Callers take ``chunk_draws`` draws per batch (at most MAX_SAMPLER_DRAWS =
     256), which keeps each near 2^16 entries.
 
-    The uniforms are drawn draw-major, so a batch consumes the stream
-    exactly as ``count`` successive single draws do: ``rng.random((count,
-    N_B))`` in sweep order for the left-canonical form, and
-    ``rng.random((count, 1 + S))`` for the right-canonical form, whose
-    column 0 draws the leading run's string and whose column s + 1 the s-th
-    of the S sites after it.  The forms draw alike in law, not from one
+    One uniform layout serves both forms: ``rng.random((count, 1 + S))``
+    for S steps, draw-major, column 0 for the first pick and column s + 1
+    for step s, so a batch consumes the stream exactly as ``count``
+    successive single draws do.  The forms draw alike in law, not from one
     stream.
     """
 
@@ -685,29 +695,30 @@ class BornSampler:
         Cholesky-QR bond by bond (``_cholesky_qr``, as for the tall gates),
         Y = Q R with Q^H Q = 1: at the cut Y is the region-A map F, whose Q^T
         is the stored map, and at each B site Y is R t of the R left of it,
-        with rows (outcome, left bond), so that its Q^T is the sweep's
-        (right bond) x (outcome, left bond) operand."""
+        with rows (outcome, left bond), so that its Q^T is the step's
+        (right bond, outcome, left bond) operand."""
         tensors = self.state.tensors
         low, qt = _cholesky_qr(_leading_factor(tensors, self._first_b)[None])
         region_a_map = qt[0]  # (bond at the A|B cut, D_A)
-        canon = {}
+        steps = []
         for i in range(self._first_b, len(tensors) - 1):
             t = tensors[i]
             y = (low[0].T @ t.transpose(1, 0, 2)).reshape(-1, t.shape[2])
             low, qt = _cholesky_qr(y[None])
-            canon[i] = qt[0]
-        # the rightmost site's candidates R t by outcome, (R t)^T = t^T R^T,
-        # a contiguous row each; their squared norms sum to the last Gram,
-        # <psi|psi>
+            steps.append((qt[0].reshape(t.shape[2], t.shape[1], -1), i))
+        # the first pick's candidates: the rightmost site's R t by outcome,
+        # (R t)^T = t^T R^T, whose squared norms sum to the last Gram, <psi|psi>
         cand = tensors[-1][:, :, 0].T @ low[0]
         q = np.vecdot(cand.view(float), cand.view(float))
         _check_norm(float(q.sum()))
-        self.form, self._region_a_map, self._canon = "left-canonical", region_a_map, canon
-        self._last = (cand, q, np.cumsum(q), q.sum())
+        # the sweep and its picks run right to left over the B sites
+        columns = np.arange(len(steps) + 1)[::-1]
+        self.form = "left-canonical"
+        self._sweep = _Sweep((cand, q, np.cumsum(q), q.sum()), steps[::-1], columns, region_a_map)
 
     def _right_canonical_setup(self) -> None:
         """The sites from the first B site on in the right-canonical gauge,
-        with the leading run's map F and the cumulative sums of its row masses.
+        after a first pick among the rows of the leading run's map F.
 
         The certificate | ||F||^2 - 1 | + ||F||^2 sum_T ||T T^H - 1||_F <=
         NORM_TOL bounds |<psi|psi> - 1| (to first order in the defects), so a
@@ -717,7 +728,8 @@ class BornSampler:
         which <psi|psi> = ||F||^2 exactly, and ``_check_norm`` reads it."""
         sites = self.state.tensors[self._first_b :]
         kept = _leading_factor(self.state.tensors, self._first_b)
-        cum = np.cumsum(np.vecdot(kept.view(float), kept.view(float)))
+        masses = np.vecdot(kept.view(float), kept.view(float))
+        cum = np.cumsum(masses)
         defect = 0.0
         for t in sites:
             l = t.shape[0]
@@ -726,77 +738,36 @@ class BornSampler:
             defect += float(np.linalg.norm(gram))
         if not abs(cum[-1] - 1.0) + cum[-1] * defect <= NORM_TOL:
             sites, kept = _right_gauge(sites, kept)
-            cum = np.cumsum(np.vecdot(kept.view(float), kept.view(float)))
+            masses = np.vecdot(kept.view(float), kept.view(float))
+            cum = np.cumsum(masses)
         _check_norm(float(cum[-1]))
-        self.form, self._sites, self._kept, self._kept_cum = "right-canonical", sites, kept, cum
+        steps = [(t, self._first_b + s) for s, t in enumerate(sites)]
+        roles = self.state.roles[self._first_b :]
+        columns = np.array([s + 1 for s, role in enumerate(roles) if role == "B"])
+        self.form = "right-canonical"
+        self._sweep = _Sweep((kept, masses, cum, cum[-1]), steps, columns, None)
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
-        """count independent Born draws from one sweep."""
+        """count independent Born draws from one sweep of the set-up's ``_Sweep``."""
         if count < 1:
             raise ValueError(f"need count >= 1, got {count}")
-        if self.form == "right-canonical":
-            return self._sample_left_to_right(rng, count)
-        return self._sample_right_to_left(rng, count)
-
-    def _sample_right_to_left(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
-        """The left-canonical sweep: the rightmost site's marginal, the same
-        for every draw, is set up once; each site left of it maps the drawn
-        vectors through its operand, and the last vector times the region-A
-        map is the amplitude."""
-        n_b = len(self.state.tensors) - self._first_b
-        # row c holds draw c's uniforms; column s serves the s-th B site from
-        # the right
-        uniforms = rng.random((count, n_b))
-        outcomes = np.empty((count, n_b), dtype=np.intp)
+        (cand, masses, cum, total), steps, columns, region_a_map = self._sweep
+        # row c holds draw c's uniforms: column 0 draws the first pick, column
+        # s + 1 serves step s
+        uniforms = rng.random((count, len(steps) + 1))
+        picks = np.empty((count, len(steps) + 1), dtype=np.intp)
         draws = np.arange(count)
-        cand, q, cum, total = self._last
-        z = np.minimum(cum.searchsorted(uniforms[:, 0] * total, side="right"), len(q) - 1)
-        mass_prev = q[z]
-        prob = mass_prev / total
-        vec = cand[z]
-        outcomes[:, -1] = z
-        for s in range(1, n_b):
-            i = len(self.state.tensors) - 1 - s
-            p = self.state.tensors[i].shape[1]
-            # the left-canonical operands give the candidates draw-major, and
-            # each marginal is their squared norm
-            cand = (vec @ self._canon[i]).reshape(count * p, -1)
+        z = np.minimum(cum.searchsorted(uniforms[:, 0] * total, side="right"), len(masses) - 1)
+        # (draw, bond): the joint mass so far is its squared norm
+        vec, mass_prev, picks[:, 0] = cand[z], masses[z], z
+        for s, (op, site) in enumerate(steps):
+            l, p, r = op.shape
+            cand = (vec @ op.reshape(l, p * r)).reshape(count * p, r)
             q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
-            z, total = _draw_outcomes(q, uniforms[:, s], mass_prev, i)
-            mass_prev = q[draws, z]
-            prob = prob * (mass_prev / total)
-            vec = cand[draws * p + z]
-            outcomes[:, -1 - s] = z
-        amp = vec @ self._region_a_map
-        amp /= np.sqrt(np.vecdot(amp, amp).real)[:, None]
-        return MeasurementBatch(outcomes, prob, amp)
-
-    def _sample_left_to_right(self, rng: np.random.Generator, count: int) -> MeasurementBatch:
-        """The right-canonical sweep: a string of the leading run drawn from
-        F's row masses opens one left-to-right pass over the sites after it,
-        where each marginal is the squared norm of the candidates v T; the
-        B outcomes are kept, and ``_project_batch`` forms their amplitudes."""
-        sites = self._sites
-        # row c holds draw c's uniforms: column 0 draws the leading run's
-        # string, column s + 1 serves the s-th site after it
-        uniforms = rng.random((count, len(sites) + 1))
-        picks = np.empty((count, len(sites)), dtype=np.intp)
-        draws = np.arange(count)
-        cum = self._kept_cum
-        z = np.minimum(cum.searchsorted(uniforms[:, 0] * cum[-1], side="right"), len(cum) - 1)
-        vec = self._kept[z]  # (draw, bond): the joint mass so far is its squared norm
-        mass_prev = np.vecdot(vec.view(float), vec.view(float))
-        for s, t in enumerate(sites):
-            l, p, r = t.shape
-            cand = (vec @ t.reshape(l, p * r)).reshape(count * p, r)
-            q = np.vecdot(cand.view(float), cand.view(float)).reshape(count, p)
-            z, _ = _draw_outcomes(q, uniforms[:, s + 1], mass_prev, self._first_b + s)
-            mass_prev = q[draws, z]
-            vec = cand[draws * p + z]
-            picks[:, s] = z
-        measured = [s for s, role in enumerate(self.state.roles[self._first_b :]) if role == "B"]
-        outcomes = picks[:, measured]
-        amp = _project_batch(self.state, outcomes)
+            z = _draw_outcomes(q, uniforms[:, s + 1], mass_prev, site)
+            vec, mass_prev, picks[:, s + 1] = cand[draws * p + z], q[draws, z], z
+        outcomes = picks[:, columns]
+        amp = _project_batch(self.state, outcomes) if region_a_map is None else vec @ region_a_map
         prob = np.vecdot(amp, amp).real
         amp /= np.sqrt(prob)[:, None]
         return MeasurementBatch(outcomes, prob, amp)
@@ -804,10 +775,10 @@ class BornSampler:
 
 def _draw_outcomes(
     q: np.ndarray, u: np.ndarray, mass_prev: np.ndarray, site: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(outcome, total mass) per row of a (draw, outcome) marginal q, from a
-    uniform per row; the total must be positive and agree with the mass
-    drawn before it to 1e-6 relative."""
+) -> np.ndarray:
+    """One sweep step's pick per row of a (draw, outcome) marginal q, from a
+    uniform per row; the row's total mass must be positive and agree with
+    the mass drawn before it to 1e-6 relative, or the error names site."""
     # the row-wise cumsum's last entry is the sequential sum
     cum = q.cumsum(axis=1)
     total = cum[:, -1]
@@ -822,7 +793,7 @@ def _draw_outcomes(
     # per row: the searchsorted(cumsum(q), u total, "right") index capped at
     # p - 1, which is the count of the first p - 1 cumulative masses at or
     # below u total
-    return (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1), total
+    return (cum[:, :-1] <= (u * total)[:, None]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

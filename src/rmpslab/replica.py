@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,6 +310,13 @@ def contract(spec: ReplicaChainSpec) -> ChainValue:
     return ChainValue(float(np.dot(orbits.sizes, vec)), math.fsum(logs))
 
 
+def _gate_dim(dim: int, name: str) -> float:
+    """A gate dimension as the float the chain reads, refused past the float range."""
+    if dim > sys.float_info.max:
+        raise SizeLimitError(f"gate dimension {name} exceeds the float range")
+    return float(dim)
+
+
 def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     """Chain for the sequential circuit: N_A + N_B - 1 gates.
 
@@ -320,7 +328,7 @@ def staircase_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     is left.
     """
     m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
-    log_pref = math.log(wg.weingarten_sum_constant(m, float(d * chi), kind))
+    log_pref = math.log(wg.weingarten_sum_constant(m, _gate_dim(d * chi, "d chi"), kind))
     n_a, n_b = circuit.n_a, circuit.n_b
     if n_b == 1:
         # (A T)^(N_A - 1) A R
@@ -345,12 +353,13 @@ def glued_chain(circuit: Circuit, shape: ReplicaShape) -> ReplicaChainSpec:
     or varsigma_A^(2m) (gaussian), accumulated in the prefactor.
     """
     m, d, chi, kind = shape.m, circuit.d, circuit.chi, circuit.kind
+    block = _gate_dim(d * chi * chi, "d chi^2")
     if kind.is_haar:
-        log_block = math.log(wg.weingarten_sum_constant(m, float(d * chi * chi), HAAR))
+        log_block = math.log(wg.weingarten_sum_constant(m, block, HAAR))
     else:
         # m log(varsigma_A^2): log(weingarten_sum_constant) differs in the
         # last bits of log_scale, which the contract files record
-        log_block = m * math.log(kind.gate_variance(d * chi**2))
+        log_block = m * math.log(kind.gate_variance(block))
     return ReplicaChainSpec(
         shape=shape,
         kind=kind,

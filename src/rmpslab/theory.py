@@ -38,16 +38,28 @@ _REL_TOL = 1e-14
 
 def _series(term) -> float:
     """sum_(j >= 0) term(j), stopped at the first term that is below the one
-    before it and at or below _REL_TOL of the partial sum (so past the peak);
-    raises RuntimeError past 100,000 terms."""
+    before it and at or below _REL_TOL of the partial sum (so past the peak),
+    or at inf once a term or the partial sum passes the float range; raises
+    RuntimeError past 100,000 terms."""
     total, prev = 0.0, np.inf
     for j in range(100001):
-        t = term(j)
+        try:
+            t = term(j)
+        except OverflowError:
+            return math.inf
         total += t
-        if t < prev and t <= _REL_TOL * total:
+        if total == math.inf or t < prev and t <= _REL_TOL * total:
             return total
         prev = t
     raise RuntimeError("series failed to converge within 100,000 terms")
+
+
+def _exp(value: float) -> float:
+    """math.exp, reading inf past the float range."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 def _check_finite(**values: float) -> None:
@@ -93,7 +105,8 @@ def setup1_ratio(k: int, x: float, d: int) -> float:
     ((d-1)/d) sum_j d^(-j) (1 + x d/(d-1) + x j)^k, truncated once a term
     falls below 1e-14 of the partial sum (past the term peak).  This is
     the D_A, chi -> infinity limit at fixed x; it leaves out the finite-D Haar
-    factor D_A^k / (D_A)_k (see the module docstring).
+    factor D_A^k / (D_A)_k (see the module docstring).  A ratio past the
+    float range reads inf.
     """
     if k < 1:
         raise ValueError(f"moment order k must be >= 1, got {k}")
@@ -123,12 +136,13 @@ def setup1_pdf(u: float, x: float, d: int) -> float:
 
 
 def setup2_ratio(k: int, x: float, d: int) -> float:
-    """Glued-circuit frame-potential ratio: exp(x k (d - 1 - 1/d) + x k^2)."""
+    """Glued-circuit frame-potential ratio: exp(x k (d - 1 - 1/d) + x k^2),
+    inf past the float range."""
     if k < 1:
         raise ValueError(f"moment order k must be >= 1, got {k}")
     _check_finite(x=x)
     _check_d(d)
-    return math.exp(x * k * (d - 1.0 - 1.0 / d) + x * k * k)
+    return _exp(x * k * (d - 1.0 - 1.0 / d) + x * k * k)
 
 
 def setup2_excitation_exponent(k: int, n: float, d: int) -> float:
@@ -155,12 +169,13 @@ def setup2_excitation_exponent(k: int, n: float, d: int) -> float:
 def setup2_generalized_ratio(k: int, n: float, x: float, d: int) -> float:
     """Glued ratio at general replica number n (n >= 0 or the limit value 1-k).
 
-    At n = 1-k (m = 2) this collapses exactly to ``setup2_ratio``.
+    At n = 1-k (m = 2) this collapses exactly to ``setup2_ratio``; it reads
+    inf past the float range too.
     """
     _check_finite(x=x)
     if n < 0 and n != 1 - k:
         raise ValueError(f"replica number must be >= 0 or exactly 1-k, got n={n}")
-    return math.exp(x * setup2_excitation_exponent(k, n, d))
+    return _exp(x * setup2_excitation_exponent(k, n, d))
 
 
 def setup2_pdf(u: float, x: float, d: int) -> float:

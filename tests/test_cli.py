@@ -443,6 +443,42 @@ def test_contract_ratio_past_the_float_range_is_inf(argv, tmp_path, capsys):
     assert ratio == math.inf
 
 
+@pytest.mark.parametrize("setup", ["staircase", "glued"])
+def test_predict_ratio_past_the_float_range_is_inf(setup, tmp_path, capsys):
+    # the glued exp used to raise OverflowError and the staircase series ran
+    # 100,001 terms before raising; both print inf, as contract does
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_cli(capsys, "predict", "--setup", setup, "--x", "1e308",
+                                "--k", "2", "--out", str(out))
+    assert code == 0 and err == ""
+    assert stdout.splitlines() == ["x=1e+308 k=1 ratio=inf", "x=1e+308 k=2 ratio=inf"]
+    rows = out.read_text().strip().split("\n")[2:]
+    assert [float(row.split(",")[2]) for row in rows] == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--setup", "staircase", "--na", "2", "--nb", "2", "--chi", str(10**400)], "d chi"),
+        (["--setup", "staircase", "--na", "2", "--nb", "2", "--chi", "2", "--d", str(10**400)],
+         "d chi"),
+        (["--setup", "glued", "--na", "1", "--chi", "2", "--d", str(10**400)], "d chi^2"),
+        (["--setup", "glued", "--na", "1", "--chi", "2", "--d", str(10**400),
+          "--kind", "gaussian"], "d chi^2"),
+    ],
+    ids=["staircase-chi", "staircase-d", "glued-d", "glued-gaussian-d"],
+)
+def test_contract_size_past_the_float_range_is_an_error(argv, name, tmp_path, capsys):
+    # float(d chi) used to raise an OverflowError traceback
+    code, _, err = run_cli(capsys, "contract", *argv, "--k", "1", "--n", "0",
+                           "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"gate dimension {name} exceeds the float range" in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_memory_error_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
     # a state too large to allocate (the exposed leg's eye(chi) at chi = 10^5
     # needs 149 GiB) exits 1 with one error: line
@@ -560,6 +596,18 @@ def assert_refused_before_building(argv, word, tmp_path, capsys, monkeypatch):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv", [SAMPLE, HISTOGRAM, [*ORACLE, *STAIRCASE, "--seed", "0"]],
+    ids=["sample", "histogram", "oracle"],
+)
+def test_seed_past_64_bits_is_an_error(argv, tmp_path, capsys, monkeypatch):
+    # a Philox key word holds 64 bits: 2^64 used to end in an OverflowError
+    # traceback from the uint64 key, and 2^64 - 1 is the largest seed
+    assert run_cli(capsys, *with_flag(argv, "--seed", str(2**64 - 1)))[0] == 0
+    argv = with_flag(argv, "--seed", str(2**64))
+    assert_refused_before_building(argv, "[0, 2**64)", tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("argv", [SAMPLE, HISTOGRAM], ids=["sample", "histogram"])

@@ -5,10 +5,12 @@ streams must realize the same state; that makes per-outcome equality checks
 exact rather than statistical.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -277,6 +279,19 @@ def test_stream_rejects_negative_key(name):
     with pytest.raises(ValueError, match=name):
         mps.stream(**{"seed": 0, "realization": 0, name: -1})
     seed, reals = (-1, range(2)) if name == "seed" else (0, range(-1, 2))
+    with pytest.raises(ValueError, match=name):
+        mps.stream_normals(seed, reals, 4)
+
+
+@pytest.mark.parametrize("name", ["seed", "realization"])
+def test_stream_rejects_a_key_past_64_bits(name):
+    # a Philox key word holds [0, 2^64): the largest key draws, 2^64 is a
+    # ValueError, not an OverflowError from the uint64 key
+    top = {"seed": 0, "realization": 0, name: 2**64 - 1}
+    mps.stream(**top).standard_normal(1)
+    with pytest.raises(ValueError, match=name):
+        mps.stream(**{**top, name: 2**64})
+    seed, reals = (2**64, range(2)) if name == "seed" else (0, range(2**64 - 1, 2**64 + 1))
     with pytest.raises(ValueError, match=name):
         mps.stream_normals(seed, reals, 4)
 
@@ -656,12 +671,9 @@ def test_sample_batch_guards_catch_a_stale_environment(case, scale, error, match
     circuit, seed, _, form, transformed = case
     sampler, _ = batch_case(circuit, seed, form, transformed)
     site = [i for i, role in enumerate(sampler.state.roles) if role == "B"][-2]
-    if form == "right-canonical":
-        site -= sampler._first_b
-        operands = sampler._sites
-    else:
-        operands = sampler._canon
-    operands[site] = operands[site] * scale
+    steps = sampler._sweep.steps
+    step = [s for _, s in steps].index(site)
+    steps[step] = (steps[step][0] * scale, site)
     with pytest.raises(error, match=match):
         sampler.sample_batch(mps.stream(0), 8)
 
@@ -686,7 +698,8 @@ def test_gauged_and_built_forms_draw_alike(circuit):
     state = mps.build(circuit, mps.stream(21))
     gauged, built = mps.BornSampler(gauge_transformed(state)), mps.BornSampler(state)
     assert gauged.form == built.form == "right-canonical"
-    assert all(a is b for a, b in zip(built._sites, state.tensors[built._first_b :]))
+    operands = [op for op, _ in built._sweep.steps]
+    assert all(a is b for a, b in zip(operands, state.tensors[built._first_b :]))
     rng_gauged, rng_built = mps.stream(8, 1), mps.stream(8, 1)
     a, b = gauged.sample_batch(rng_gauged, 200), built.sample_batch(rng_built, 200)
     assert np.array_equal(a.outcomes, b.outcomes)
@@ -774,7 +787,7 @@ def test_right_canonical_form_choice():
     def as_built(sampler):
         sites = sampler.state.tensors[sampler._first_b :]
         assert sampler.form == "right-canonical"
-        return all(a is b for a, b in zip(sampler._sites, sites))
+        return all(a is b for (a, _), b in zip(sampler._sweep.steps, sites))
 
     for circuit in FORM_CIRCUITS:
         state = mps.build(circuit, mps.stream(4))
@@ -826,6 +839,35 @@ def test_canonical_form_rule():
     # a kept site right of a measured one (glued) takes the right-canonical form
     glued = mps.build(mps.Circuit("glued", 2, 2, 2), mps.stream(1))
     assert mps.BornSampler(glued, CANONICAL).form == "right-canonical"
+
+
+@pytest.mark.parametrize(
+    "setup, draws, form",
+    [
+        ("staircase", 0, "right-canonical"),
+        ("glued", 0, "right-canonical"),
+        ("staircase", CANONICAL, "left-canonical"),
+    ],
+    ids=["as-built", "gauged", "left-canonical"],
+)
+def test_dropped_sampler_is_freed_by_reference_counting(setup, draws, form):
+    # a set-up stores data, not a closure over the sampler, so no reference
+    # cycle keeps a dropped sampler (and its state) alive until the cyclic
+    # collector runs
+    state = mps.build(mps.Circuit(setup, 2, 2, 2, 3 if setup == "staircase" else None),
+                      mps.stream(1))
+    sampler = mps.BornSampler(state, draws)
+    assert sampler.form == form
+    sampler.sample_batch(mps.stream(2), 4)
+    ref = weakref.ref(sampler)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sampler
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_singular_cut_takes_the_right_canonical_form():

@@ -87,6 +87,20 @@ def test_setup2_generalized_ratio():
     assert th.setup2_generalized_ratio(2, 0, 0.05, 2) == pytest.approx(math.exp(1.1), rel=1e-12)
 
 
+def test_ratios_past_the_float_range_are_inf():
+    # exp(x ...) past the float range used to raise OverflowError, the
+    # staircase power too, and an infinite staircase series ran all 100,001
+    # terms before raising; each reads inf now, and a range-safe x does not
+    assert th._series(lambda j: math.inf) == math.inf
+    for x in (1e200, 1e308):
+        assert th.setup1_ratio(2, x, 2) == math.inf
+        assert th.setup2_ratio(2, x, 2) == math.inf
+        assert th.setup2_generalized_ratio(2, 0, x, 2) == math.inf
+    assert th.setup2_ratio(1, 500.0, 2) == math.inf
+    assert math.isfinite(th.setup1_ratio(3, 1e100, 2))
+    assert math.isfinite(th.setup2_ratio(1, 400.0, 2))
+
+
 def test_setup2_pdf_properties():
     mass, _ = quad(lambda u: th.setup2_pdf(u, 0.05, 2), 0, np.inf, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-6)
